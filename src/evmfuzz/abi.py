@@ -12,6 +12,7 @@ import random
 import string as string_mod
 from dataclasses import dataclass, field
 
+from .evm.opcodes import signed
 from .keccak import keccak256
 
 WORD = 32
@@ -261,7 +262,7 @@ def _decode_word(abi_type: AbiType, word: bytes):
     if kind == "uint":
         return x
     if kind == "int":
-        return x - (1 << 256) if x >> 255 else x
+        return signed(x)
     if kind == "address":
         return x & ((1 << 160) - 1)
     if kind == "bool":

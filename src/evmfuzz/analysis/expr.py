@@ -4,16 +4,15 @@ A Term is an immutable tree: concrete constants, named variables (fuzzer-
 controllable sources like callvalue_0 or opaque ones like storage_…), and
 compound applications of 256-bit word operations.  Opaque operations (sha3,
 mix) remember the concrete value observed at execution time and evaluate to
-it; everything else evaluates structurally.
+it; everything else evaluates structurally through ``OPS``, the lower-cased
+view of the opcode table's word semantics (``evm.opcodes.WORD_OPS``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-WORD = 1 << 256
-MASK = WORD - 1
-SIGN = 1 << 255
+from ..evm.opcodes import MASK, WORD_OPS
 
 OPAQUE_OPS = ("sha3", "mix")
 
@@ -66,81 +65,8 @@ def contains(term: Term, needle: Term) -> bool:
     return any(contains(arg, needle) for arg in term.args)
 
 
-def _signed(x: int) -> int:
-    return x - WORD if x & SIGN else x
-
-
-def _div(a: int, b: int) -> int:
-    return a // b if b else 0
-
-
-def _sdiv(a: int, b: int) -> int:
-    sa, sb = _signed(a), _signed(b)
-    if sb == 0:
-        return 0
-    q = abs(sa) // abs(sb)
-    return (-q if (sa < 0) != (sb < 0) else q) & MASK
-
-
-def _mod(a: int, b: int) -> int:
-    return a % b if b else 0
-
-
-def _smod(a: int, b: int) -> int:
-    sa, sb = _signed(a), _signed(b)
-    if sb == 0:
-        return 0
-    r = abs(sa) % abs(sb)
-    return (-r if sa < 0 else r) & MASK
-
-
-def _signextend(k: int, x: int) -> int:
-    if k > 31:
-        return x
-    bit = 8 * k + 7
-    if x & (1 << bit):
-        return x | (MASK ^ ((1 << (bit + 1)) - 1))
-    return x & ((1 << (bit + 1)) - 1)
-
-
-def _byte(i: int, x: int) -> int:
-    return (x >> (8 * (31 - i))) & 0xFF if i < 32 else 0
-
-
-def _sar(shift: int, v: int) -> int:
-    sv = _signed(v)
-    if shift >= 256:
-        return MASK if sv < 0 else 0
-    return (sv >> shift) & MASK
-
-
-OPS = {
-    "add": lambda a, b: (a + b) & MASK,
-    "mul": lambda a, b: (a * b) & MASK,
-    "sub": lambda a, b: (a - b) & MASK,
-    "div": _div,
-    "sdiv": _sdiv,
-    "mod": _mod,
-    "smod": _smod,
-    "addmod": lambda a, b, n: (a + b) % n if n else 0,
-    "mulmod": lambda a, b, n: (a * b) % n if n else 0,
-    "exp": lambda a, b: pow(a, b, WORD),
-    "signextend": _signextend,
-    "lt": lambda a, b: int(a < b),
-    "gt": lambda a, b: int(a > b),
-    "slt": lambda a, b: int(_signed(a) < _signed(b)),
-    "sgt": lambda a, b: int(_signed(a) > _signed(b)),
-    "eq": lambda a, b: int(a == b),
-    "iszero": lambda a: int(a == 0),
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-    "not": lambda a: MASK ^ a,
-    "byte": _byte,
-    "shl": lambda s, v: (v << s) & MASK if s < 256 else 0,
-    "shr": lambda s, v: v >> s if s < 256 else 0,
-    "sar": _sar,
-}
+# The word semantics of the EVM opcodes, named in lower case.
+OPS = {name.lower(): func for name, func in WORD_OPS.items()}
 
 
 class EvalError(KeyError):

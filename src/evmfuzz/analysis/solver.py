@@ -21,6 +21,7 @@ import shutil
 import subprocess
 from dataclasses import dataclass, field
 
+from ..evm.opcodes import WORD, signed
 from . import expr
 from .expr import MASK, Term, evaluate, variables
 from .taint import FUZZABLE_KINDS, PathConstraint, parse_var
@@ -293,13 +294,10 @@ class ExternalSolver:
 # internal fallback
 
 
-_MOD = 1 << 256
-
-
 def _modinv(a: int) -> int | None:
     if a % 2 == 0:
         return None
-    return pow(a, -1, _MOD)
+    return pow(a, -1, WORD)
 
 
 class InternalSolver:
@@ -439,20 +437,17 @@ class InternalSolver:
         a, b = cond.args
         a_val = self._eval(a, env)
         b_val = self._eval(b, env)
-        signed = op in ("slt", "sgt", "sge", "sle")
-
-        def to_signed(x):
-            return x - _MOD if x >= 1 << 255 else x
+        is_signed = op in ("slt", "sgt", "sge", "sle")
 
         def boundaries(op_now, other_val):
             # target values for the adjustable side, tightest first
             if other_val is None:
                 return []
-            o = to_signed(other_val) if signed else other_val
+            o = signed(other_val) if is_signed else other_val
             if op_now in ("lt", "slt"):
-                return [o - 1, o - 2, 0 if not signed else -(1 << 255)]
+                return [o - 1, o - 2, 0 if not is_signed else -(1 << 255)]
             if op_now in ("gt", "sgt"):
-                return [o + 1, o + 2, MASK if not signed else (1 << 255) - 1]
+                return [o + 1, o + 2, MASK if not is_signed else (1 << 255) - 1]
             if op_now in ("ge", "sge"):
                 return [o, o + 1]
             return [o, o - 1]  # le / sle

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 from ..evm import ExecutionTrace
 from ..evm.interpreter import DEFAULT_CALL_RESULT
-from ..evm.opcodes import TABLE
-from . import expr
+from ..evm.opcodes import CALL_OPS, MASK, NAME_TO_CODE, TABLE, WORD_OPS
 from .expr import Term, apply, const, opaque, var, variables
 
 FUZZABLE_KINDS = frozenset(
@@ -155,23 +154,22 @@ class TaintReport:
         return self.constraints[-1] if self.constraints else None
 
 
-_WORD_OPS = {
-    "ADD": "add", "MUL": "mul", "SUB": "sub", "DIV": "div", "SDIV": "sdiv",
-    "MOD": "mod", "SMOD": "smod", "ADDMOD": "addmod", "MULMOD": "mulmod",
-    "EXP": "exp", "SIGNEXTEND": "signextend", "LT": "lt", "GT": "gt",
-    "SLT": "slt", "SGT": "sgt", "EQ": "eq", "ISZERO": "iszero", "AND": "and",
-    "OR": "or", "XOR": "xor", "NOT": "not", "BYTE": "byte", "SHL": "shl",
-    "SHR": "shr", "SAR": "sar",
-}
-
 _OVERFLOWABLE = {"ADD", "SUB", "MUL"}
 
-_UNTAINTED_PUSHES = {
-    "ADDRESS", "CODESIZE", "GASPRICE", "COINBASE", "DIFFICULTY", "GASLIMIT",
-    "PC", "MSIZE",
+# Environment reads whose pushed word becomes a variable of the given kind.
+_ENV_SOURCES = {
+    "CALLVALUE": "callvalue", "CALLER": "caller", "ORIGIN": "origin",
+    "TIMESTAMP": "timestamp", "NUMBER": "blocknumber",
+    "CALLDATASIZE": "calldatasize", "GAS": "gas", "BALANCE": "balance",
+    "BLOCKHASH": "blockhash",
 }
 
-MASK = (1 << 256) - 1
+# (target, value) operand depths, 0 for none, of the ops the interpreter
+# records a CallEvent for.
+_CALL_OPERANDS = {
+    "CALL": (2, 3), "CALLCODE": (2, 3), "DELEGATECALL": (2, 0),
+    "STATICCALL": (2, 0), "CREATE": (0, 1), "SELFDESTRUCT": (1, 0),
+}
 
 
 class TaintTracker:
@@ -294,87 +292,65 @@ class _Walker:
     def walk(self) -> None:
         i = self.i
         records = self.trace.records
-        for index, record in enumerate(records):
-            if record.error:
-                break  # synthetic fault: nothing executes past it
+        events = {event.record_index: event for event in self.trace.calls}
+        end = len(records)
+        if end and records[-1].error:
+            end -= 1  # the synthetic fault record: nothing executes past it
+            if end and records[end - 1].pc == records[end].pc:
+                end -= 1  # it repeats the pc of the op that raised, unfinished
+        for index in range(end):
+            record = records[index]
             if len(self.shadow) != len(record.stack):
                 self.realignments += 1
                 self.shadow = [None] * len(record.stack)
             op = record.op
-            if len(record.stack) < TABLE[_op_code(op)][1]:
-                break  # the op underflowed: it recorded but never executed
             stack = record.stack
             shadow = self.shadow
 
-            if op.startswith("PUSH"):
+            if op.startswith("PUSH"):  # first: the commonest op by far
                 shadow.append(None)
-            elif op.startswith("DUP"):
-                shadow.append(shadow[-int(op[3:])])
+                continue
+            _, pops, pushes = TABLE[NAME_TO_CODE[op]]
+            if op.startswith("DUP"):
+                shadow.append(shadow[-pops])
             elif op.startswith("SWAP"):
-                n = int(op[4:])
-                shadow[-1], shadow[-n - 1] = shadow[-n - 1], shadow[-1]
-            elif op.startswith("LOG"):
-                del shadow[len(shadow) - (int(op[3:]) + 2):]
-            elif op == "POP":
-                shadow.pop()
-            elif op in ("JUMPDEST", "STOP", "INVALID"):
-                pass
-            elif op == "JUMP":
-                shadow.pop()
+                shadow[-1], shadow[-pops] = shadow[-pops], shadow[-1]
+            elif op in WORD_OPS:
+                terms = shadow[:-pops - 1:-1]
+                del shadow[-pops:]
+                if terms.count(None) == pops:
+                    shadow.append(None)
+                else:
+                    concretes = stack[:-pops - 1:-1]
+                    result = apply(
+                        op.lower(),
+                        *(self._term_or_const(t, c) for t, c in zip(terms, concretes)),
+                    )
+                    shadow.append(result)
+                    if op in _OVERFLOWABLE and _wraps(op, concretes):
+                        self.report.overflows.append(
+                            OverflowEvent(record.pc, i, op.lower(), result, concretes)
+                        )
             elif op == "JUMPI":
-                dest_term = shadow.pop()
+                del shadow[-1]
                 cond_term = shadow.pop()
-                del dest_term
-                if cond_term is not None and len(stack) >= 2:
-                    taken = stack[-2] != 0
+                if cond_term is not None:
                     self.report.constraints.append(
                         PathConstraint(
                             pc=record.pc,
                             input_index=i,
                             cond=cond_term,
-                            taken=taken,
+                            taken=stack[-2] != 0,
                             true_dest=stack[-1],
                             false_dest=record.pc + 1,
                         )
                     )
                     self.control_kinds |= var_kinds(cond_term)
-            elif op in _WORD_OPS:
-                name = _WORD_OPS[op]
-                arity = TABLE[_op_code(op)][1]
-                terms = [shadow.pop() for _ in range(arity)]
-                concretes = tuple(stack[-1 - k] for k in range(arity))
-                if all(t is None for t in terms):
-                    shadow.append(None)
-                else:
-                    args = tuple(
-                        self._term_or_const(t, c) for t, c in zip(terms, concretes)
-                    )
-                    result = apply(name, *args)
-                    shadow.append(result)
-                    if op in _OVERFLOWABLE and _wraps(op, concretes):
-                        self.report.overflows.append(
-                            OverflowEvent(record.pc, i, name, result, concretes)
-                        )
-            elif op == "CALLVALUE":
-                shadow.append(self._mark(f"callvalue_{i}", self._result_of(index)))
-            elif op == "CALLER":
-                shadow.append(self._mark(f"caller_{i}", self._result_of(index)))
-            elif op == "ORIGIN":
-                shadow.append(self._mark(f"origin_{i}", self._result_of(index)))
-            elif op == "TIMESTAMP":
-                shadow.append(self._mark(f"timestamp_{i}", self._result_of(index)))
-            elif op == "NUMBER":
-                shadow.append(self._mark(f"blocknumber_{i}", self._result_of(index)))
-            elif op == "CALLDATASIZE":
-                shadow.append(self._mark(f"calldatasize_{i}", self._result_of(index)))
-            elif op == "GAS":
-                shadow.append(self._mark(f"gas_{i}", self._result_of(index)))
-            elif op == "BALANCE":
-                shadow.pop()
-                shadow.append(self._mark(f"balance_{i}", self._result_of(index)))
-            elif op == "BLOCKHASH":
-                shadow.pop()
-                shadow.append(self._mark(f"blockhash_{i}", self._result_of(index)))
+            elif op in _ENV_SOURCES:
+                del shadow[len(shadow) - pops:]
+                shadow.append(
+                    self._mark(f"{_ENV_SOURCES[op]}_{i}", self._result_of(index))
+                )
             elif op == "CALLDATALOAD":
                 shadow.pop()
                 offset = stack[-1]
@@ -400,9 +376,9 @@ class _Walker:
             elif op in ("CODECOPY", "RETURNDATACOPY"):
                 del shadow[-3:]
                 dest, offset, size = stack[-1], stack[-2], stack[-3]
+                self._mem_clear(dest, size)
                 if op == "RETURNDATACOPY" and self.last_callee is not None:
                     _, ret = self._call_result(self.last_callee)
-                    self._mem_clear(dest, size)
                     for chunk_start in range(0, size, 32):
                         src = offset + chunk_start
                         chunk = ret[src:src + 32].ljust(32, b"\x00")
@@ -411,8 +387,6 @@ class _Walker:
                             min(32, size - chunk_start),
                             self._mark(name, int.from_bytes(chunk, "big")),
                         )
-                else:
-                    self._mem_clear(dest, size)
             elif op == "RETURNDATASIZE":
                 if self.last_callee is not None:
                     shadow.append(
@@ -439,9 +413,8 @@ class _Walker:
                         self._mark(f"storage_{key:x}", self._result_of(index))
                     )
             elif op == "SSTORE":
-                key_term = shadow.pop()
+                del shadow[-1]
                 value_term = shadow.pop()
-                del key_term
                 key = stack[-1]
                 if value_term is None:
                     self.tracker._storage.pop(key, None)
@@ -460,14 +433,10 @@ class _Walker:
             elif op == "MLOAD":
                 shadow.pop()
                 shadow.append(self._mem_read_word(stack[-1], self._result_of(index)))
-            elif op == "MSTORE":
-                shadow.pop()
+            elif op in ("MSTORE", "MSTORE8"):
+                del shadow[-1]
                 value_term = shadow.pop()
-                self._mem_write(stack[-1], 32, value_term)
-            elif op == "MSTORE8":
-                shadow.pop()
-                value_term = shadow.pop()
-                self._mem_write(stack[-1], 1, value_term)
+                self._mem_write(stack[-1], 32 if op == "MSTORE" else 1, value_term)
             elif op == "SHA3":
                 del shadow[-2:]
                 offset, size = stack[-1], stack[-2]
@@ -478,116 +447,38 @@ class _Walker:
                     )
                 else:
                     shadow.append(None)
-            elif op in ("CALL", "CALLCODE"):
-                gas_t, to_t, value_t = shadow[-1], shadow[-2], shadow[-3]
-                del shadow[-7:]
-                del gas_t
-                to = stack[-2]
-                out_off, out_sz = stack[-6], stack[-7]
-                success, ret = self._call_result(to)
-                event = _event_at(self.trace, index)
+            elif op in _CALL_OPERANDS:
+                event = events[index]
+                target_depth, value_depth = _CALL_OPERANDS[op]
                 self.report.calls.append(
                     CallAnnotation(
                         record_index=index,
                         input_index=i,
                         pc=record.pc,
                         op=op,
-                        to=to,
-                        value=stack[-3],
-                        gas=stack[-1],
-                        success=event.success if event else success,
-                        transferred=event.transferred if event else False,
-                        target_term=to_t,
-                        value_term=value_t,
+                        to=event.to,
+                        value=event.value,
+                        gas=event.gas,
+                        success=event.success,
+                        transferred=event.transferred,
+                        target_term=shadow[-target_depth] if target_depth else None,
+                        value_term=shadow[-value_depth] if value_depth else None,
                         control_kinds=self.control_kinds,
                     )
                 )
-                self._taint_returndata(to, ret, out_off, out_sz)
-                self.last_callee = to
-                shadow.append(self._mark(f"callres_{i}_{to:x}", self._result_of(index)))
-            elif op in ("DELEGATECALL", "STATICCALL"):
-                to_t = shadow[-2]
-                del shadow[-6:]
-                to = stack[-2]
-                out_off, out_sz = stack[-5], stack[-6]
-                success, ret = self._call_result(to)
-                event = _event_at(self.trace, index)
-                self.report.calls.append(
-                    CallAnnotation(
-                        record_index=index,
-                        input_index=i,
-                        pc=record.pc,
-                        op=op,
-                        to=to,
-                        value=0,
-                        gas=stack[-1],
-                        success=event.success if event else success,
-                        transferred=False,
-                        target_term=to_t,
-                        value_term=None,
-                        control_kinds=self.control_kinds,
-                    )
-                )
-                self._taint_returndata(to, ret, out_off, out_sz)
-                self.last_callee = to
-                shadow.append(self._mark(f"callres_{i}_{to:x}", self._result_of(index)))
-            elif op == "CREATE":
-                value_t = shadow[-1]
-                del shadow[-3:]
-                event = _event_at(self.trace, index)
-                self.report.calls.append(
-                    CallAnnotation(
-                        record_index=index,
-                        input_index=i,
-                        pc=record.pc,
-                        op=op,
-                        to=event.to if event else 0,
-                        value=stack[-1],
-                        gas=0,
-                        success=1,
-                        transferred=event.transferred if event else False,
-                        target_term=None,
-                        value_term=value_t,
-                        control_kinds=self.control_kinds,
-                    )
-                )
-                shadow.append(None)
-            elif op == "SELFDESTRUCT":
-                target_t = shadow.pop()
-                event = _event_at(self.trace, index)
-                self.report.calls.append(
-                    CallAnnotation(
-                        record_index=index,
-                        input_index=i,
-                        pc=record.pc,
-                        op=op,
-                        to=stack[-1],
-                        value=event.value if event else 0,
-                        gas=0,
-                        success=1,
-                        transferred=event.transferred if event else False,
-                        target_term=target_t,
-                        value_term=None,
-                        control_kinds=self.control_kinds,
-                    )
-                )
-            elif op in ("RETURN", "REVERT"):
-                del shadow[-2:]
-            elif op in _UNTAINTED_PUSHES:
-                shadow.append(None)
-            else:  # pragma: no cover - every opcode above is handled
-                entry = TABLE.get(_op_code(op))
-                if entry:
-                    _, pops, pushes = entry
-                    del shadow[len(shadow) - pops:]
-                    shadow.extend([None] * pushes)
-
-
-_NAME_TO_CODE = {name: code for code, (name, _, _) in TABLE.items()}
-
-
-def _op_code(name: str) -> int:
-    return _NAME_TO_CODE[name]
+                del shadow[len(shadow) - pops:]
+                if op in CALL_OPS:
+                    to = event.to
+                    _, ret = self._call_result(to)
+                    # out offset and size are the two deepest operands
+                    self._taint_returndata(to, ret, stack[1 - pops], stack[-pops])
+                    self.last_callee = to
+                    shadow.append(self._mark(f"callres_{i}_{to:x}", self._result_of(index)))
+                elif pushes:
+                    shadow.append(None)
+            else:  # no taint semantics: the table's stack effect, untainted
+                del shadow[len(shadow) - pops:]
+                shadow.extend([None] * pushes)
 
 
 def _wraps(op: str, concretes: tuple) -> bool:
@@ -597,10 +488,3 @@ def _wraps(op: str, concretes: tuple) -> bool:
     if op == "SUB":
         return a < b
     return a * b > MASK
-
-
-def _event_at(trace: ExecutionTrace, record_index: int):
-    for event in trace.calls:
-        if event.record_index == record_index:
-            return event
-    return None

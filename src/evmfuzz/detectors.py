@@ -19,7 +19,7 @@ from .analysis.expr import contains, variables
 from .analysis.slots import resolve_key
 from .analysis.taint import BLOCK_KINDS, FUZZABLE_KINDS, TaintReport, parse_var, var_kinds
 from .evm import ExecutionTrace
-from .evm.opcodes import SEND_OPS, disassemble
+from .evm.opcodes import CALL_OPS, SEND_OPS, disassemble
 from .evm.state import AccountSet
 from .ga.individual import Individual, Input
 
@@ -234,7 +234,7 @@ class DetectorSuite:
         for constraint in view.report.constraints:
             checked |= variables(constraint.cond)
         for call in view.report.calls:
-            if call.op not in ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL"):
+            if call.op not in CALL_OPS:
                 continue
             if call.success:
                 continue

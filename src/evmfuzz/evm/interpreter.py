@@ -17,11 +17,8 @@ import time
 
 from ..keccak import keccak256
 from . import opcodes
+from .opcodes import CALL_OPS, MASK, WORD_OPS
 from .state import EmulatedState
-
-WORD = 1 << 256
-WORD_MASK = WORD - 1
-SIGN_BIT = 1 << 255
 
 DEFAULT_GAS_BUDGET = 8_000_000
 DEFAULT_MEMORY_CAP = 16 * 1024 * 1024
@@ -129,10 +126,6 @@ class DeployError(Exception):
 
 class _Fault(Exception):
     """Internal: abnormal halt (stack misuse, bad jump, memory blowup)."""
-
-
-def _signed(x: int) -> int:
-    return x - WORD if x & SIGN_BIT else x
 
 
 class Interpreter:
@@ -254,7 +247,7 @@ class Interpreter:
         def push(x: int) -> None:
             if len(stack) >= STACK_LIMIT:
                 raise _Fault("stack overflow")
-            stack.append(x & WORD_MASK)
+            stack.append(x & MASK)
 
         def pop() -> int:
             if not stack:
@@ -277,6 +270,10 @@ class Interpreter:
         def mwrite(offset: int, blob: bytes) -> None:
             touch(offset, len(blob))
             memory[offset:offset + len(blob)] = blob
+
+        def mcopy(dest: int, source: bytes, offset: int, size: int) -> None:
+            touch(dest, size)  # before padding: a huge size faults, not allocates
+            memory[dest:dest + size] = source[offset:offset + size].ljust(size, b"\x00")
 
         while True:
             if used >= gas:
@@ -306,97 +303,15 @@ class Interpreter:
                 if len(stack) < pops:
                     raise _Fault("stack underflow")
 
-                if name == "STOP":
+                word_op = WORD_OPS.get(name)
+                if word_op is not None:
+                    # operands top of stack first; the result is a word
+                    operands = stack[:-pops - 1:-1]
+                    del stack[-pops:]
+                    stack.append(word_op(*operands))
+                elif name == "STOP":
                     terminal = "STOP"
                     break
-                elif name == "ADD":
-                    a, b = pop(), pop()
-                    push(a + b)
-                elif name == "MUL":
-                    a, b = pop(), pop()
-                    push(a * b)
-                elif name == "SUB":
-                    a, b = pop(), pop()
-                    push(a - b)
-                elif name == "DIV":
-                    a, b = pop(), pop()
-                    push(a // b if b else 0)
-                elif name == "SDIV":
-                    a, b = _signed(pop()), _signed(pop())
-                    if b == 0:
-                        push(0)
-                    else:
-                        q = abs(a) // abs(b)
-                        push(-q if (a < 0) != (b < 0) else q)
-                elif name == "MOD":
-                    a, b = pop(), pop()
-                    push(a % b if b else 0)
-                elif name == "SMOD":
-                    a, b = _signed(pop()), _signed(pop())
-                    if b == 0:
-                        push(0)
-                    else:
-                        r = abs(a) % abs(b)
-                        push(-r if a < 0 else r)
-                elif name == "ADDMOD":
-                    a, b, n = pop(), pop(), pop()
-                    push((a + b) % n if n else 0)
-                elif name == "MULMOD":
-                    a, b, n = pop(), pop(), pop()
-                    push((a * b) % n if n else 0)
-                elif name == "EXP":
-                    a, b = pop(), pop()
-                    push(pow(a, b, WORD))
-                elif name == "SIGNEXTEND":
-                    k, x = pop(), pop()
-                    if k > 31:
-                        push(x)
-                    else:
-                        bit = 8 * k + 7
-                        if x & (1 << bit):
-                            push(x | (WORD_MASK ^ ((1 << (bit + 1)) - 1)))
-                        else:
-                            push(x & ((1 << (bit + 1)) - 1))
-                elif name == "LT":
-                    a, b = pop(), pop()
-                    push(1 if a < b else 0)
-                elif name == "GT":
-                    a, b = pop(), pop()
-                    push(1 if a > b else 0)
-                elif name == "SLT":
-                    a, b = _signed(pop()), _signed(pop())
-                    push(1 if a < b else 0)
-                elif name == "SGT":
-                    a, b = _signed(pop()), _signed(pop())
-                    push(1 if a > b else 0)
-                elif name == "EQ":
-                    a, b = pop(), pop()
-                    push(1 if a == b else 0)
-                elif name == "ISZERO":
-                    push(1 if pop() == 0 else 0)
-                elif name == "AND":
-                    push(pop() & pop())
-                elif name == "OR":
-                    push(pop() | pop())
-                elif name == "XOR":
-                    push(pop() ^ pop())
-                elif name == "NOT":
-                    push(WORD_MASK ^ pop())
-                elif name == "BYTE":
-                    i, x = pop(), pop()
-                    push((x >> (8 * (31 - i))) & 0xFF if i < 32 else 0)
-                elif name == "SHL":
-                    shift, v = pop(), pop()
-                    push(v << shift if shift < 256 else 0)
-                elif name == "SHR":
-                    shift, v = pop(), pop()
-                    push(v >> shift if shift < 256 else 0)
-                elif name == "SAR":
-                    shift, v = pop(), _signed(pop())
-                    if shift >= 256:
-                        push(WORD_MASK if v < 0 else 0)
-                    else:
-                        push(v >> shift)
                 elif name == "SHA3":
                     offset, size = pop(), pop()
                     blob = mread(offset, size)
@@ -421,14 +336,12 @@ class Interpreter:
                     push(len(data))
                 elif name == "CALLDATACOPY":
                     dest, offset, size = pop(), pop(), pop()
-                    blob = data[offset:offset + size].ljust(size, b"\x00")
-                    mwrite(dest, blob)
+                    mcopy(dest, data, offset, size)
                 elif name == "CODESIZE":
                     push(len(code))
                 elif name == "CODECOPY":
                     dest, offset, size = pop(), pop(), pop()
-                    blob = code[offset:offset + size].ljust(size, b"\x00")
-                    mwrite(dest, blob)
+                    mcopy(dest, code, offset, size)
                 elif name == "GASPRICE":
                     push(GAS_PRICE)
                 elif name == "EXTCODESIZE":
@@ -440,8 +353,7 @@ class Interpreter:
                         push(len(returndata))
                 elif name == "RETURNDATACOPY":
                     dest, offset, size = pop(), pop(), pop()
-                    blob = returndata[offset:offset + size].ljust(size, b"\x00")
-                    mwrite(dest, blob)
+                    mcopy(dest, returndata, offset, size)
                 elif name == "BLOCKHASH":
                     n = pop()
                     digest = keccak256(b"blockhash" + n.to_bytes(32, "big"))
@@ -498,22 +410,18 @@ class Interpreter:
                     pc += 1 + width
                     continue
                 elif name.startswith("DUP"):
-                    n = int(name[3:])
-                    push(stack[-n])
+                    push(stack[-pops])
                 elif name.startswith("SWAP"):
-                    n = int(name[4:])
-                    stack[-1], stack[-n - 1] = stack[-n - 1], stack[-1]
+                    stack[-1], stack[-pops] = stack[-pops], stack[-1]
                 elif name.startswith("LOG"):
-                    n = int(name[3:])
                     offset, size = pop(), pop()
                     mread(offset, size)
-                    for _ in range(n):
-                        pop()
+                    del stack[len(stack) + 2 - pops:]  # the topics
                 elif name == "CREATE":
                     create_value, offset, size = pop(), pop(), pop()
                     mread(offset, size)
                     if create_value > state.balance_of(self_addr):
-                        push(0)
+                        child, success = 0, 0
                     else:
                         nonce = state.nonces.get(self_addr, 0)
                         state.nonces[self_addr] = nonce + 1
@@ -524,53 +432,33 @@ class Interpreter:
                         # Initialisation code is not executed; the child is an
                         # empty account at a fresh deterministic address.
                         state.code.setdefault(child, b"")
-                        calls.append(
-                            CallEvent(len(records) - 1, name, records[-1].pc,
-                                      child, 0, create_value, 1, create_value > 0)
-                        )
-                        push(child)
-                elif name in ("CALL", "CALLCODE"):
-                    call_gas, to, call_value = pop(), pop(), pop()
+                        success = 1
+                    calls.append(
+                        CallEvent(len(records) - 1, name, records[-1].pc, child, 0,
+                                  create_value, success, bool(success and create_value))
+                    )
+                    push(child)
+                elif name in CALL_OPS:
+                    call_gas, to = pop(), pop()
+                    call_value = pop() if pops == 7 else 0  # CALL and CALLCODE
                     in_off, in_sz, out_off, out_sz = pop(), pop(), pop(), pop()
                     mread(in_off, in_sz)
+                    touch(out_off, out_sz)
+                    last_callee = to
                     if call_value > state.balance_of(self_addr):
-                        push(0)
-                        returndata = b""
-                        last_callee = to
-                        calls.append(
-                            CallEvent(len(records) - 1, name, records[-1].pc,
-                                      to, call_gas, call_value, 0, False)
-                        )
+                        success, returndata, transferred = 0, b"", False
                     else:
-                        success, ret = env.call_results.get(to, DEFAULT_CALL_RESULT)
-                        transferred = False
-                        if call_value and success and name == "CALL":
-                            # CALLCODE runs the callee's code against our own
-                            # account, so no value leaves the contract.
+                        success, returndata = env.call_results.get(to, DEFAULT_CALL_RESULT)
+                        # CALLCODE runs the callee's code against our own
+                        # account, so no value leaves the contract.
+                        transferred = bool(call_value and success and name == "CALL")
+                        if transferred:
                             state.debit(self_addr, call_value)
                             state.credit(to, call_value)
-                            transferred = True
-                        returndata = ret
-                        last_callee = to
-                        if out_sz:
-                            mwrite(out_off, ret[:out_sz].ljust(out_sz, b"\x00"))
-                        calls.append(
-                            CallEvent(len(records) - 1, name, records[-1].pc,
-                                      to, call_gas, call_value, success, transferred)
-                        )
-                        push(success)
-                elif name in ("DELEGATECALL", "STATICCALL"):
-                    call_gas, to = pop(), pop()
-                    in_off, in_sz, out_off, out_sz = pop(), pop(), pop(), pop()
-                    mread(in_off, in_sz)
-                    success, ret = env.call_results.get(to, DEFAULT_CALL_RESULT)
-                    returndata = ret
-                    last_callee = to
-                    if out_sz:
-                        mwrite(out_off, ret[:out_sz].ljust(out_sz, b"\x00"))
+                        mcopy(out_off, returndata, 0, out_sz)
                     calls.append(
                         CallEvent(len(records) - 1, name, records[-1].pc,
-                                  to, call_gas, 0, success, False)
+                                  to, call_gas, call_value, success, transferred)
                     )
                     push(success)
                 elif name == "RETURN":

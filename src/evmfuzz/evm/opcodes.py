@@ -1,6 +1,19 @@
-"""Opcode table and bytecode scanning helpers."""
+"""What an opcode is: its name, its stack effect and its word semantics.
+
+This module is the one source of these facts.  The interpreter executes word
+operations through ``WORD_OPS``, the symbolic terms of ``analysis.expr``
+evaluate through the same functions, and the taint walker takes every stack
+effect it does not model itself from ``TABLE``.  Bytecode scanning helpers
+live here too.
+"""
 
 from __future__ import annotations
+
+from typing import Callable
+
+WORD = 1 << 256
+MASK = WORD - 1
+SIGN = 1 << 255
 
 # code -> (mnemonic, stack items consumed, stack items produced)
 TABLE: dict[int, tuple[str, int, int]] = {
@@ -84,10 +97,76 @@ for _n in range(5):
 
 NAME_TO_CODE: dict[str, int] = {name: code for code, (name, _, _) in TABLE.items()}
 
-TERMINALS = {"STOP", "RETURN", "REVERT", "INVALID", "SELFDESTRUCT"}
 CALL_OPS = {"CALL", "CALLCODE", "DELEGATECALL", "STATICCALL"}
 SEND_OPS = {"CREATE", "CALL", "CALLCODE", "DELEGATECALL", "SELFDESTRUCT"}
-BLOCK_OPS = {"BLOCKHASH", "COINBASE", "TIMESTAMP", "NUMBER", "DIFFICULTY", "GASLIMIT"}
+
+
+def signed(x: int) -> int:
+    """A 256-bit word read as two's complement."""
+    return x - WORD if x & SIGN else x
+
+
+def _sdiv(a: int, b: int) -> int:
+    sa, sb = signed(a), signed(b)
+    if sb == 0:
+        return 0
+    q = abs(sa) // abs(sb)
+    return (-q if (sa < 0) != (sb < 0) else q) & MASK
+
+
+def _smod(a: int, b: int) -> int:
+    sa, sb = signed(a), signed(b)
+    if sb == 0:
+        return 0
+    r = abs(sa) % abs(sb)
+    return (-r if sa < 0 else r) & MASK
+
+
+def _signextend(k: int, x: int) -> int:
+    if k > 31:
+        return x
+    bit = 8 * k + 7
+    if x & (1 << bit):
+        return x | (MASK ^ ((1 << (bit + 1)) - 1))
+    return x & ((1 << (bit + 1)) - 1)
+
+
+def _sar(shift: int, v: int) -> int:
+    sv = signed(v)
+    if shift >= 256:
+        return MASK if sv < 0 else 0
+    return (sv >> shift) & MASK
+
+
+# Mnemonic -> function of the popped operands (top of stack first) returning
+# the pushed word, always within 0..MASK.  Arity equals the op's pops.
+WORD_OPS: dict[str, Callable[..., int]] = {
+    "ADD": lambda a, b: (a + b) & MASK,
+    "MUL": lambda a, b: (a * b) & MASK,
+    "SUB": lambda a, b: (a - b) & MASK,
+    "DIV": lambda a, b: a // b if b else 0,
+    "SDIV": _sdiv,
+    "MOD": lambda a, b: a % b if b else 0,
+    "SMOD": _smod,
+    "ADDMOD": lambda a, b, n: (a + b) % n if n else 0,
+    "MULMOD": lambda a, b, n: (a * b) % n if n else 0,
+    "EXP": lambda a, b: pow(a, b, WORD),
+    "SIGNEXTEND": _signextend,
+    "LT": lambda a, b: int(a < b),
+    "GT": lambda a, b: int(a > b),
+    "SLT": lambda a, b: int(signed(a) < signed(b)),
+    "SGT": lambda a, b: int(signed(a) > signed(b)),
+    "EQ": lambda a, b: int(a == b),
+    "ISZERO": lambda a: int(a == 0),
+    "AND": lambda a, b: a & b,
+    "OR": lambda a, b: a | b,
+    "XOR": lambda a, b: a ^ b,
+    "NOT": lambda a: MASK ^ a,
+    "BYTE": lambda i, x: (x >> (8 * (31 - i))) & 0xFF if i < 32 else 0,
+    "SHL": lambda s, v: (v << s) & MASK if s < 256 else 0,
+    "SHR": lambda s, v: v >> s if s < 256 else 0,
+    "SAR": _sar,
+}
 
 
 def push_width(code: int) -> int:
@@ -115,7 +194,7 @@ def disassemble(code: bytes) -> list[tuple[int, str, int | None]]:
     pc = 0
     while pc < len(code):
         opcode = code[pc]
-        name = TABLE.get(opcode, ("INVALID",))[0] if opcode in TABLE else f"UNKNOWN_{opcode:#04x}"
+        name = TABLE[opcode][0] if opcode in TABLE else f"UNKNOWN_{opcode:#04x}"
         width = push_width(opcode)
         if width:
             immediate = int.from_bytes(code[pc + 1:pc + 1 + width], "big")

@@ -19,6 +19,7 @@ from ..evm import (
     DEPLOY_TIMESTAMP,
     ExecutionTrace,
 )
+from ..evm.opcodes import CALL_OPS
 from ..evm.state import AccountSet
 from .individual import MAX_INPUTS, Individual, Input
 from .pools import MutationPools
@@ -335,7 +336,7 @@ class GeneticEngine:
 
     def observe_trace(self, trace: ExecutionTrace) -> None:
         for event in trace.calls:
-            if event.op in ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL"):
+            if event.op in CALL_OPS:
                 self.known_callees.add(event.to)
         for record in trace.records:
             if record.op == "EXTCODESIZE" and record.stack:

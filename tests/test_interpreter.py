@@ -341,6 +341,13 @@ def test_create_is_shallow_and_deterministic():
     _, state2 = run(src, value=5)
     assert state2.code.keys() == state.code.keys()
 
+    # a value above the balance: nothing is created and the event says so
+    trace, _ = run(f"PUSH1 0x00 PUSH1 0x00 PUSH1 0x06 CREATE {RETURN_TOP}", value=5)
+    [failed] = trace.calls
+    assert (failed.op, failed.to, failed.value) == ("CREATE", 0, 6)
+    assert (failed.success, failed.transferred) == (0, False)
+    assert returned_word(trace) == 0
+
 
 def test_selfdestruct_sweeps_balance_and_removes_code():
     _, state = run("STOP", value=9)

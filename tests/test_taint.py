@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from evmfuzz.analysis import (
@@ -489,6 +491,15 @@ def test_call_annotation_carries_terms_and_event_data():
     assert call.control_kinds == frozenset()
 
 
+def test_failed_create_is_annotated_as_failed():
+    code = assemble("PUSH1 0x00 PUSH1 0x00 PUSH1 0x01 CALLVALUE ADD CREATE POP STOP")
+    [report], _ = reports_for(code, [benign_input(value=2)])
+    [create] = report.calls
+    assert (create.op, create.to, create.value) == ("CREATE", 0, 3)
+    assert (create.success, create.transferred) == (0, False)
+    assert variables(create.value_term) == {"callvalue_0"}
+
+
 def test_control_kinds_stick_after_tainted_branch():
     code = assemble(
         """
@@ -774,6 +785,46 @@ def test_synthetic_fault_records_stop_the_walk():
     tracker = TaintTracker()
     report = tracker.run_input(0, inp, traces[0])
     assert report.constraints == []
+
+
+def test_op_before_an_unassigned_opcode_still_counts():
+    # the INVALID record of an unassigned opcode follows an op that completed
+    code = assemble("CALLVALUE PUSH1 0x00 JUMPI") + b"\x0c"
+    [report], traces = reports_for(code, [benign_input(value=0)])
+    assert traces[0].records[-1].error is True
+    [constraint] = report.constraints
+    assert variables(constraint.cond) == {"callvalue_0"}
+    assert constraint.taken is False
+
+
+HUGE_OPERANDS = {
+    "CALLDATACOPY": "PUSH {size} PUSH1 0x00 PUSH1 0x00 CALLDATACOPY",
+    "CODECOPY": "PUSH {size} PUSH1 0x00 PUSH1 0x00 CODECOPY",
+    # a call first, so the walker has returned data to copy
+    "RETURNDATACOPY": "PUSH1 0x20 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH2 0x8888 GAS "
+                      "STATICCALL POP PUSH {size} PUSH1 0x00 PUSH1 0x00 RETURNDATACOPY",
+    # value 1 from an empty contract: the call fails, memory still expands
+    "CALL": "PUSH {size} PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x01 PUSH2 0x8888 GAS CALL",
+    "CALLCODE": "PUSH {size} PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x01 PUSH2 0x8888 GAS CALLCODE",
+    "DELEGATECALL": "PUSH {size} PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH2 0x8888 GAS DELEGATECALL",
+    "STATICCALL": "PUSH {size} PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH2 0x8888 GAS STATICCALL",
+}
+
+
+@pytest.mark.parametrize("size", [2**40, 2**159])
+@pytest.mark.parametrize("op", sorted(HUGE_OPERANDS))
+def test_huge_copy_sizes_fault_and_the_walk_stops(op, size):
+    code = assemble(HUGE_OPERANDS[op].format(size=size) + " STOP")
+    inp = benign_input(raw_calldata=bytes(range(36)))
+    traces, _ = execute(code, [inp])
+    assert traces[0].terminal == "INVALID"
+    assert [r.op for r in traces[0].records[-2:]] == [op, "INVALID"]
+    assert traces[0].records[-1].error is True
+    started = time.monotonic()
+    [report] = taint_individual([inp], traces)
+    assert time.monotonic() - started < 5.0
+    faulting_op = len(traces[0].records) - 2
+    assert all(call.record_index < faulting_op for call in report.calls)
 
 
 def test_deep_program_never_realigns():

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..evm import ExecutionTrace
-from ..evm.interpreter import DEFAULT_CALL_RESULT
 from ..evm.opcodes import CALL_OPS, MASK, NAME_TO_CODE, TABLE, WORD_OPS
 from .expr import Term, apply, const, opaque, var, variables
 
@@ -209,6 +208,7 @@ class _Walker:
         self.memory: dict[int, tuple[int, Term]] = {}
         self.control_kinds: frozenset[str] = frozenset()
         self.last_callee: int | None = None
+        self.last_return = b""  # what RETURNDATACOPY copies from
         self.realignments = 0
         self.calldata = inp.calldata() if inp is not None else b""
 
@@ -262,12 +262,6 @@ class _Walker:
 
     def _term_or_const(self, term: Term | None, concrete: int) -> Term:
         return term if term is not None else const(concrete)
-
-    def _call_result(self, to: int) -> tuple[int, bytes]:
-        env = self.inp.env if self.inp is not None else None
-        if env is not None:
-            return env.call_results.get(to, DEFAULT_CALL_RESULT)
-        return DEFAULT_CALL_RESULT
 
     def _taint_returndata(self, to: int, ret: bytes, out_off: int, out_sz: int) -> None:
         if out_sz <= 0:
@@ -359,7 +353,10 @@ class _Walker:
                 del shadow[-3:]
                 dest, offset, size = stack[-1], stack[-2], stack[-3]
                 self._mem_clear(dest, size)
-                for chunk_start in range(0, size, 32):
+                # only chunks that start inside the calldata get a term, so
+                # the walk is bounded by the data, not by the copy's size;
+                # the zeros copied past its end stay untainted
+                for chunk_start in range(0, min(size, len(self.calldata) - offset), 32):
                     term = self._calldata_word_term(
                         offset + chunk_start,
                         int.from_bytes(
@@ -378,8 +375,9 @@ class _Walker:
                 dest, offset, size = stack[-1], stack[-2], stack[-3]
                 self._mem_clear(dest, size)
                 if op == "RETURNDATACOPY" and self.last_callee is not None:
-                    _, ret = self._call_result(self.last_callee)
-                    for chunk_start in range(0, size, 32):
+                    ret = self.last_return
+                    # bounded by the return data, as CALLDATACOPY is
+                    for chunk_start in range(0, min(size, len(ret) - offset), 32):
                         src = offset + chunk_start
                         chunk = ret[src:src + 32].ljust(32, b"\x00")
                         name = f"callret_{i}_{self.last_callee:x}_w{src // 32}"
@@ -469,10 +467,13 @@ class _Walker:
                 del shadow[len(shadow) - pops:]
                 if op in CALL_OPS:
                     to = event.to
-                    _, ret = self._call_result(to)
-                    # out offset and size are the two deepest operands
-                    self._taint_returndata(to, ret, stack[1 - pops], stack[-pops])
+                    if event.return_data is not None:  # the call ran
+                        # out offset and size are the two deepest operands
+                        self._taint_returndata(
+                            to, event.return_data, stack[1 - pops], stack[-pops]
+                        )
                     self.last_callee = to
+                    self.last_return = event.return_data or b""
                     shadow.append(self._mark(f"callres_{i}_{to:x}", self._result_of(index)))
                 elif pushes:
                     shadow.append(None)

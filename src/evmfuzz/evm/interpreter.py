@@ -15,7 +15,7 @@ from typing import Iterator
 import json
 import time
 
-from ..keccak import keccak256
+from ..keccak import RATE_BYTES, keccak256
 from . import opcodes
 from .opcodes import CALL_OPS, MASK, WORD_OPS
 from .state import EmulatedState
@@ -23,6 +23,11 @@ from .state import EmulatedState
 DEFAULT_GAS_BUDGET = 8_000_000
 DEFAULT_MEMORY_CAP = 16 * 1024 * 1024
 STACK_LIMIT = 1024
+
+# Keccak memo bounds: preimages shorter than one rate block (136 bytes), at
+# most this many per interpreter (about 1 MB with their digests).
+KECCAK_MEMO_BYTES = RATE_BYTES
+KECCAK_MEMO_ENTRIES = 4096
 
 # Block context the contract is deployed under; campaign env ranges start here.
 DEPLOY_TIMESTAMP = 1_500_000_000
@@ -93,6 +98,8 @@ class CallEvent:
     value: int
     success: int
     transferred: bool  # value actually moved out of the contract
+    # return data of a CALL-family op that ran; None when it never ran
+    return_data: bytes | None = None
 
 
 @dataclass
@@ -129,6 +136,24 @@ class _Fault(Exception):
 
 
 class Interpreter:
+    """Executes transactions and deployments against an ``EmulatedState``.
+
+    An instance memoizes two pure functions of bytes that a campaign would
+    otherwise recompute on nearly every transaction:
+
+    * the Keccak digests of ``SHA3`` and ``BLOCKHASH`` preimages, for
+      preimages shorter than ``KECCAK_MEMO_BYTES`` and up to
+      ``KECCAK_MEMO_ENTRIES`` of them (later or longer ones are hashed
+      uncached), which keeps the memo near 1 MB;
+    * the valid jump destinations of each code blob, keyed by the code's
+      bytes rather than its address, since SELFDESTRUCT and CREATE change
+      the code at an address.
+
+    The memos live on the instance, not in the process, so every campaign
+    (which owns one interpreter) starts cold and is timed doing the hashing
+    a run on its own would do.
+    """
+
     def __init__(
         self,
         gas_budget: int = DEFAULT_GAS_BUDGET,
@@ -138,6 +163,17 @@ class Interpreter:
         self.gas_budget = gas_budget
         self.memory_cap = memory_cap
         self.wall_cap = wall_cap  # seconds per transaction, None = unlimited
+        self._digests: dict[bytes, int] = {}
+        self._jumpdests: dict[bytes, frozenset[int]] = {}
+
+    def _keccak_word(self, blob: bytes) -> int:
+        """Keccak-256 of ``blob`` as a word, through the bounded memo."""
+        digest = self._digests.get(blob)
+        if digest is None:
+            digest = int.from_bytes(keccak256(blob), "big")
+            if len(blob) < KECCAK_MEMO_BYTES and len(self._digests) < KECCAK_MEMO_ENTRIES:
+                self._digests[blob] = digest
+        return digest
 
     # ------------------------------------------------------------------
     # entry points
@@ -236,7 +272,11 @@ class Interpreter:
         memory = bytearray()
         returndata = b""
         last_callee: int | None = None
-        jumpdests = opcodes.valid_jumpdests(code)
+        jumpdests = self._jumpdests.get(code)
+        if jumpdests is None:
+            jumpdests = self._jumpdests[code] = opcodes.valid_jumpdests(code)
+        table = opcodes.TABLE
+        code_len = len(code)
         pc = 0
         used = 0
         terminal = ""
@@ -249,10 +289,7 @@ class Interpreter:
                 raise _Fault("stack overflow")
             stack.append(x & MASK)
 
-        def pop() -> int:
-            if not stack:
-                raise _Fault("stack underflow")
-            return stack.pop()
+        pop = stack.pop  # every op's operand count is checked before it runs
 
         def touch(offset: int, size: int) -> None:
             if size == 0:
@@ -288,8 +325,8 @@ class Interpreter:
                 terminal = "TIMEOUT"
                 applied = False
                 break
-            opcode = code[pc] if pc < len(code) else 0x00  # implicit STOP pad
-            entry = opcodes.TABLE.get(opcode)
+            opcode = code[pc] if pc < code_len else 0x00  # implicit STOP pad
+            entry = table.get(opcode)
             if entry is None:
                 # Unassigned opcode: abnormal halt, same as a synthetic fault.
                 records.append(TraceRecord("INVALID", pc, tuple(stack), 0, True))
@@ -303,19 +340,53 @@ class Interpreter:
                 if len(stack) < pops:
                     raise _Fault("stack underflow")
 
-                word_op = WORD_OPS.get(name)
-                if word_op is not None:
+                # Stack ops first, by opcode range: PUSH alone is ~40 % of
+                # what a campaign executes.
+                if 0x60 <= opcode <= 0x7F:  # PUSH1..PUSH32
+                    if len(stack) >= STACK_LIMIT:
+                        raise _Fault("stack overflow")
+                    width = opcode - 0x5F
+                    end = pc + 1 + width
+                    # an immediate cut off by the end of the code reads zeros
+                    stack.append(int.from_bytes(code[pc + 1:end].ljust(width, b"\x00"), "big"))
+                    pc = end
+                    continue
+                elif 0x80 <= opcode <= 0x8F:  # DUP1..DUP16
+                    push(stack[-pops])
+                elif 0x90 <= opcode <= 0x9F:  # SWAP1..SWAP16
+                    stack[-1], stack[-pops] = stack[-pops], stack[-1]
+                elif opcode == 0x5B:  # JUMPDEST
+                    pass
+                elif (word_op := WORD_OPS.get(name)) is not None:
                     # operands top of stack first; the result is a word
                     operands = stack[:-pops - 1:-1]
                     del stack[-pops:]
                     stack.append(word_op(*operands))
+                # then the commonest of the rest
+                elif name == "JUMPI":
+                    dest, cond = pop(), pop()
+                    if cond:
+                        if dest not in jumpdests:
+                            raise _Fault("bad jump destination")
+                        pc = dest
+                        continue
+                elif name == "JUMP":
+                    dest = pop()
+                    if dest not in jumpdests:
+                        raise _Fault("bad jump destination")
+                    pc = dest
+                    continue
+                elif name == "CALLDATALOAD":
+                    offset = pop()
+                    word = data[offset:offset + 32]
+                    push(int.from_bytes(word.ljust(32, b"\x00"), "big"))
                 elif name == "STOP":
                     terminal = "STOP"
                     break
                 elif name == "SHA3":
                     offset, size = pop(), pop()
                     blob = mread(offset, size)
-                    digest = int.from_bytes(keccak256(blob), "big")
+                    digest = self._keccak_word(blob)
                     preimages[digest] = blob
                     push(digest)
                 elif name == "ADDRESS":
@@ -328,10 +399,6 @@ class Interpreter:
                     push(sender)
                 elif name == "CALLVALUE":
                     push(value)
-                elif name == "CALLDATALOAD":
-                    offset = pop()
-                    word = data[offset:offset + 32]
-                    push(int.from_bytes(word.ljust(32, b"\x00"), "big"))
                 elif name == "CALLDATASIZE":
                     push(len(data))
                 elif name == "CALLDATACOPY":
@@ -355,9 +422,7 @@ class Interpreter:
                     dest, offset, size = pop(), pop(), pop()
                     mcopy(dest, returndata, offset, size)
                 elif name == "BLOCKHASH":
-                    n = pop()
-                    digest = keccak256(b"blockhash" + n.to_bytes(32, "big"))
-                    push(int.from_bytes(digest, "big"))
+                    push(self._keccak_word(b"blockhash" + pop().to_bytes(32, "big")))
                 elif name == "COINBASE":
                     push(COINBASE)
                 elif name == "TIMESTAMP":
@@ -383,37 +448,13 @@ class Interpreter:
                 elif name == "SSTORE":
                     slot, word = pop(), pop()
                     state.sstore(self_addr, slot, word)
-                elif name == "JUMP":
-                    dest = pop()
-                    if dest not in jumpdests:
-                        raise _Fault("bad jump destination")
-                    pc = dest
-                    continue
-                elif name == "JUMPI":
-                    dest, cond = pop(), pop()
-                    if cond:
-                        if dest not in jumpdests:
-                            raise _Fault("bad jump destination")
-                        pc = dest
-                        continue
                 elif name == "PC":
                     push(pc)
                 elif name == "MSIZE":
                     push(len(memory))
                 elif name == "GAS":
                     push(gas - used)
-                elif name == "JUMPDEST":
-                    pass
-                elif name.startswith("PUSH"):
-                    width = opcodes.push_width(opcode)
-                    push(int.from_bytes(code[pc + 1:pc + 1 + width].ljust(width, b"\x00"), "big"))
-                    pc += 1 + width
-                    continue
-                elif name.startswith("DUP"):
-                    push(stack[-pops])
-                elif name.startswith("SWAP"):
-                    stack[-1], stack[-pops] = stack[-pops], stack[-1]
-                elif name.startswith("LOG"):
+                elif 0xA0 <= opcode <= 0xA4:  # LOG0..LOG4
                     offset, size = pop(), pop()
                     mread(offset, size)
                     del stack[len(stack) + 2 - pops:]  # the topics
@@ -447,6 +488,7 @@ class Interpreter:
                     last_callee = to
                     if call_value > state.balance_of(self_addr):
                         success, returndata, transferred = 0, b"", False
+                        returned = None  # the call never ran
                     else:
                         success, returndata = env.call_results.get(to, DEFAULT_CALL_RESULT)
                         # CALLCODE runs the callee's code against our own
@@ -456,9 +498,10 @@ class Interpreter:
                             state.debit(self_addr, call_value)
                             state.credit(to, call_value)
                         mcopy(out_off, returndata, 0, out_sz)
+                        returned = returndata
                     calls.append(
                         CallEvent(len(records) - 1, name, records[-1].pc,
-                                  to, call_gas, call_value, success, transferred)
+                                  to, call_gas, call_value, success, transferred, returned)
                     )
                     push(success)
                 elif name == "RETURN":

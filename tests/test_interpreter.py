@@ -13,11 +13,13 @@ from evmfuzz.evm import (
     Interpreter,
     Transaction,
 )
+from evmfuzz.evm.interpreter import KECCAK_MEMO_BYTES, KECCAK_MEMO_ENTRIES
 from evmfuzz.evm.opcodes import NAME_TO_CODE
 from evmfuzz.evm.state import INITIAL_BALANCE
 from evmfuzz.keccak import keccak256
 
 from oracles import bigint_ref
+from oracles.keccak_ref import keccak256_reference
 
 ACCOUNTS = AccountSet()
 CONTRACT = 0xC0DE00000000000000000000000000000000C0DE
@@ -25,13 +27,13 @@ OTHER = 0x9999000000000000000000000000000000009999
 
 
 def run(source_or_code, data=b"", value=0, sender=ACCOUNTS.benign,
-        gas=8_000_000, env=None, state=None):
+        gas=8_000_000, env=None, state=None, interpreter=None):
     if state is None:
         state = EmulatedState()
     code = assemble(source_or_code) if isinstance(source_or_code, str) else source_or_code
     state.code[CONTRACT] = code
     tx = Transaction(sender=sender, to=CONTRACT, value=value, gas_limit=gas, data=data)
-    trace = Interpreter().execute(state, tx, env or EnvOverrides())
+    trace = (interpreter or Interpreter()).execute(state, tx, env or EnvOverrides())
     return trace, state
 
 
@@ -500,3 +502,94 @@ def test_wall_cap_leaves_fast_programs_alone():
     trace = Interpreter(wall_cap=1.0).execute(state, tx, EnvOverrides())
     assert trace.terminal == "STOP"
     assert state.storage == {(CONTRACT, 0): 0x2A}
+
+
+# ---------------------------------------------------------------------------
+# what one interpreter remembers across transactions
+
+
+def test_jump_destinations_follow_the_code_not_the_address():
+    interpreter = Interpreter()
+    state = EmulatedState()
+    valid = bytes.fromhex("600456fe5b00")  # PUSH1 4 JUMP INVALID JUMPDEST STOP
+    invalid = bytes.fromhex("600456fe0000")  # the same, with STOP at pc 4
+    for code, terminal in [(valid, "STOP"), (invalid, "INVALID"), (valid, "STOP")]:
+        trace, _ = run(code, state=state, interpreter=interpreter)
+        assert trace.terminal == terminal
+        assert trace.records[-1].error is (terminal == "INVALID")
+
+
+def test_jumpdest_byte_inside_push_data_is_no_destination():
+    trace, _ = run(bytes.fromhex("600456605b00"))  # PUSH1 4 JUMP PUSH1 0x5b STOP
+    assert trace.terminal == "INVALID"
+    assert trace.records[-1].error is True
+    assert [r.op for r in trace.records[:-1]] == ["PUSH1", "JUMP"]
+
+
+def test_push_cut_off_by_the_end_of_code_pads_right():
+    trace, _ = run(bytes.fromhex("6101"))  # PUSH2 with a single immediate byte
+    assert trace.terminal == "STOP"
+    assert trace.records[-1].pc == 3
+    assert trace.records[-1].stack == (0x0100,)
+
+
+def test_push_past_the_stack_limit_is_synthetic_fault():
+    trace, _ = run("PUSH1 0x01 " * 1025)
+    assert trace.terminal == "INVALID"
+    assert trace.records[-1].error is True
+    assert len(trace.records[-1].stack) == 1024
+
+
+HASH_CALLDATA = (
+    f"CALLDATASIZE PUSH1 0x00 PUSH1 0x00 CALLDATACOPY CALLDATASIZE PUSH1 0x00 SHA3 {RETURN_TOP}"
+)
+
+
+@pytest.mark.parametrize("size", [0, 64, 135, 136, 300])
+def test_sha3_digests_stay_exact_through_the_memo(size):
+    interpreter = Interpreter()
+    preimage = bytes((7 * i + size) & 0xFF for i in range(size))
+    expected = int.from_bytes(keccak256_reference(preimage), "big")
+    for _ in range(2):  # the first run fills the memo, the second reads it
+        trace, _ = run(HASH_CALLDATA, data=preimage, interpreter=interpreter)
+        assert returned_word(trace) == expected
+        assert trace.sha3_preimages == {expected: preimage}
+    # only preimages shorter than one rate block are kept
+    assert (preimage in interpreter._digests) is (size < KECCAK_MEMO_BYTES)
+
+
+def test_blockhash_goes_through_the_memo():
+    interpreter = Interpreter()
+    preimage = b"blockhash" + (7).to_bytes(32, "big")
+    expected = int.from_bytes(keccak256_reference(preimage), "big")
+    for _ in range(2):
+        trace, _ = run(f"PUSH1 0x07 BLOCKHASH {RETURN_TOP}", interpreter=interpreter)
+        assert returned_word(trace) == expected
+    assert interpreter._digests == {preimage: expected}
+
+
+def test_keccak_memo_stays_within_its_bound():
+    keys = KECCAK_MEMO_ENTRIES + 64
+    # hash the words keys .. 1, each once
+    source = f"""
+        PUSH2 {keys}
+        loop: JUMPDEST
+        DUP1 ISZERO PUSH @done JUMPI
+        DUP1 PUSH1 0x00 MSTORE PUSH1 0x20 PUSH1 0x00 SHA3 POP
+        PUSH1 0x01 SWAP1 SUB
+        PUSH @loop JUMP
+        done: JUMPDEST STOP
+    """
+    interpreter = Interpreter()
+    first, _ = run(source, interpreter=interpreter)
+    assert first.terminal == "STOP"
+    assert len(first.sha3_preimages) == keys
+    assert len(interpreter._digests) == KECCAK_MEMO_ENTRIES
+    # the second run reads the first 4096 keys from the memo and hashes the
+    # rest again; every digest must match the first run's, all computed afresh
+    second, _ = run(source, interpreter=interpreter)
+    assert second.sha3_preimages == first.sha3_preimages
+    assert len(interpreter._digests) == KECCAK_MEMO_ENTRIES
+    hashed = list(first.sha3_preimages.items())
+    for digest, preimage in hashed[::97] + hashed[-64:]:
+        assert int.from_bytes(keccak256(preimage), "big") == digest

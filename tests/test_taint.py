@@ -827,6 +827,70 @@ def test_huge_copy_sizes_fault_and_the_walk_stops(op, size):
     assert all(call.record_index < faulting_op for call in report.calls)
 
 
+# 15 MiB: under the memory cap, so the copy executes
+LONG_COPIES = {
+    "CALLDATACOPY": "PUSH3 0xf00000 PUSH1 0x00 PUSH1 0x00 CALLDATACOPY",
+    "RETURNDATACOPY": "PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH2 0x8888 GAS "
+                      "STATICCALL POP PUSH3 0xf00000 PUSH1 0x00 PUSH1 0x00 RETURNDATACOPY",
+}
+
+
+@pytest.mark.parametrize("op", sorted(LONG_COPIES))
+def test_long_copies_walk_only_the_source_data(op):
+    code = assemble(LONG_COPIES[op] + " PUSH1 0x20 MLOAD PUSH1 0x00 SSTORE STOP")
+    inp = benign_input(raw_calldata=bytes(range(36)))  # 32 bytes returned by default
+    traces, _ = execute(code, [inp])
+    assert traces[0].terminal == "STOP"
+    started = time.monotonic()
+    [report] = taint_individual([inp], traces)
+    assert time.monotonic() - started < 0.5
+    kinds = [parse_var(name).kind for name in report.var_values]
+    assert kinds.count("calldata") + kinds.count("arg") + kinds.count("callret") <= 2
+    # the destination is still cleared past the source: the word at 0x20 is
+    # untainted after a return-data copy and the calldata tail after the other
+    [store] = report.stores
+    if op == "RETURNDATACOPY":
+        assert store.value_term is None
+    else:
+        assert variables(store.value_term) == {"calldata_32_0"}
+
+
+def test_a_call_that_never_ran_taints_nothing():
+    # value 5 from an empty contract: the call fails on balance, copies nothing
+    code = assemble(
+        """
+        PUSH1 0x20 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x05 PUSH2 0x8888 GAS CALL POP
+        PUSH1 0x00 MLOAD PUSH1 0x00 SSTORE
+        PUSH1 0x20 PUSH1 0x00 PUSH1 0x20 RETURNDATACOPY
+        PUSH1 0x20 MLOAD PUSH1 0x01 SSTORE
+        STOP
+        """
+    )
+    env = EnvOverrides(call_results={HELPER: (1, (9).to_bytes(32, "big"))})
+    [report], traces = reports_for(code, [benign_input(env=env)])
+    assert traces[0].calls[0].success == 0
+    assert traces[0].calls[0].return_data is None
+    assert [store.value_term for store in report.stores] == [None, None]
+    assert not any(name.startswith("callret_") for name in report.var_values)
+
+
+def test_return_data_copy_reads_what_the_call_returned():
+    code = assemble(
+        """
+        PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH2 0x8888 GAS STATICCALL POP
+        PUSH1 0x40 PUSH1 0x00 PUSH1 0x00 RETURNDATACOPY
+        PUSH1 0x20 MLOAD PUSH1 0x00 SSTORE
+        STOP
+        """
+    )
+    ret = (1).to_bytes(32, "big") + (2).to_bytes(32, "big")
+    env = EnvOverrides(call_results={HELPER: (1, ret)})
+    [report], _ = reports_for(code, [benign_input(env=env)])
+    name = f"callret_0_{HELPER:x}_w1"
+    assert variables(report.stores[0].value_term) == {name}
+    assert report.var_values[name] == 2
+
+
 def test_deep_program_never_realigns():
     # a busy little program exercising most shadow-stack paths at once
     code = assemble(

@@ -25,15 +25,14 @@ class CoverageStore:
 
     def merge_trace(self, trace: ExecutionTrace) -> bool:
         """Fold one trace in; returns True when new instructions appeared."""
-        grew = False
-        for record in trace.records:
-            if record.pc in self._starts and record.pc not in self.executed:
-                self.executed.add(record.pc)
-                grew = True
-            if record.op == "JUMPI" and len(record.stack) >= 2:
-                taken = record.stack[-2] != 0
-                self.branch_outcomes.setdefault(record.pc, set()).add(taken)
-        return grew
+        facts = trace.facts
+        fresh = facts.executed - self.executed
+        if fresh:
+            fresh &= self._starts
+            self.executed |= fresh
+        for pc, _, taken in facts.jumpis:
+            self.branch_outcomes.setdefault(pc, set()).add(taken)
+        return bool(fresh)
 
     def snapshot_executed(self) -> frozenset[int]:
         return frozenset(self.executed)

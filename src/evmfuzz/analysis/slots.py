@@ -85,6 +85,16 @@ def _resolve(raw: int, preimages: dict[int, bytes], depth: int) -> SlotKey:
     return SlotKey(base=raw, raw=raw, resolved=False)
 
 
+def slot_identity(trace: ExecutionTrace, raw: int) -> tuple:
+    """The slot identity of a raw storage key of ``trace``, resolved against
+    its preimages at most once per trace (memoized in ``trace.facts``)."""
+    identities = trace.facts.identities
+    identity = identities.get(raw)
+    if identity is None:
+        identity = identities[raw] = resolve_key(raw, trace.sha3_preimages).identity()
+    return identity
+
+
 def extract_storage_accesses(trace: ExecutionTrace) -> list[StorageAccess]:
     out = []
     preimages = trace.sha3_preimages
@@ -99,17 +109,9 @@ def extract_storage_accesses(trace: ExecutionTrace) -> list[StorageAccess]:
 
 
 def read_set(trace: ExecutionTrace) -> frozenset:
-    return frozenset(
-        access.key.identity()
-        for access in extract_storage_accesses(trace)
-        if access.kind == "read"
-    )
+    return frozenset(slot_identity(trace, raw) for raw in trace.facts.read_keys)
 
 
 def write_set(trace: ExecutionTrace) -> frozenset:
     """Slots written by a trace; meaningful only for applied traces."""
-    return frozenset(
-        access.key.identity()
-        for access in extract_storage_accesses(trace)
-        if access.kind == "write"
-    )
+    return frozenset(slot_identity(trace, raw) for raw in trace.facts.write_keys)

@@ -1,11 +1,12 @@
 """Taint tracking over recorded traces.
 
-Walks the instruction records of an executed input while maintaining a shadow
-stack/memory/storage of symbolic terms.  Fuzzer-controllable sources (call
-value, caller, block values, calldata words, injected call results) become
-named variables; everything they touch becomes a compound term.  Conditional
-jumps over tainted conditions yield the path constraints the solver negates;
-tainted call/store operands feed the vulnerability detectors.
+Walks the recorded steps of an executed input (its opcode and stack columns)
+while maintaining a shadow stack/memory/storage of symbolic terms.
+Fuzzer-controllable sources (call value, caller, block values, calldata
+words, injected call results) become named variables; everything they touch
+becomes a compound term.  Conditional jumps over tainted conditions yield
+the path constraints the solver negates; tainted call/store operands feed
+the vulnerability detectors.
 
 Variable naming is the contract between this module, the solver, and the
 mutation pools:
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..evm import ExecutionTrace
-from ..evm.opcodes import CALL_OPS, MASK, NAME_TO_CODE, TABLE, WORD_OPS
+from ..evm.opcodes import CALL_OPS, MASK, TABLE, WORD_OPS
 from .expr import Term, apply, const, opaque, var, variables
 
 FUZZABLE_KINDS = frozenset(
@@ -153,7 +154,14 @@ class TaintReport:
         return self.constraints[-1] if self.constraints else None
 
 
-_OVERFLOWABLE = {"ADD", "SUB", "MUL"}
+# A CALL-family op's out region gets a callret_* term per 32-byte chunk only
+# below max(return data length, this many bytes): words past the return data
+# keep a variable, so the solver can still grow injected return data through
+# them, up to the 4 KiB the campaign allows solved calldata, and a huge out
+# size cannot make the walk step through megabytes of zeros.
+OUT_REGION_TAINT_BYTES = 4096
+
+_OVERFLOWABLE = {"add", "sub", "mul"}
 
 # Environment reads whose pushed word becomes a variable of the given kind.
 _ENV_SOURCES = {
@@ -170,6 +178,37 @@ _CALL_OPERANDS = {
     "STATICCALL": (2, 0), "CREATE": (0, 1), "SELFDESTRUCT": (1, 0),
 }
 
+# The ops with taint semantics of their own: sources, sinks and memory.
+_SOURCES_AND_SINKS = frozenset(
+    [*_ENV_SOURCES, *_CALL_OPERANDS, "CALLDATALOAD", "CALLDATACOPY", "CODECOPY",
+     "RETURNDATACOPY", "RETURNDATASIZE", "EXTCODESIZE", "SLOAD", "SSTORE",
+     "MLOAD", "MSTORE", "MSTORE8", "SHA3"]
+)
+
+# How the walk treats a step.  _STACK: the table's stack effect, untainted.
+_PUSH, _STACK, _WORD, _DUP, _SWAP, _JUMPI, _SOURCE_OR_SINK = range(7)
+
+
+def _step_kind(name: str) -> int:
+    if name.startswith("PUSH"):
+        return _PUSH
+    if name.startswith("DUP"):
+        return _DUP
+    if name.startswith("SWAP"):
+        return _SWAP
+    if name in WORD_OPS:
+        return _WORD
+    if name == "JUMPI":
+        return _JUMPI
+    return _SOURCE_OR_SINK if name in _SOURCES_AND_SINKS else _STACK
+
+
+# mnemonic -> (step kind, pops, pushes, lower-case name for expression terms)
+_STEPS = {
+    name: (_step_kind(name), pops, pushes, name.lower())
+    for name, pops, pushes in TABLE.values()
+}
+
 
 class TaintTracker:
     """Shadow state shared by all inputs of one individual."""
@@ -179,9 +218,11 @@ class TaintTracker:
         self.realignments = 0  # should stay zero; misalignment means a bug
 
     def run_input(self, input_index: int, inp, trace: ExecutionTrace) -> TaintReport:
+        """Walk the trace ``inp`` produced; the walk reads the calldata and
+        everything else it needs from ``trace``."""
         report = TaintReport(input_index=input_index)
         storage_before = dict(self._storage)
-        walker = _Walker(self, input_index, inp, trace, report)
+        walker = _Walker(self, input_index, trace, report)
         walker.walk()
         self.realignments += walker.realignments
         if not trace.state_delta_applied:
@@ -198,10 +239,9 @@ def taint_individual(inputs, traces: list[ExecutionTrace]) -> list[TaintReport]:
 
 
 class _Walker:
-    def __init__(self, tracker: TaintTracker, input_index: int, inp, trace, report):
+    def __init__(self, tracker: TaintTracker, input_index: int, trace, report):
         self.tracker = tracker
         self.i = input_index
-        self.inp = inp
         self.trace = trace
         self.report = report
         self.shadow: list[Term | None] = []
@@ -210,14 +250,15 @@ class _Walker:
         self.last_callee: int | None = None
         self.last_return = b""  # what RETURNDATACOPY copies from
         self.realignments = 0
-        self.calldata = inp.calldata() if inp is not None else b""
+        self.calldata = trace.calldata
+        self.events = {event.record_index: event for event in trace.calls}
 
     # -- helpers ---------------------------------------------------------
 
     def _result_of(self, index: int) -> int:
-        records = self.trace.records
-        if index + 1 < len(records) and records[index + 1].stack:
-            return records[index + 1].stack[-1]
+        stacks = self.trace.stacks
+        if index + 1 < len(stacks) and stacks[index + 1]:
+            return stacks[index + 1][-1]
         return 0
 
     def _mark(self, name: str, concrete: int) -> Term:
@@ -260,14 +301,11 @@ class _Walker:
             return None
         return opaque("mix", concrete, *terms)
 
-    def _term_or_const(self, term: Term | None, concrete: int) -> Term:
-        return term if term is not None else const(concrete)
-
     def _taint_returndata(self, to: int, ret: bytes, out_off: int, out_sz: int) -> None:
         if out_sz <= 0:
             return
         self._mem_clear(out_off, out_sz)
-        for chunk_start in range(0, out_sz, 32):
+        for chunk_start in range(0, min(out_sz, max(len(ret), OUT_REGION_TAINT_BYTES)), 32):
             chunk = (ret[chunk_start:chunk_start + 32]).ljust(32, b"\x00")
             size = min(32, out_sz - chunk_start)
             name = f"callret_{self.i}_{to:x}_w{chunk_start // 32}"
@@ -285,207 +323,195 @@ class _Walker:
 
     def walk(self) -> None:
         i = self.i
-        records = self.trace.records
-        events = {event.record_index: event for event in self.trace.calls}
-        end = len(records)
-        if end and records[-1].error:
-            end -= 1  # the synthetic fault record: nothing executes past it
-            if end and records[end - 1].pc == records[end].pc:
+        trace = self.trace
+        ops, pcs = trace.ops, trace.pcs
+        constraints = self.report.constraints
+        end = len(ops)
+        if trace.faulted:
+            end -= 1  # the synthetic fault step: nothing executes past it
+            if end and pcs[end - 1] == pcs[end]:
                 end -= 1  # it repeats the pc of the op that raised, unfinished
-        for index in range(end):
-            record = records[index]
-            if len(self.shadow) != len(record.stack):
+        steps = _STEPS
+        shadow = self.shadow
+        for index, (op, stack) in enumerate(zip(ops[:end], trace.stacks)):
+            if len(shadow) != len(stack):
                 self.realignments += 1
-                self.shadow = [None] * len(record.stack)
-            op = record.op
-            stack = record.stack
-            shadow = self.shadow
+                shadow = self.shadow = [None] * len(stack)
+            kind, pops, pushes, name = steps[op]
 
-            if op.startswith("PUSH"):  # first: the commonest op by far
+            if kind == _PUSH:  # first: the commonest op by far
                 shadow.append(None)
-                continue
-            _, pops, pushes = TABLE[NAME_TO_CODE[op]]
-            if op.startswith("DUP"):
-                shadow.append(shadow[-pops])
-            elif op.startswith("SWAP"):
-                shadow[-1], shadow[-pops] = shadow[-pops], shadow[-1]
-            elif op in WORD_OPS:
-                terms = shadow[:-pops - 1:-1]
-                del shadow[-pops:]
-                if terms.count(None) == pops:
+            elif kind == _STACK:
+                del shadow[len(shadow) - pops:]
+                if pushes:
                     shadow.append(None)
-                else:
+            elif kind == _WORD:
+                terms = shadow[:-pops - 1:-1]  # top of stack first
+                # the deepest operand's slot takes the result; untainted
+                # operands leave it None
+                del shadow[len(shadow) + 1 - pops:]
+                if terms.count(None) != pops:
                     concretes = stack[:-pops - 1:-1]
                     result = apply(
-                        op.lower(),
-                        *(self._term_or_const(t, c) for t, c in zip(terms, concretes)),
+                        name,
+                        *(const(c) if t is None else t for t, c in zip(terms, concretes)),
                     )
-                    shadow.append(result)
-                    if op in _OVERFLOWABLE and _wraps(op, concretes):
+                    shadow[-1] = result
+                    if name in _OVERFLOWABLE and _wraps(name, concretes):
                         self.report.overflows.append(
-                            OverflowEvent(record.pc, i, op.lower(), result, concretes)
+                            OverflowEvent(pcs[index], i, name, result, concretes)
                         )
-            elif op == "JUMPI":
+            elif kind == _DUP:
+                shadow.append(shadow[-pops])
+            elif kind == _SWAP:
+                shadow[-1], shadow[-pops] = shadow[-pops], shadow[-1]
+            elif kind == _JUMPI:
                 del shadow[-1]
                 cond_term = shadow.pop()
                 if cond_term is not None:
-                    self.report.constraints.append(
+                    pc = pcs[index]
+                    constraints.append(
                         PathConstraint(
-                            pc=record.pc,
+                            pc=pc,
                             input_index=i,
                             cond=cond_term,
                             taken=stack[-2] != 0,
                             true_dest=stack[-1],
-                            false_dest=record.pc + 1,
+                            false_dest=pc + 1,
                         )
                     )
                     self.control_kinds |= var_kinds(cond_term)
-            elif op in _ENV_SOURCES:
-                del shadow[len(shadow) - pops:]
+            else:
+                self._source_or_sink(index, op, pops, pushes, stack)
+
+    def _source_or_sink(self, index: int, op: str, pops: int, pushes: int, stack) -> None:
+        """One step of an op that reads a fuzzable source, writes a sink, or
+        moves taint through memory or storage."""
+        i = self.i
+        shadow = self.shadow
+        if op in _ENV_SOURCES:
+            del shadow[len(shadow) - pops:]
+            shadow.append(self._mark(f"{_ENV_SOURCES[op]}_{i}", self._result_of(index)))
+        elif op == "CALLDATALOAD":
+            shadow.pop()
+            shadow.append(self._calldata_word_term(stack[-1], self._result_of(index)))
+        elif op == "CALLDATACOPY":
+            del shadow[-3:]
+            dest, offset, size = stack[-1], stack[-2], stack[-3]
+            self._mem_clear(dest, size)
+            # only chunks that start inside the calldata get a term, so
+            # the walk is bounded by the data, not by the copy's size;
+            # the zeros copied past its end stay untainted
+            for chunk_start in range(0, min(size, len(self.calldata) - offset), 32):
+                term = self._calldata_word_term(
+                    offset + chunk_start,
+                    int.from_bytes(
+                        self.calldata[offset + chunk_start:offset + chunk_start + 32]
+                        .ljust(32, b"\x00"),
+                        "big",
+                    ),
+                )
+                if term is not None:
+                    self.memory[dest + chunk_start] = (min(32, size - chunk_start), term)
+        elif op in ("CODECOPY", "RETURNDATACOPY"):
+            del shadow[-3:]
+            dest, offset, size = stack[-1], stack[-2], stack[-3]
+            self._mem_clear(dest, size)
+            if op == "RETURNDATACOPY" and self.last_callee is not None:
+                ret = self.last_return
+                # bounded by the return data, as CALLDATACOPY is
+                for chunk_start in range(0, min(size, len(ret) - offset), 32):
+                    src = offset + chunk_start
+                    chunk = ret[src:src + 32].ljust(32, b"\x00")
+                    name = f"callret_{i}_{self.last_callee:x}_w{src // 32}"
+                    self.memory[dest + chunk_start] = (
+                        min(32, size - chunk_start),
+                        self._mark(name, int.from_bytes(chunk, "big")),
+                    )
+        elif op == "RETURNDATASIZE":
+            if self.last_callee is not None:
                 shadow.append(
-                    self._mark(f"{_ENV_SOURCES[op]}_{i}", self._result_of(index))
+                    self._mark(f"retsize_{i}_{self.last_callee:x}", self._result_of(index))
                 )
-            elif op == "CALLDATALOAD":
-                shadow.pop()
-                offset = stack[-1]
-                shadow.append(self._calldata_word_term(offset, self._result_of(index)))
-            elif op == "CALLDATACOPY":
-                del shadow[-3:]
-                dest, offset, size = stack[-1], stack[-2], stack[-3]
-                self._mem_clear(dest, size)
-                # only chunks that start inside the calldata get a term, so
-                # the walk is bounded by the data, not by the copy's size;
-                # the zeros copied past its end stay untainted
-                for chunk_start in range(0, min(size, len(self.calldata) - offset), 32):
-                    term = self._calldata_word_term(
-                        offset + chunk_start,
-                        int.from_bytes(
-                            self.calldata[offset + chunk_start:offset + chunk_start + 32]
-                            .ljust(32, b"\x00"),
-                            "big",
-                        ),
-                    )
-                    if term is not None:
-                        self.memory[dest + chunk_start] = (
-                            min(32, size - chunk_start),
-                            term,
-                        )
-            elif op in ("CODECOPY", "RETURNDATACOPY"):
-                del shadow[-3:]
-                dest, offset, size = stack[-1], stack[-2], stack[-3]
-                self._mem_clear(dest, size)
-                if op == "RETURNDATACOPY" and self.last_callee is not None:
-                    ret = self.last_return
-                    # bounded by the return data, as CALLDATACOPY is
-                    for chunk_start in range(0, min(size, len(ret) - offset), 32):
-                        src = offset + chunk_start
-                        chunk = ret[src:src + 32].ljust(32, b"\x00")
-                        name = f"callret_{i}_{self.last_callee:x}_w{src // 32}"
-                        self.memory[dest + chunk_start] = (
-                            min(32, size - chunk_start),
-                            self._mark(name, int.from_bytes(chunk, "big")),
-                        )
-            elif op == "RETURNDATASIZE":
-                if self.last_callee is not None:
-                    shadow.append(
-                        self._mark(
-                            f"retsize_{i}_{self.last_callee:x}", self._result_of(index)
-                        )
-                    )
-                else:
-                    shadow.append(None)
-            elif op == "EXTCODESIZE":
-                shadow.pop()
-                address = stack[-1]
-                shadow.append(
-                    self._mark(f"extcode_{i}_{address:x}", self._result_of(index))
+            else:
+                shadow.append(None)
+        elif op == "EXTCODESIZE":
+            shadow.pop()
+            shadow.append(self._mark(f"extcode_{i}_{stack[-1]:x}", self._result_of(index)))
+        elif op == "SLOAD":
+            shadow.pop()
+            key = stack[-1]
+            stored = self.tracker._storage.get(key)
+            if stored is None:
+                stored = self._mark(f"storage_{key:x}", self._result_of(index))
+            shadow.append(stored)
+        elif op == "SSTORE":
+            del shadow[-1]
+            value_term = shadow.pop()
+            key = stack[-1]
+            if value_term is None:
+                self.tracker._storage.pop(key, None)
+            else:
+                self.tracker._storage[key] = value_term
+            self.report.stores.append(
+                StoreAnnotation(
+                    record_index=index,
+                    input_index=i,
+                    pc=self.trace.pcs[index],
+                    raw_key=key,
+                    value_term=value_term,
+                    control_kinds=self.control_kinds,
                 )
-            elif op == "SLOAD":
-                shadow.pop()
-                key = stack[-1]
-                stored = self.tracker._storage.get(key)
-                if stored is not None:
-                    shadow.append(stored)
-                else:
-                    shadow.append(
-                        self._mark(f"storage_{key:x}", self._result_of(index))
-                    )
-            elif op == "SSTORE":
-                del shadow[-1]
-                value_term = shadow.pop()
-                key = stack[-1]
-                if value_term is None:
-                    self.tracker._storage.pop(key, None)
-                else:
-                    self.tracker._storage[key] = value_term
-                self.report.stores.append(
-                    StoreAnnotation(
-                        record_index=index,
-                        input_index=i,
-                        pc=record.pc,
-                        raw_key=key,
-                        value_term=value_term,
-                        control_kinds=self.control_kinds,
-                    )
+            )
+        elif op == "MLOAD":
+            shadow.pop()
+            shadow.append(self._mem_read_word(stack[-1], self._result_of(index)))
+        elif op in ("MSTORE", "MSTORE8"):
+            del shadow[-1]
+            value_term = shadow.pop()
+            self._mem_write(stack[-1], 32 if op == "MSTORE" else 1, value_term)
+        elif op == "SHA3":
+            del shadow[-2:]
+            terms = self._mem_terms(stack[-1], stack[-2])
+            shadow.append(opaque("sha3", self._result_of(index), *terms) if terms else None)
+        else:  # an op the interpreter records a CallEvent for
+            event = self.events[index]
+            target_depth, value_depth = _CALL_OPERANDS[op]
+            self.report.calls.append(
+                CallAnnotation(
+                    record_index=index,
+                    input_index=i,
+                    pc=self.trace.pcs[index],
+                    op=op,
+                    to=event.to,
+                    value=event.value,
+                    gas=event.gas,
+                    success=event.success,
+                    transferred=event.transferred,
+                    target_term=shadow[-target_depth] if target_depth else None,
+                    value_term=shadow[-value_depth] if value_depth else None,
+                    control_kinds=self.control_kinds,
                 )
-            elif op == "MLOAD":
-                shadow.pop()
-                shadow.append(self._mem_read_word(stack[-1], self._result_of(index)))
-            elif op in ("MSTORE", "MSTORE8"):
-                del shadow[-1]
-                value_term = shadow.pop()
-                self._mem_write(stack[-1], 32 if op == "MSTORE" else 1, value_term)
-            elif op == "SHA3":
-                del shadow[-2:]
-                offset, size = stack[-1], stack[-2]
-                terms = self._mem_terms(offset, size)
-                if terms:
-                    shadow.append(
-                        opaque("sha3", self._result_of(index), *terms)
+            )
+            del shadow[len(shadow) - pops:]
+            if op in CALL_OPS:
+                to = event.to
+                if event.return_data is not None:  # the call ran
+                    # out offset and size are the two deepest operands
+                    self._taint_returndata(
+                        to, event.return_data, stack[1 - pops], stack[-pops]
                     )
-                else:
-                    shadow.append(None)
-            elif op in _CALL_OPERANDS:
-                event = events[index]
-                target_depth, value_depth = _CALL_OPERANDS[op]
-                self.report.calls.append(
-                    CallAnnotation(
-                        record_index=index,
-                        input_index=i,
-                        pc=record.pc,
-                        op=op,
-                        to=event.to,
-                        value=event.value,
-                        gas=event.gas,
-                        success=event.success,
-                        transferred=event.transferred,
-                        target_term=shadow[-target_depth] if target_depth else None,
-                        value_term=shadow[-value_depth] if value_depth else None,
-                        control_kinds=self.control_kinds,
-                    )
-                )
-                del shadow[len(shadow) - pops:]
-                if op in CALL_OPS:
-                    to = event.to
-                    if event.return_data is not None:  # the call ran
-                        # out offset and size are the two deepest operands
-                        self._taint_returndata(
-                            to, event.return_data, stack[1 - pops], stack[-pops]
-                        )
-                    self.last_callee = to
-                    self.last_return = event.return_data or b""
-                    shadow.append(self._mark(f"callres_{i}_{to:x}", self._result_of(index)))
-                elif pushes:
-                    shadow.append(None)
-            else:  # no taint semantics: the table's stack effect, untainted
-                del shadow[len(shadow) - pops:]
-                shadow.extend([None] * pushes)
+                self.last_callee = to
+                self.last_return = event.return_data or b""
+                shadow.append(self._mark(f"callres_{i}_{to:x}", self._result_of(index)))
+            elif pushes:
+                shadow.append(None)
 
 
 def _wraps(op: str, concretes: tuple) -> bool:
     a, b = concretes[0], concretes[1]
-    if op == "ADD":
+    if op == "add":
         return a + b > MASK
-    if op == "SUB":
+    if op == "sub":
         return a < b
     return a * b > MASK

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis.expr import contains, variables
-from .analysis.slots import resolve_key
+from .analysis.slots import slot_identity, write_set
 from .analysis.taint import BLOCK_KINDS, FUZZABLE_KINDS, TaintReport, parse_var, var_kinds
 from .evm import ExecutionTrace
 from .evm.opcodes import CALL_OPS, SEND_OPS, disassemble
@@ -130,11 +130,11 @@ class DetectorSuite:
     # -- per-detector rules ---------------------------------------------
 
     def _assertion_failures(self, view):
-        # a genuine INVALID opcode was reached (failed assert); synthetic
-        # fault records carry error=True and do not count
-        for record in view.trace.records:
-            if record.op == "INVALID" and not record.error:
-                yield "AF", record.pc, {"terminal": view.trace.terminal}
+        # a genuine INVALID opcode was reached (failed assert); the synthetic
+        # fault step of a faulted trace does not count
+        pc = view.trace.facts.invalid_pc
+        if pc is not None:
+            yield "AF", pc, {"terminal": view.trace.terminal}
 
     def _overflows_into_state(self, view):
         if not view.trace.state_delta_applied:
@@ -203,7 +203,7 @@ class DetectorSuite:
                 info = parse_var(name)
                 if info.kind != "storage":
                     continue
-                identity = resolve_key(info.extra, view.trace.sha3_preimages).identity()
+                identity = slot_identity(view.trace, info.extra)
                 writers = self.slot_writers.get(identity, set())
                 foreign = writers - {view.input.sender}
                 if foreign:
@@ -313,8 +313,7 @@ class DetectorSuite:
     def _remember_writes(self, view):
         if not view.trace.state_delta_applied:
             return
-        for store in view.report.stores:
-            identity = resolve_key(store.raw_key, view.trace.sha3_preimages).identity()
+        for identity in write_set(view.trace):
             self.slot_writers.setdefault(identity, set()).add(view.input.sender)
 
 

@@ -1,15 +1,19 @@
 """Bytecode interpreter with environment injection and full tracing.
 
 Executes one transaction against the emulated state and records every
-instruction (opcode, pc, a pre-execution stack snapshot, call depth, error
-flag).  Outgoing calls never execute code: their results come from the
-injectable environment, which is what lets the fuzzer mutate block values
-and external call outcomes like any other input byte.
+instruction as three parallel columns (opcode, pc, a pre-execution stack
+snapshot), plus one flag saying whether the run ended in a fault.  Outgoing
+calls never execute code: their results come from the injectable
+environment, which is what lets the fuzzer mutate block values and external
+call outcomes like any other input byte.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 from typing import Iterator
 
 import json
@@ -79,18 +83,20 @@ class Transaction:
 
 @dataclass
 class TraceRecord:
+    """One step of a trace, as the ``records`` view presents it."""
+
     op: str
     pc: int
     stack: tuple[int, ...]  # pre-execution snapshot, top of stack last
-    depth: int
-    error: bool
+    depth: int  # always 0: calls never execute code
+    error: bool  # the synthetic fault step that ends a faulted trace
 
 
 @dataclass
 class CallEvent:
     """One outgoing CALL/CALLCODE/DELEGATECALL/STATICCALL or CREATE."""
 
-    record_index: int
+    record_index: int  # the step that made it, an index into the columns
     op: str
     pc: int
     to: int
@@ -102,15 +108,118 @@ class CallEvent:
     return_data: bytes | None = None
 
 
+# The ops whose steps the fact pass looks at.
+_FACT_OPS = frozenset(["JUMPI", "SSTORE", "SLOAD", "EXTCODESIZE"])
+
+
+@dataclass
+class TraceFacts:
+    """What coverage, fitness, slot recovery, the GA registries and the
+    detectors read from a trace, gathered in one pass over its columns.
+
+    ``identities`` starts empty.  ``analysis.slots`` fills it with the slot
+    identity of each raw key it resolves against the trace's preimages, so
+    every distinct key is resolved once per trace, whoever asks first.
+    """
+
+    executed: frozenset[int]  # every pc visited, the fault step's included
+    jumpis: list[tuple[int, int, bool]]  # (pc, destination, taken) per JUMPI
+    sstores: int  # SSTORE steps
+    read_keys: set[int]  # raw SLOAD keys
+    write_keys: set[int]  # raw SSTORE keys
+    extcode_targets: set[int]  # EXTCODESIZE operands
+    invalid_pc: int | None  # a genuine INVALID (failed assertion), never a fault
+    identities: dict[int, tuple] = field(default_factory=dict)
+
+
+class TraceRecords(Sequence):
+    """A trace's columns seen as one ``TraceRecord`` per step.
+
+    Read-only.  ``len`` is O(1); a record is built only when it is indexed
+    or iterated.
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "ExecutionTrace") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace.ops)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        trace = self._trace
+        last = len(trace.ops) - 1
+        if index < 0:
+            index += last + 1
+        if not 0 <= index <= last:
+            raise IndexError("trace record index out of range")
+        return TraceRecord(
+            trace.ops[index], trace.pcs[index], trace.stacks[index], 0,
+            trace.faulted and index == last,
+        )
+
+
 @dataclass
 class ExecutionTrace:
-    records: list[TraceRecord]
+    """One run, recorded as three parallel columns.
+
+    Step ``i`` executed ``ops[i]`` at ``pcs[i]`` with ``stacks[i]`` on the
+    stack beforehand, top of stack last.  ``faulted`` says the run halted
+    abnormally (stack misuse, bad jump, memory cap, unassigned opcode,
+    unpayable transaction); its last step is then a synthetic ``INVALID``
+    that did not execute.  ``calldata`` is the data the run read.
+    """
+
+    ops: list[str]
+    pcs: list[int]
+    stacks: list[tuple[int, ...]]
     terminal: str
     state_delta_applied: bool
+    faulted: bool = False
+    calldata: bytes = b""
     calls: list[CallEvent] = field(default_factory=list)
     sha3_preimages: dict[int, bytes] = field(default_factory=dict)
     return_data: bytes = b""
     gas_used: int = 0
+
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self)
+
+    @cached_property
+    def facts(self) -> TraceFacts:
+        ops, pcs, stacks = self.ops, self.pcs, self.stacks
+        jumpis: list[tuple[int, int, bool]] = []
+        reads: set[int] = set()
+        writes: set[int] = set()
+        targets: set[int] = set()
+        sstores = 0
+        # the steps of interest, picked out without a Python-level loop
+        for index in compress(range(len(ops)), map(_FACT_OPS.__contains__, ops)):
+            op, stack = ops[index], stacks[index]
+            if op == "JUMPI":
+                if len(stack) >= 2:
+                    jumpis.append((pcs[index], stack[-1], stack[-2] != 0))
+            elif op == "SSTORE":
+                sstores += 1
+                if len(stack) >= 2:
+                    writes.add(stack[-1])
+            elif stack:  # SLOAD, EXTCODESIZE
+                (reads if op == "SLOAD" else targets).add(stack[-1])
+        # a genuine INVALID halts the run, so it can only be the last step
+        genuine = ops and ops[-1] == "INVALID" and not self.faulted
+        return TraceFacts(
+            executed=frozenset(pcs),
+            jumpis=jumpis,
+            sstores=sstores,
+            read_keys=reads,
+            write_keys=writes,
+            extcode_targets=targets,
+            invalid_pc=pcs[-1] if genuine else None,
+        )
 
     def jsonl(self) -> Iterator[str]:
         for record in self.records:
@@ -228,9 +337,10 @@ class Interpreter:
         code = state.code.get(tx.to, b"")
         snap = state.snapshot()
         if tx.value > state.balance_of(tx.sender):
-            # Unpayable transaction: a synthetic fault record, nothing applied.
-            record = TraceRecord("INVALID", 0, (), 0, True)
-            return ExecutionTrace([record], "INVALID", False)
+            # Unpayable transaction: a synthetic fault step, nothing applied.
+            return ExecutionTrace(
+                ["INVALID"], [0], [()], "INVALID", False, faulted=True, calldata=tx.data
+            )
         if tx.value:
             state.debit(tx.sender, tx.value)
             state.credit(tx.to, tx.value)
@@ -265,7 +375,10 @@ class Interpreter:
         gas: int,
         env: EnvOverrides,
     ) -> ExecutionTrace:
-        records: list[TraceRecord] = []
+        ops: list[str] = []
+        pcs: list[int] = []
+        stacks: list[tuple[int, ...]] = []
+        record_op, record_pc, record_stack = ops.append, pcs.append, stacks.append
         calls: list[CallEvent] = []
         preimages: dict[int, bytes] = {}
         stack: list[int] = []
@@ -281,6 +394,7 @@ class Interpreter:
         used = 0
         terminal = ""
         applied = True
+        faulted = False
         return_data = b""
         give_up_at = time.monotonic() + self.wall_cap if self.wall_cap else None
 
@@ -328,13 +442,12 @@ class Interpreter:
             opcode = code[pc] if pc < code_len else 0x00  # implicit STOP pad
             entry = table.get(opcode)
             if entry is None:
-                # Unassigned opcode: abnormal halt, same as a synthetic fault.
-                records.append(TraceRecord("INVALID", pc, tuple(stack), 0, True))
-                terminal = "INVALID"
-                applied = False
+                faulted = True  # unassigned opcode: same as a synthetic fault
                 break
             name, pops, _ = entry
-            records.append(TraceRecord(name, pc, tuple(stack), 0, False))
+            record_op(name)
+            record_pc(pc)
+            record_stack(tuple(stack))
             used += 1
             try:
                 if len(stack) < pops:
@@ -475,7 +588,7 @@ class Interpreter:
                         state.code.setdefault(child, b"")
                         success = 1
                     calls.append(
-                        CallEvent(len(records) - 1, name, records[-1].pc, child, 0,
+                        CallEvent(len(ops) - 1, name, pc, child, 0,
                                   create_value, success, bool(success and create_value))
                     )
                     push(child)
@@ -500,7 +613,7 @@ class Interpreter:
                         mcopy(out_off, returndata, 0, out_sz)
                         returned = returndata
                     calls.append(
-                        CallEvent(len(records) - 1, name, records[-1].pc,
+                        CallEvent(len(ops) - 1, name, pc,
                                   to, call_gas, call_value, success, transferred, returned)
                     )
                     push(success)
@@ -527,7 +640,7 @@ class Interpreter:
                         state.credit(beneficiary, swept)
                     state.code.pop(self_addr, None)
                     calls.append(
-                        CallEvent(len(records) - 1, name, records[-1].pc,
+                        CallEvent(len(ops) - 1, name, pc,
                                   beneficiary, 0, swept, 1, swept > 0)
                     )
                     terminal = "SELFDESTRUCT"
@@ -535,16 +648,26 @@ class Interpreter:
                 else:  # pragma: no cover - table and dispatch agree
                     raise _Fault(f"unhandled opcode {name}")
             except _Fault:
-                records.append(TraceRecord("INVALID", pc, tuple(stack), 0, True))
-                terminal = "INVALID"
-                applied = False
+                faulted = True
                 break
             pc += 1
 
+        if faulted:
+            # the synthetic fault step, at the pc of the op that faulted
+            record_op("INVALID")
+            record_pc(pc)
+            record_stack(tuple(stack))
+            terminal = "INVALID"
+            applied = False
+
         return ExecutionTrace(
-            records=records,
+            ops=ops,
+            pcs=pcs,
+            stacks=stacks,
             terminal=terminal,
             state_delta_applied=applied,
+            faulted=faulted,
+            calldata=data,
             calls=calls,
             sha3_preimages=preimages,
             return_data=return_data,

@@ -70,14 +70,11 @@ def compute_fitness(traces: list[ExecutionTrace], executed_before: frozenset[int
     """
     score = 0
     for trace in traces:
-        applied = trace.state_delta_applied
-        for record in trace.records:
-            if record.op == "JUMPI" and len(record.stack) >= 2:
-                for dest in (record.stack[-1], record.pc + 1):
-                    if dest not in executed_before:
-                        score += 1
-            elif record.op == "SSTORE" and applied:
-                score += 1
+        facts = trace.facts
+        for pc, dest, _ in facts.jumpis:
+            score += (dest not in executed_before) + (pc + 1 not in executed_before)
+        if trace.state_delta_applied:
+            score += facts.sstores
     return float(score)
 
 
@@ -338,6 +335,4 @@ class GeneticEngine:
         for event in trace.calls:
             if event.op in CALL_OPS:
                 self.known_callees.add(event.to)
-        for record in trace.records:
-            if record.op == "EXTCODESIZE" and record.stack:
-                self.known_extcode_targets.add(record.stack[-1])
+        self.known_extcode_targets |= trace.facts.extcode_targets

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmfuzz.abi import parse_abi
-from evmfuzz.evm import ExecutionTrace, TraceRecord
+from evmfuzz.evm import ExecutionTrace
 from evmfuzz.evm.state import AccountSet
 from evmfuzz.ga import (
     CircularBuffer,
@@ -42,8 +42,8 @@ def make_engine(seed=7, **config_kwargs):
     )
 
 
-def trace_with(records, applied=True):
-    return ExecutionTrace(records=records, terminal="STOP", state_delta_applied=applied)
+def trace_with(ops, pcs, stacks, applied=True):
+    return ExecutionTrace(ops, pcs, stacks, terminal="STOP", state_delta_applied=applied)
 
 
 # ---------------------------------------------------------------------------
@@ -51,25 +51,22 @@ def trace_with(records, applied=True):
 
 
 def test_fitness_counts_unseen_branch_destinations_per_occurrence():
-    records = [
-        TraceRecord("JUMPI", 10, (1, 40), 0, False),   # dests 40 and 11
-        TraceRecord("JUMPI", 10, (0, 40), 0, False),   # same site again
-    ]
-    trace = trace_with(records)
+    # dests 40 and 11, then the same site again
+    trace = trace_with(["JUMPI", "JUMPI"], [10, 10], [(1, 40), (0, 40)])
     assert compute_fitness([trace], frozenset()) == 4.0
     assert compute_fitness([trace], frozenset({11})) == 2.0
     assert compute_fitness([trace], frozenset({11, 40})) == 0.0
 
 
 def test_fitness_counts_applied_writes_only():
-    write = [TraceRecord("SSTORE", 5, (7, 0), 0, False)]
-    assert compute_fitness([trace_with(write, applied=True)], frozenset()) == 1.0
-    assert compute_fitness([trace_with(write, applied=False)], frozenset()) == 0.0
+    write = (["SSTORE"], [5], [(7, 0)])
+    assert compute_fitness([trace_with(*write, applied=True)], frozenset()) == 1.0
+    assert compute_fitness([trace_with(*write, applied=False)], frozenset()) == 0.0
 
 
 def test_fitness_sums_across_traces():
-    jumpi = trace_with([TraceRecord("JUMPI", 3, (1, 9), 0, False)])
-    store = trace_with([TraceRecord("SSTORE", 5, (7, 0), 0, False)])
+    jumpi = trace_with(["JUMPI"], [3], [(1, 9)])
+    store = trace_with(["SSTORE"], [5], [(7, 0)])
     assert compute_fitness([jumpi, store], frozenset()) == 3.0
 
 
@@ -309,7 +306,9 @@ def test_observe_trace_populates_registries():
 
     engine = make_engine()
     trace = ExecutionTrace(
-        records=[TraceRecord("EXTCODESIZE", 4, (0xAB,), 0, False)],
+        ops=["EXTCODESIZE"],
+        pcs=[4],
+        stacks=[(0xAB,)],
         terminal="STOP",
         state_delta_applied=True,
         calls=[CallEvent(0, "CALL", 9, 0xCD, 2300, 0, 1, False)],

@@ -13,7 +13,8 @@ from evmfuzz.evm import (
     Interpreter,
     Transaction,
 )
-from evmfuzz.evm.interpreter import KECCAK_MEMO_BYTES, KECCAK_MEMO_ENTRIES
+from evmfuzz.evm import interpreter as interpreter_module
+from evmfuzz.evm.interpreter import KECCAK_MEMO_BYTES, KECCAK_MEMO_ENTRIES, TraceRecord
 from evmfuzz.evm.opcodes import NAME_TO_CODE
 from evmfuzz.evm.state import INITIAL_BALANCE
 from evmfuzz.keccak import keccak256
@@ -392,6 +393,37 @@ def test_balance_and_address_opcodes():
     assert returned_word(trace) == ACCOUNTS.attackers[1]
     trace, _ = run(f"ORIGIN {RETURN_TOP}", sender=ACCOUNTS.attackers[1])
     assert returned_word(trace) == ACCOUNTS.attackers[1]
+
+
+def test_a_faulted_trace_flags_its_last_record_only():
+    trace, _ = run("PUSH1 0x01 PUSH1 0x02 ADD POP POP")  # the second POP underflows
+    assert (trace.terminal, trace.faulted) == ("INVALID", True)
+    assert len(trace.records) == len(trace.ops) == 6
+    assert [r.depth for r in trace.records] == [0] * 6
+    assert [r.error for r in trace.records] == [False] * 5 + [True]
+    assert list(trace.jsonl()) == [
+        '{"op": "PUSH1", "pc": 0, "stack": [], "depth": 0, "error": false}',
+        '{"op": "PUSH1", "pc": 2, "stack": ["0x1"], "depth": 0, "error": false}',
+        '{"op": "ADD", "pc": 4, "stack": ["0x1", "0x2"], "depth": 0, "error": false}',
+        '{"op": "POP", "pc": 5, "stack": ["0x3"], "depth": 0, "error": false}',
+        '{"op": "POP", "pc": 6, "stack": [], "depth": 0, "error": false}',
+        '{"op": "INVALID", "pc": 6, "stack": [], "depth": 0, "error": true}',
+    ]
+
+
+def test_records_are_built_only_when_read(monkeypatch):
+    built = []
+
+    def counting_record(*args):
+        built.append(args)
+        return TraceRecord(*args)
+
+    monkeypatch.setattr(interpreter_module, "TraceRecord", counting_record)
+    trace, _ = run("PUSH1 0x01 PUSH1 0x02 ADD POP STOP")
+    assert len(trace.records) == 5
+    assert built == []
+    assert trace.records[-1] == TraceRecord("STOP", 6, (), 0, False)
+    assert len(built) == 1
 
 
 def test_trace_jsonl_round_trips():

@@ -1,9 +1,18 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmfuzz.analysis import extract_storage_accesses, read_set, resolve_key, write_set
+from evmfuzz.analysis import (
+    extract_storage_accesses,
+    read_set,
+    resolve_key,
+    slots,
+    taint_individual,
+    write_set,
+)
 from evmfuzz.asm import assemble
+from evmfuzz.detectors import DetectorSuite
 from evmfuzz.evm import AccountSet, EmulatedState, Interpreter, Transaction
+from evmfuzz.ga import Individual, Input
 
 from oracles import slots_ref
 
@@ -154,3 +163,40 @@ def test_read_write_sets_use_identities():
     _, _, expected = slots_ref.scenario_mapping(slot=1, key=sender)
     assert write_set(trace) == {expected}
     assert read_set(trace) == {expected, (0, ())}
+
+
+MAPPING_INCREMENT = assemble(
+    """
+    ; balances[caller] += callvalue, balances at slot 1: one key, read then written
+    CALLER PUSH1 0x00 MSTORE
+    PUSH1 0x01 PUSH1 0x20 MSTORE
+    PUSH1 0x40 PUSH1 0x00 SHA3
+    DUP1 SLOAD CALLVALUE ADD
+    SWAP1 SSTORE
+    STOP
+"""
+)
+
+
+def test_each_raw_key_is_resolved_once_per_trace(monkeypatch):
+    accounts = AccountSet()
+    state = EmulatedState(accounts)
+    state.code[CONTRACT] = MAPPING_INCREMENT
+    inp = Input(fn=None, sender=accounts.benign, value=5)
+    trace = Interpreter().execute(state, inp.transaction(CONTRACT), inp.env)
+    assert trace.state_delta_applied
+    resolved = []
+    resolve = slots._resolve
+
+    def counting(raw, preimages, depth):
+        if depth == 0:
+            resolved.append(raw)
+        return resolve(raw, preimages, depth)
+
+    monkeypatch.setattr(slots, "_resolve", counting)
+    _, _, expected = slots_ref.scenario_mapping(slot=1, key=accounts.benign)
+    assert read_set(trace) == write_set(trace) == {expected}
+    suite = DetectorSuite(accounts, CONTRACT, MAPPING_INCREMENT)
+    suite.inspect(Individual([inp]), [trace], taint_individual([inp], [trace]), [{}])
+    assert suite.slot_writers == {expected: {accounts.benign}}
+    assert len(resolved) == 1

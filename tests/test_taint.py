@@ -14,6 +14,7 @@ from evmfuzz.analysis import (
     variables,
 )
 from evmfuzz.analysis.expr import evaluate
+from evmfuzz.analysis.taint import OUT_REGION_TAINT_BYTES
 from evmfuzz.asm import assemble
 from evmfuzz.evm import AccountSet, EmulatedState, EnvOverrides, Interpreter
 from evmfuzz.ga import Input, MutationPools
@@ -889,6 +890,43 @@ def test_return_data_copy_reads_what_the_call_returned():
     name = f"callret_0_{HELPER:x}_w1"
     assert variables(report.stores[0].value_term) == {name}
     assert report.var_values[name] == 2
+
+
+def test_a_long_call_out_region_taints_a_bounded_prefix():
+    # 15 MiB out region (under the memory cap) over the default 32-byte return
+    code = assemble(
+        """
+        CALLVALUE PUSH2 0x2000 MSTORE
+        PUSH3 0xf00000 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH2 0x8888 GAS STATICCALL POP
+        PUSH1 0x20 MLOAD PUSH1 0x00 SSTORE
+        PUSH2 0x2000 MLOAD PUSH1 0x01 SSTORE
+        STOP
+        """
+    )
+    inp = benign_input(value=5)
+    traces, _ = execute(code, [inp])
+    assert traces[0].terminal == "STOP"
+    started = time.monotonic()
+    [report] = taint_individual([inp], traces)
+    assert time.monotonic() - started < 0.5
+    callrets = [name for name in report.var_values if parse_var(name).kind == "callret"]
+    assert len(callrets) <= OUT_REGION_TAINT_BYTES // 32 == 128
+    # a word past the return data keeps its variable; one past the bound is
+    # still cleared of what was stored there before the call
+    first, second = report.stores
+    assert variables(first.value_term) == {f"callret_0_{HELPER:x}_w1"}
+    assert second.value_term is None
+
+
+def test_out_region_words_past_the_return_data_stay_solvable():
+    code = assemble(
+        "PUSH1 0x40 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH2 0x8888 GAS STATICCALL POP "
+        "PUSH1 0x20 MLOAD PUSH1 0x00 SSTORE STOP"
+    )
+    [report], _ = reports_for(code, [benign_input()])
+    name = f"callret_0_{HELPER:x}_w1"
+    assert variables(report.stores[0].value_term) == {name}
+    assert report.var_values[name] == 0
 
 
 def test_deep_program_never_realigns():

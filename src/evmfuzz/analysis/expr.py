@@ -10,19 +10,58 @@ view of the opcode table's word semantics (``evm.opcodes.WORD_OPS``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..evm.opcodes import MASK, WORD_OPS
 
 OPAQUE_OPS = ("sha3", "mix")
 
 
-@dataclass(frozen=True)
 class Term:
-    op: str
-    args: tuple = ()
-    value: int = 0  # constant value, or observed value for opaque ops
-    name: str = ""  # variable name
+    """One immutable node of a term tree, equal and hashed by value.
+
+    Every term knows, from the moment it is built, the names of the
+    variables in it (``names``) and their kinds (``kinds``, each name's
+    prefix before its first ``_``), gathered from its arguments' sets.  Its
+    hash is computed on first use, kept, and equals ``hash((op, args,
+    value, name))``, so nothing may assign to a term once it is built.
+    """
+
+    __slots__ = ("op", "args", "value", "name", "names", "kinds", "_hash")
+
+    def __init__(self, op: str, args: tuple = (), value: int = 0, name: str = "") -> None:
+        self.op = op
+        self.args = args
+        self.value = value  # constant value, or observed value for opaque ops
+        self.name = name  # variable name
+        if op == "var":
+            names, kinds = frozenset((name,)), frozenset((name.partition("_")[0],))
+        else:
+            names = kinds = _EMPTY
+            for arg in args:
+                if arg.names and arg.names is not names:
+                    if names:
+                        names, kinds = names | arg.names, kinds | arg.kinds
+                    else:
+                        names, kinds = arg.names, arg.kinds
+        self.names = names
+        self.kinds = kinds
+        self._hash = None  # most terms are never hashed
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.op, self.args, self.value, self.name))
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Term:
+            return NotImplemented
+        return (
+            self.op == other.op
+            and self.value == other.value
+            and self.name == other.name
+            and self.args == other.args
+        )
 
     def __repr__(self) -> str:  # compact, debugging only
         if self.op == "const":
@@ -30,6 +69,9 @@ class Term:
         if self.op == "var":
             return self.name
         return f"({self.op} {' '.join(map(repr, self.args))})"
+
+
+_EMPTY: frozenset[str] = frozenset()
 
 
 def const(value: int) -> Term:
@@ -49,14 +91,7 @@ def opaque(op: str, observed: int, *args: Term) -> Term:
 
 
 def variables(term: Term) -> frozenset[str]:
-    if term.op == "var":
-        return frozenset((term.name,))
-    if term.op == "const":
-        return frozenset()
-    out: set[str] = set()
-    for arg in term.args:
-        out |= variables(arg)
-    return frozenset(out)
+    return term.names
 
 
 def contains(term: Term, needle: Term) -> bool:

@@ -69,6 +69,8 @@ def _resolve(raw: int, preimages: dict[int, bytes], depth: int) -> SlotKey:
                 resolved=parent.resolved,
             )
         return SlotKey(base=raw, raw=raw, resolved=False)
+    if raw < MAX_STATIC_SLOT:
+        return SlotKey(base=raw, raw=raw, resolved=True)
     # not a hash itself: maybe hash + element offset (array index, struct field)
     for digest in preimages:
         delta = raw - digest
@@ -80,8 +82,6 @@ def _resolve(raw: int, preimages: dict[int, bytes], depth: int) -> SlotKey:
                 bumped = parent.path[:-1] + (("arr", parent.path[-1][1] + delta),)
                 return SlotKey(parent.base, bumped, raw, True)
             return SlotKey(parent.base, parent.path + (("off", delta),), raw, True)
-    if raw < MAX_STATIC_SLOT:
-        return SlotKey(base=raw, raw=raw, resolved=True)
     return SlotKey(base=raw, raw=raw, resolved=False)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from ..evm import ExecutionTrace
 from ..evm.opcodes import CALL_OPS, MASK, TABLE, WORD_OPS
-from .expr import Term, apply, const, opaque, var, variables
+from .expr import Term, apply, const, opaque, var
 
 FUZZABLE_KINDS = frozenset(
     [
@@ -93,7 +93,7 @@ def pool_tag_key(info: VarInfo) -> str | None:
 
 
 def var_kinds(term: Term) -> frozenset[str]:
-    return frozenset(parse_var(name).kind for name in variables(term))
+    return term.kinds
 
 
 @dataclass(frozen=True)

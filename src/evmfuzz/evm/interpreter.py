@@ -33,6 +33,9 @@ STACK_LIMIT = 1024
 KECCAK_MEMO_BYTES = RATE_BYTES
 KECCAK_MEMO_ENTRIES = 4096
 
+# With a wall cap, the clock is read at every multiple of this many steps.
+CLOCK_STEPS = 4096
+
 # Block context the contract is deployed under; campaign env ranges start here.
 DEPLOY_TIMESTAMP = 1_500_000_000
 DEPLOY_BLOCK_NUMBER = 5_000_000
@@ -244,6 +247,47 @@ class _Fault(Exception):
     """Internal: abnormal halt (stack misuse, bad jump, memory blowup)."""
 
 
+# A decoded step: (kind, mnemonic, pops, argument).  The kind is "push",
+# "jumpdest", "word", "dup", "swap" or "named"; the argument is a PUSH's
+# (immediate, next pc), a word op's ``WORD_OPS`` function, None otherwise.
+_STEPS: dict[int, tuple] = {}
+for _code, (_name, _pops, _) in opcodes.TABLE.items():
+    if 0x60 <= _code <= 0x7F:
+        continue  # a PUSH step carries its immediate, so it is made per pc
+    if _name in WORD_OPS:
+        _STEPS[_code] = ("word", _name, _pops, WORD_OPS[_name])
+    elif 0x80 <= _code <= 0x8F:
+        _STEPS[_code] = ("dup", _name, _pops, None)
+    elif 0x90 <= _code <= 0x9F:
+        _STEPS[_code] = ("swap", _name, _pops, None)
+    else:
+        _STEPS[_code] = ("jumpdest" if _code == 0x5B else "named", _name, _pops, None)
+
+# Past the end of the code every pc holds the implicit STOP.  A PUSH32 in
+# the last byte leaves pc at most 32 bytes past the end, and jumps only land
+# on jump destinations, so 33 padding steps cover every pc the loop reaches.
+_STOP_PAD = (_STEPS[0x00],) * 33
+
+
+def _decode(code: bytes) -> tuple[frozenset[int], list]:
+    """The jump destinations of ``code`` and its program: ``program[pc]`` is
+    the decoded step at each instruction start, None for an unassigned
+    opcode (and inside PUSH data, which no pc reaches)."""
+    program: list = [None] * len(code)
+    for pc in opcodes.instruction_starts(code):
+        opcode = code[pc]
+        if 0x60 <= opcode <= 0x7F:  # PUSH1..PUSH32
+            width = opcode - 0x5F
+            end = pc + 1 + width
+            # an immediate cut off by the end of the code reads zeros
+            word = int.from_bytes(code[pc + 1:end].ljust(width, b"\x00"), "big")
+            program[pc] = ("push", opcodes.TABLE[opcode][0], 0, (word, end))
+        else:
+            program[pc] = _STEPS.get(opcode)
+    program.extend(_STOP_PAD)
+    return opcodes.valid_jumpdests(code), program
+
+
 class Interpreter:
     """Executes transactions and deployments against an ``EmulatedState``.
 
@@ -254,9 +298,11 @@ class Interpreter:
       preimages shorter than ``KECCAK_MEMO_BYTES`` and up to
       ``KECCAK_MEMO_ENTRIES`` of them (later or longer ones are hashed
       uncached), which keeps the memo near 1 MB;
-    * the valid jump destinations of each code blob, keyed by the code's
-      bytes rather than its address, since SELFDESTRUCT and CREATE change
-      the code at an address.
+    * each code blob decoded once: its valid jump destinations and its
+      program, one decoded step per instruction start (opcode, stack
+      effect, a PUSH's padded immediate, a word op's function), keyed by
+      the code's bytes rather than its address, since SELFDESTRUCT and
+      CREATE change the code at an address.
 
     The memos live on the instance, not in the process, so every campaign
     (which owns one interpreter) starts cold and is timed doing the hashing
@@ -273,7 +319,7 @@ class Interpreter:
         self.memory_cap = memory_cap
         self.wall_cap = wall_cap  # seconds per transaction, None = unlimited
         self._digests: dict[bytes, int] = {}
-        self._jumpdests: dict[bytes, frozenset[int]] = {}
+        self._decoded: dict[bytes, tuple[frozenset[int], list]] = {}
 
     def _keccak_word(self, blob: bytes) -> int:
         """Keccak-256 of ``blob`` as a word, through the bounded memo."""
@@ -385,11 +431,10 @@ class Interpreter:
         memory = bytearray()
         returndata = b""
         last_callee: int | None = None
-        jumpdests = self._jumpdests.get(code)
-        if jumpdests is None:
-            jumpdests = self._jumpdests[code] = opcodes.valid_jumpdests(code)
-        table = opcodes.TABLE
-        code_len = len(code)
+        decoded = self._decoded.get(code)
+        if decoded is None:
+            decoded = self._decoded[code] = _decode(code)
+        jumpdests, program = decoded
         pc = 0
         used = 0
         terminal = ""
@@ -397,6 +442,9 @@ class Interpreter:
         faulted = False
         return_data = b""
         give_up_at = time.monotonic() + self.wall_cap if self.wall_cap else None
+        # the next step count at which the gas limit or, with a wall cap, the
+        # clock is checked: the gas limit and every multiple of CLOCK_STEPS
+        checkpoint = gas if give_up_at is None else 0
 
         def push(x: int) -> None:
             if len(stack) >= STACK_LIMIT:
@@ -404,6 +452,7 @@ class Interpreter:
             stack.append(x & MASK)
 
         pop = stack.pop  # every op's operand count is checked before it runs
+        append = stack.append  # for words in range, where no overflow can occur
 
         def touch(offset: int, size: int) -> None:
             if size == 0:
@@ -427,55 +476,53 @@ class Interpreter:
             memory[dest:dest + size] = source[offset:offset + size].ljust(size, b"\x00")
 
         while True:
-            if used >= gas:
-                terminal = "OUT_OF_GAS"
-                applied = False
-                break
-            if (
-                give_up_at is not None
-                and not (used & 0xFFF)
-                and time.monotonic() > give_up_at
-            ):
-                terminal = "TIMEOUT"
-                applied = False
-                break
-            opcode = code[pc] if pc < code_len else 0x00  # implicit STOP pad
-            entry = table.get(opcode)
-            if entry is None:
+            if used >= checkpoint:
+                if used >= gas:
+                    terminal = "OUT_OF_GAS"
+                    applied = False
+                    break
+                # below the gas limit, so this is a clock checkpoint
+                if time.monotonic() > give_up_at:
+                    terminal = "TIMEOUT"
+                    applied = False
+                    break
+                checkpoint = min(gas, used + CLOCK_STEPS)
+            step = program[pc]
+            if step is None:
                 faulted = True  # unassigned opcode: same as a synthetic fault
                 break
-            name, pops, _ = entry
+            kind, name, pops, argument = step
             record_op(name)
             record_pc(pc)
             record_stack(tuple(stack))
             used += 1
             try:
-                if len(stack) < pops:
-                    raise _Fault("stack underflow")
-
-                # Stack ops first, by opcode range: PUSH alone is ~40 % of
-                # what a campaign executes.
-                if 0x60 <= opcode <= 0x7F:  # PUSH1..PUSH32
+                # PUSH alone is ~40 % of what a campaign executes
+                if kind == "push":
                     if len(stack) >= STACK_LIMIT:
                         raise _Fault("stack overflow")
-                    width = opcode - 0x5F
-                    end = pc + 1 + width
-                    # an immediate cut off by the end of the code reads zeros
-                    stack.append(int.from_bytes(code[pc + 1:end].ljust(width, b"\x00"), "big"))
-                    pc = end
+                    word, pc = argument
+                    append(word)
                     continue
-                elif 0x80 <= opcode <= 0x8F:  # DUP1..DUP16
-                    push(stack[-pops])
-                elif 0x90 <= opcode <= 0x9F:  # SWAP1..SWAP16
-                    stack[-1], stack[-pops] = stack[-pops], stack[-1]
-                elif opcode == 0x5B:  # JUMPDEST
+                if len(stack) < pops:
+                    raise _Fault("stack underflow")
+                if kind == "jumpdest":
                     pass
-                elif (word_op := WORD_OPS.get(name)) is not None:
+                elif kind == "word":
                     # operands top of stack first; the result is a word
-                    operands = stack[:-pops - 1:-1]
-                    del stack[-pops:]
-                    stack.append(word_op(*operands))
-                # then the commonest of the rest
+                    if pops == 2:
+                        append(argument(pop(), pop()))
+                    elif pops == 1:
+                        append(argument(pop()))
+                    else:
+                        append(argument(pop(), pop(), pop()))
+                elif kind == "dup":
+                    if len(stack) >= STACK_LIMIT:
+                        raise _Fault("stack overflow")
+                    append(stack[-pops])
+                elif kind == "swap":
+                    stack[-1], stack[-pops] = stack[-pops], stack[-1]
+                # then the named ops, commonest first
                 elif name == "JUMPI":
                     dest, cond = pop(), pop()
                     if cond:
@@ -491,8 +538,22 @@ class Interpreter:
                     continue
                 elif name == "CALLDATALOAD":
                     offset = pop()
-                    word = data[offset:offset + 32]
-                    push(int.from_bytes(word.ljust(32, b"\x00"), "big"))
+                    append(int.from_bytes(data[offset:offset + 32].ljust(32, b"\x00"), "big"))
+                elif name == "SSTORE":
+                    slot, word = pop(), pop()
+                    state.sstore(self_addr, slot, word)
+                elif name == "SLOAD":
+                    push(state.sload(self_addr, pop()))
+                elif name == "MSTORE":
+                    offset, word = pop(), pop()
+                    end = offset + 32
+                    if end > len(memory):  # memory grows: check the cap
+                        touch(offset, 32)
+                    memory[offset:end] = word.to_bytes(32, "big")
+                elif name == "MLOAD":
+                    append(int.from_bytes(mread(pop(), 32), "big"))
+                elif name == "POP":
+                    pop()
                 elif name == "STOP":
                     terminal = "STOP"
                     break
@@ -501,7 +562,7 @@ class Interpreter:
                     blob = mread(offset, size)
                     digest = self._keccak_word(blob)
                     preimages[digest] = blob
-                    push(digest)
+                    append(digest)
                 elif name == "ADDRESS":
                     push(self_addr)
                 elif name == "BALANCE":
@@ -546,28 +607,16 @@ class Interpreter:
                     push(DIFFICULTY)
                 elif name == "GASLIMIT":
                     push(BLOCK_GAS_LIMIT)
-                elif name == "POP":
-                    pop()
-                elif name == "MLOAD":
-                    push(int.from_bytes(mread(pop(), 32), "big"))
-                elif name == "MSTORE":
-                    offset, word = pop(), pop()
-                    mwrite(offset, word.to_bytes(32, "big"))
                 elif name == "MSTORE8":
                     offset, word = pop(), pop()
                     mwrite(offset, bytes([word & 0xFF]))
-                elif name == "SLOAD":
-                    push(state.sload(self_addr, pop()))
-                elif name == "SSTORE":
-                    slot, word = pop(), pop()
-                    state.sstore(self_addr, slot, word)
                 elif name == "PC":
                     push(pc)
                 elif name == "MSIZE":
                     push(len(memory))
                 elif name == "GAS":
                     push(gas - used)
-                elif 0xA0 <= opcode <= 0xA4:  # LOG0..LOG4
+                elif name.startswith("LOG"):
                     offset, size = pop(), pop()
                     mread(offset, size)
                     del stack[len(stack) + 2 - pops:]  # the topics

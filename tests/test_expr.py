@@ -3,7 +3,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmfuzz.analysis import expr
-from evmfuzz.analysis.expr import EvalError, apply, const, contains, evaluate, opaque, var, variables
+from evmfuzz.analysis.expr import (
+    EvalError,
+    Term,
+    apply,
+    const,
+    contains,
+    evaluate,
+    opaque,
+    var,
+    variables,
+)
+from evmfuzz.analysis.taint import parse_var, var_kinds
 
 from oracles import bigint_ref
 
@@ -117,3 +128,53 @@ def test_small_first_operand_edge_cases_agree(op, a, b):
     ref_func, _ = bigint_ref.OPS[op.upper()]
     term = apply(op, const(a), const(b))
     assert evaluate(term, {}) == ref_func(a, b)
+
+
+# ---------------------------------------------------------------------------
+# what a term caches when it is built
+
+_NAMES = st.one_of(
+    st.builds("callvalue_{}".format, st.integers(0, 3)),
+    st.builds("arg_{}_{}".format, st.integers(0, 3), st.integers(0, 3)),
+    st.builds("calldata_{}_{}".format, st.integers(0, 96), st.integers(0, 3)),
+    st.builds("callret_{}_{:x}_w{}".format, st.integers(0, 3), st.integers(0, 1 << 160),
+              st.integers(0, 4)),
+    st.builds("storage_{:x}".format, st.integers(0, MASK)),
+)
+_LEAVES = st.one_of(st.builds(const, st.integers(0, MASK)), st.builds(var, _NAMES))
+
+
+def _branches(children):
+    return st.one_of(
+        st.builds(lambda op, args: apply(op, *args), st.sampled_from(sorted(expr.OPS)),
+                  st.lists(children, min_size=1, max_size=3)),
+        st.builds(lambda op, observed, args: opaque(op, observed, *args),
+                  st.sampled_from(expr.OPAQUE_OPS), st.integers(0, MASK),
+                  st.lists(children, max_size=3)),
+    )
+
+
+_TERMS = st.recursive(_LEAVES, _branches, max_leaves=24)
+
+
+def _reference_variables(term):
+    if term.op == "var":
+        return {term.name}
+    return set().union(*(_reference_variables(arg) for arg in term.args))
+
+
+def _rebuilt(term):
+    return Term(term.op, tuple(_rebuilt(arg) for arg in term.args), term.value, term.name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(term=_TERMS)
+def test_cached_sets_and_hash_agree_with_the_tree(term):
+    assert variables(term) == _reference_variables(term)
+    assert var_kinds(term) == {parse_var(name).kind for name in variables(term)}
+    assert hash(term) == hash((term.op, term.args, term.value, term.name))
+    copy = _rebuilt(term)
+    assert copy is not term
+    assert copy == term
+    assert hash(copy) == hash(term)
+    assert variables(copy) == variables(term)

@@ -1,4 +1,5 @@
 import json
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +16,12 @@ from evmfuzz.evm import (
 )
 from evmfuzz.evm import interpreter as interpreter_module
 from evmfuzz.evm.interpreter import KECCAK_MEMO_BYTES, KECCAK_MEMO_ENTRIES, TraceRecord
-from evmfuzz.evm.opcodes import NAME_TO_CODE
+from evmfuzz.evm import opcodes
+from evmfuzz.evm.opcodes import NAME_TO_CODE, WORD_OPS
 from evmfuzz.evm.state import INITIAL_BALANCE
 from evmfuzz.keccak import keccak256
 
+from fixtures import GUARDED_ADD, MINI_CORPUS, OWNED_PROXY, SAFE_ASSERT, TOKEN_SALE
 from oracles import bigint_ref
 from oracles.keccak_ref import keccak256_reference
 
@@ -523,6 +526,18 @@ def test_wall_cap_halts_endless_loops():
     assert trace.state_delta_applied is False
     assert state.storage == {}
     assert trace.gas_used < 8_000_000
+    # the clock is read before every 4096th step, and that check records nothing
+    assert len(trace.ops) == trace.gas_used
+    assert len(trace.ops) % 4096 == 0 and len(trace.ops) > 0
+
+
+@pytest.mark.parametrize("gas", [1, 4095, 4096, 4097, 5000, 8192])
+def test_gas_limit_binds_between_clock_checks(gas):
+    trace, _ = run(
+        "loop: JUMPDEST PUSH @loop JUMP", gas=gas, interpreter=Interpreter(wall_cap=60.0)
+    )
+    assert trace.terminal == "OUT_OF_GAS"
+    assert trace.gas_used == len(trace.ops) == gas
 
 
 def test_wall_cap_leaves_fast_programs_alone():
@@ -563,6 +578,80 @@ def test_push_cut_off_by_the_end_of_code_pads_right():
     assert trace.terminal == "STOP"
     assert trace.records[-1].pc == 3
     assert trace.records[-1].stack == (0x0100,)
+    _, program = interpreter_module._decode(bytes.fromhex("6101"))
+    assert program[0] == ("push", "PUSH2", 0, (0x0100, 3))
+    # a PUSH32 in the last byte runs 32 bytes past the end into the STOP pad
+    trace, _ = run(b"\x7f")
+    assert [(r.op, r.pc, r.stack) for r in trace.records] == [("PUSH32", 0, ()), ("STOP", 33, (0,))]
+
+
+# ---------------------------------------------------------------------------
+# the program each code blob is decoded into
+
+
+def check_decoded(code):
+    """Every instruction start decodes to what the disassembler reads there,
+    and every pc from the end of the code on to the implicit STOP."""
+    jumpdests, program = interpreter_module._decode(code)
+    assert jumpdests == opcodes.valid_jumpdests(code)
+    for pc, name, immediate in opcodes.disassemble(code):
+        step = program[pc]
+        if code[pc] not in opcodes.TABLE:
+            assert step is None
+            continue
+        kind, mnemonic, pops, argument = step
+        assert (mnemonic, pops) == (name, opcodes.TABLE[code[pc]][1])
+        assert (kind == "push") is name.startswith("PUSH")
+        assert (kind == "word") is (name in WORD_OPS)
+        if kind == "push":
+            word, next_pc = argument
+            assert next_pc == pc + code[pc] - 0x5E
+            # the disassembler reads a cut-off immediate short; the step pads it right
+            assert word == immediate << 8 * max(0, next_pc - len(code))
+        elif kind == "word":
+            assert argument is WORD_OPS[name]
+    assert [step[1] for step in program[len(code):]] == ["STOP"] * 33
+
+
+@pytest.mark.parametrize(
+    "compiled",
+    [TOKEN_SALE, SAFE_ASSERT, GUARDED_ADD, OWNED_PROXY, *MINI_CORPUS.values()],
+    ids=lambda compiled: compiled.name,
+)
+def test_fixture_code_decodes_like_the_disassembler(compiled):
+    check_decoded(compiled.runtime)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_random_bytes_decode_like_the_disassembler(seed):
+    rng = Random(seed)
+    check_decoded(rng.randbytes(rng.randrange(1, 400)))
+
+
+def test_each_code_is_decoded_once_per_interpreter(monkeypatch):
+    scanned = []
+    original = opcodes.valid_jumpdests
+
+    def counting(code):
+        scanned.append(code)
+        return original(code)
+
+    monkeypatch.setattr(opcodes, "valid_jumpdests", counting)
+    interpreter = Interpreter()
+    loop = assemble("PUSH1 0x03 loop: JUMPDEST PUSH1 0x01 SWAP1 SUB DUP1 PUSH @loop JUMPI STOP")
+    for _ in range(5):
+        trace, _ = run(loop, interpreter=interpreter)
+        assert trace.terminal == "STOP"
+    run(b"\x00", interpreter=interpreter)
+    assert scanned == [loop, b"\x00"]
+    run(loop)  # another interpreter starts cold
+    assert scanned == [loop, b"\x00", loop]
+
+
+def test_unassigned_opcode_faults_without_a_step_of_its_own():
+    trace, _ = run(bytes.fromhex("6001" "0c"))  # PUSH1 1, then the unassigned 0x0c
+    assert (trace.terminal, trace.faulted, trace.gas_used) == ("INVALID", True, 1)
+    assert (trace.ops, trace.pcs, trace.stacks) == (["PUSH1", "INVALID"], [0, 2], [(), (1,)])
 
 
 def test_push_past_the_stack_limit_is_synthetic_fault():

@@ -29,6 +29,18 @@ def test_static_slot():
     check(slots_ref.scenario_static(0))
 
 
+class _Unscannable(dict):
+    def __iter__(self):
+        raise AssertionError("a static slot scanned the preimages")
+
+
+def test_static_slot_resolves_without_scanning_the_preimages():
+    _, preimages, _ = slots_ref.scenario_mapping(slot=1, key=0xABCDEF)
+    unscannable = _Unscannable(preimages)
+    for slot in (0, 3, (1 << 32) - 1):
+        assert resolve_key(slot, unscannable).identity() == (slot, ())
+
+
 def test_mapping_entry():
     check(slots_ref.scenario_mapping(slot=1, key=0xABCDEF))
 

@@ -9,8 +9,6 @@ access path) without source code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..evm import ExecutionTrace
 
 # Array/struct offsets beyond this are treated as unrelated keys, not
@@ -20,69 +18,43 @@ MAX_ELEMENT_OFFSET = 1 << 16
 MAX_STATIC_SLOT = 1 << 32
 
 
-@dataclass(frozen=True)
-class SlotKey:
-    base: int  # declared slot number (or raw key when unresolved)
-    path: tuple = ()  # (("map", key) | ("arr", index) | ("off", delta), ...)
-    raw: int = 0
-    resolved: bool = True
-
-    def identity(self) -> tuple:
-        if not self.resolved:
-            return ("raw", self.raw)
-        return (self.base, self.path)
-
-
-@dataclass(frozen=True)
-class StorageAccess:
-    kind: str  # "read" | "write"
-    key: SlotKey
-    record_index: int
-    pc: int
-    value: int | None  # written value for writes, None for reads
-
-
-def resolve_key(raw: int, preimages: dict[int, bytes]) -> SlotKey:
+def resolve_key(raw: int, preimages: dict[int, bytes]) -> tuple:
+    """The identity of a raw storage key: ``(declared slot, path)``, the path
+    a tuple of ``("map", key)``, ``("arr", index)`` and ``("off", delta)``
+    steps, or ``("raw", raw)`` when the key does not decompose."""
     return _resolve(raw, preimages, depth=0)
 
 
-def _resolve(raw: int, preimages: dict[int, bytes], depth: int) -> SlotKey:
+def _resolve(raw: int, preimages: dict[int, bytes], depth: int) -> tuple:
+    unresolved = ("raw", raw)
     if depth > 8:
-        return SlotKey(base=raw, raw=raw, resolved=False)
+        return unresolved
     blob = preimages.get(raw)
     if blob is not None:
         if len(blob) == 64:
-            mapping_key = int.from_bytes(blob[:32], "big")
-            parent = _resolve(int.from_bytes(blob[32:], "big"), preimages, depth + 1)
-            return SlotKey(
-                base=parent.base,
-                path=parent.path + (("map", mapping_key),),
-                raw=raw,
-                resolved=parent.resolved,
-            )
-        if len(blob) == 32:
-            parent = _resolve(int.from_bytes(blob, "big"), preimages, depth + 1)
-            return SlotKey(
-                base=parent.base,
-                path=parent.path + (("arr", 0),),
-                raw=raw,
-                resolved=parent.resolved,
-            )
-        return SlotKey(base=raw, raw=raw, resolved=False)
+            step = ("map", int.from_bytes(blob[:32], "big"))
+        elif len(blob) == 32:
+            step = ("arr", 0)
+        else:
+            return unresolved
+        parent = _resolve(int.from_bytes(blob[-32:], "big"), preimages, depth + 1)
+        if parent[0] == "raw":
+            return unresolved
+        return parent[0], parent[1] + (step,)
     if raw < MAX_STATIC_SLOT:
-        return SlotKey(base=raw, raw=raw, resolved=True)
+        return raw, ()
     # not a hash itself: maybe hash + element offset (array index, struct field)
     for digest in preimages:
         delta = raw - digest
         if 0 < delta < MAX_ELEMENT_OFFSET:
             parent = _resolve(digest, preimages, depth + 1)
-            if not parent.resolved:
+            if parent[0] == "raw":
                 continue
-            if parent.path and parent.path[-1][0] == "arr":
-                bumped = parent.path[:-1] + (("arr", parent.path[-1][1] + delta),)
-                return SlotKey(parent.base, bumped, raw, True)
-            return SlotKey(parent.base, parent.path + (("off", delta),), raw, True)
-    return SlotKey(base=raw, raw=raw, resolved=False)
+            base, path = parent
+            if path and path[-1][0] == "arr":
+                return base, path[:-1] + (("arr", path[-1][1] + delta),)
+            return base, path + (("off", delta),)
+    return unresolved
 
 
 def slot_identity(trace: ExecutionTrace, raw: int) -> tuple:
@@ -91,21 +63,8 @@ def slot_identity(trace: ExecutionTrace, raw: int) -> tuple:
     identities = trace.facts.identities
     identity = identities.get(raw)
     if identity is None:
-        identity = identities[raw] = resolve_key(raw, trace.sha3_preimages).identity()
+        identity = identities[raw] = resolve_key(raw, trace.sha3_preimages)
     return identity
-
-
-def extract_storage_accesses(trace: ExecutionTrace) -> list[StorageAccess]:
-    out = []
-    preimages = trace.sha3_preimages
-    for index, record in enumerate(trace.records):
-        if record.op == "SLOAD" and record.stack:
-            key = resolve_key(record.stack[-1], preimages)
-            out.append(StorageAccess("read", key, index, record.pc, None))
-        elif record.op == "SSTORE" and len(record.stack) >= 2:
-            key = resolve_key(record.stack[-1], preimages)
-            out.append(StorageAccess("write", key, index, record.pc, record.stack[-2]))
-    return out
 
 
 def read_set(trace: ExecutionTrace) -> frozenset:

@@ -587,14 +587,10 @@ class InternalSolver:
 class SolverBridge:
     def __init__(
         self,
-        enabled: bool = True,
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
-        external_argv: list[str] | None = "auto",  # type: ignore[assignment]
+        external_argv: list[str] | None = None,
     ) -> None:
-        self.enabled = enabled
         self.timeout_ms = timeout_ms
-        if external_argv == "auto":
-            external_argv = detect_solver(timeout_ms)
         self.external = ExternalSolver(external_argv, timeout_ms) if external_argv else None
         self.internal = InternalSolver()
         self.stats = {
@@ -608,8 +604,6 @@ class SolverBridge:
         target_index: int,
         var_values: dict[str, int],
     ) -> SolveResult:
-        if not self.enabled:
-            return SolveResult("unknown")
         free = free_variables(constraints[target_index].cond)
         if not free:
             return SolveResult("unknown")

@@ -1,7 +1,9 @@
 """Taint tracking over recorded traces.
 
 Walks the recorded steps of an executed input (its opcode and stack columns)
-while maintaining a shadow stack/memory/storage of symbolic terms.
+while maintaining a shadow stack/memory/storage of symbolic terms.  The walk
+alone moves the shadow stack; a source, sink, memory or storage op only
+reads its operands' terms and returns the term it pushes.
 Fuzzer-controllable sources (call value, caller, block values, calldata
 words, injected call results) become named variables; everything they touch
 becomes a compound term.  Conditional jumps over tainted conditions yield
@@ -178,7 +180,8 @@ _CALL_OPERANDS = {
     "STATICCALL": (2, 0), "CREATE": (0, 1), "SELFDESTRUCT": (1, 0),
 }
 
-# The ops with taint semantics of their own: sources, sinks and memory.
+# The ops with taint semantics of their own: sources, sinks, memory and
+# storage.
 _SOURCES_AND_SINKS = frozenset(
     [*_ENV_SOURCES, *_CALL_OPERANDS, "CALLDATALOAD", "CALLDATACOPY", "CODECOPY",
      "RETURNDATACOPY", "RETURNDATASIZE", "EXTCODESIZE", "SLOAD", "SSTORE",
@@ -186,7 +189,9 @@ _SOURCES_AND_SINKS = frozenset(
 )
 
 # How the walk treats a step.  _STACK: the table's stack effect, untainted.
-_PUSH, _STACK, _WORD, _DUP, _SWAP, _JUMPI, _SOURCE_OR_SINK = range(7)
+# _EFFECT: the table's stack effect, pushing the term ``_Walker._effect``
+# returns.
+_PUSH, _STACK, _WORD, _DUP, _SWAP, _JUMPI, _EFFECT = range(7)
 
 
 def _step_kind(name: str) -> int:
@@ -200,7 +205,7 @@ def _step_kind(name: str) -> int:
         return _WORD
     if name == "JUMPI":
         return _JUMPI
-    return _SOURCE_OR_SINK if name in _SOURCES_AND_SINKS else _STACK
+    return _EFFECT if name in _SOURCES_AND_SINKS else _STACK
 
 
 # mnemonic -> (step kind, pops, pushes, lower-case name for expression terms)
@@ -275,11 +280,6 @@ class _Walker:
         for o in dead:
             del self.memory[o]
 
-    def _mem_write(self, offset: int, size: int, term: Term | None) -> None:
-        self._mem_clear(offset, size)
-        if term is not None and size > 0:
-            self.memory[offset] = (size, term)
-
     def _mem_terms(self, offset: int, size: int) -> list[Term]:
         if size <= 0:
             return []
@@ -293,24 +293,21 @@ class _Walker:
     def _mem_read_word(self, offset: int, concrete: int) -> Term | None:
         entry = self.memory.get(offset)
         if entry is not None and entry[0] == 32:
-            others = self._mem_terms(offset, 32)
-            if len(others) == 1:
-                return entry[1]
+            return entry[1]  # every write clears what it overlaps: no other term
         terms = self._mem_terms(offset, 32)
-        if not terms:
-            return None
-        return opaque("mix", concrete, *terms)
+        return opaque("mix", concrete, *terms) if terms else None
 
-    def _taint_returndata(self, to: int, ret: bytes, out_off: int, out_sz: int) -> None:
-        if out_sz <= 0:
-            return
-        self._mem_clear(out_off, out_sz)
-        for chunk_start in range(0, min(out_sz, max(len(ret), OUT_REGION_TAINT_BYTES)), 32):
-            chunk = (ret[chunk_start:chunk_start + 32]).ljust(32, b"\x00")
-            size = min(32, out_sz - chunk_start)
-            name = f"callret_{self.i}_{to:x}_w{chunk_start // 32}"
-            term = self._mark(name, int.from_bytes(chunk, "big"))
-            self.memory[out_off + chunk_start] = (size, term)
+    def _copy_in(self, dest: int, size: int, source: bytes, offset: int, limit: int,
+                 term_of) -> None:
+        """Clear ``size`` bytes at ``dest``, then give each 32-byte chunk
+        copied from below ``limit`` in ``source`` the term ``term_of(source
+        offset, chunk word)``: the walk is bounded by ``limit``, not ``size``."""
+        self._mem_clear(dest, size)
+        for chunk_start in range(0, min(size, limit - offset), 32):
+            src = offset + chunk_start
+            term = term_of(src, int.from_bytes(source[src:src + 32].ljust(32, b"\x00"), "big"))
+            if term is not None:
+                self.memory[dest + chunk_start] = (min(32, size - chunk_start), term)
 
     def _calldata_word_term(self, offset: int, concrete: int) -> Term | None:
         if offset == 0:
@@ -318,6 +315,10 @@ class _Walker:
         if offset >= 4 and (offset - 4) % 32 == 0:
             return self._mark(f"arg_{(offset - 4) // 32}_{self.i}", concrete)
         return self._mark(f"calldata_{offset}_{self.i}", concrete)
+
+    def _callret_term(self, offset: int, concrete: int) -> Term:
+        """The word at ``offset`` of the last callee's return data."""
+        return self._mark(f"callret_{self.i}_{self.last_callee:x}_w{offset // 32}", concrete)
 
     # -- the walk --------------------------------------------------------
 
@@ -382,73 +383,21 @@ class _Walker:
                     )
                     self.control_kinds |= var_kinds(cond_term)
             else:
-                self._source_or_sink(index, op, pops, pushes, stack)
+                result = self._effect(index, op, stack)
+                del shadow[len(shadow) - pops:]
+                if pushes:
+                    shadow.append(result)
 
-    def _source_or_sink(self, index: int, op: str, pops: int, pushes: int, stack) -> None:
-        """One step of an op that reads a fuzzable source, writes a sink, or
-        moves taint through memory or storage."""
+    def _effect(self, index: int, op: str, stack) -> Term | None:
+        """The term pushed by an op that reads a source, writes a sink, or
+        moves taint through memory or storage; None for an untainted word
+        or none.  Operand terms are read in place, not popped."""
         i = self.i
-        shadow = self.shadow
-        if op in _ENV_SOURCES:
-            del shadow[len(shadow) - pops:]
-            shadow.append(self._mark(f"{_ENV_SOURCES[op]}_{i}", self._result_of(index)))
-        elif op == "CALLDATALOAD":
-            shadow.pop()
-            shadow.append(self._calldata_word_term(stack[-1], self._result_of(index)))
-        elif op == "CALLDATACOPY":
-            del shadow[-3:]
-            dest, offset, size = stack[-1], stack[-2], stack[-3]
-            self._mem_clear(dest, size)
-            # only chunks that start inside the calldata get a term, so
-            # the walk is bounded by the data, not by the copy's size;
-            # the zeros copied past its end stay untainted
-            for chunk_start in range(0, min(size, len(self.calldata) - offset), 32):
-                term = self._calldata_word_term(
-                    offset + chunk_start,
-                    int.from_bytes(
-                        self.calldata[offset + chunk_start:offset + chunk_start + 32]
-                        .ljust(32, b"\x00"),
-                        "big",
-                    ),
-                )
-                if term is not None:
-                    self.memory[dest + chunk_start] = (min(32, size - chunk_start), term)
-        elif op in ("CODECOPY", "RETURNDATACOPY"):
-            del shadow[-3:]
-            dest, offset, size = stack[-1], stack[-2], stack[-3]
-            self._mem_clear(dest, size)
-            if op == "RETURNDATACOPY" and self.last_callee is not None:
-                ret = self.last_return
-                # bounded by the return data, as CALLDATACOPY is
-                for chunk_start in range(0, min(size, len(ret) - offset), 32):
-                    src = offset + chunk_start
-                    chunk = ret[src:src + 32].ljust(32, b"\x00")
-                    name = f"callret_{i}_{self.last_callee:x}_w{src // 32}"
-                    self.memory[dest + chunk_start] = (
-                        min(32, size - chunk_start),
-                        self._mark(name, int.from_bytes(chunk, "big")),
-                    )
-        elif op == "RETURNDATASIZE":
-            if self.last_callee is not None:
-                shadow.append(
-                    self._mark(f"retsize_{i}_{self.last_callee:x}", self._result_of(index))
-                )
-            else:
-                shadow.append(None)
-        elif op == "EXTCODESIZE":
-            shadow.pop()
-            shadow.append(self._mark(f"extcode_{i}_{stack[-1]:x}", self._result_of(index)))
-        elif op == "SLOAD":
-            shadow.pop()
-            key = stack[-1]
-            stored = self.tracker._storage.get(key)
-            if stored is None:
-                stored = self._mark(f"storage_{key:x}", self._result_of(index))
-            shadow.append(stored)
+        # commonest first, as counted over the benchmark's fixture contracts
+        if op == "CALLDATALOAD":
+            return self._calldata_word_term(stack[-1], self._result_of(index))
         elif op == "SSTORE":
-            del shadow[-1]
-            value_term = shadow.pop()
-            key = stack[-1]
+            key, value_term = stack[-1], self.shadow[-2]
             if value_term is None:
                 self.tracker._storage.pop(key, None)
             else:
@@ -463,18 +412,24 @@ class _Walker:
                     control_kinds=self.control_kinds,
                 )
             )
-        elif op == "MLOAD":
-            shadow.pop()
-            shadow.append(self._mem_read_word(stack[-1], self._result_of(index)))
+        elif op == "SLOAD":
+            stored = self.tracker._storage.get(stack[-1])
+            if stored is None:
+                stored = self._mark(f"storage_{stack[-1]:x}", self._result_of(index))
+            return stored
+        elif op in _ENV_SOURCES:
+            return self._mark(f"{_ENV_SOURCES[op]}_{i}", self._result_of(index))
         elif op in ("MSTORE", "MSTORE8"):
-            del shadow[-1]
-            value_term = shadow.pop()
-            self._mem_write(stack[-1], 32 if op == "MSTORE" else 1, value_term)
+            offset, size, value_term = stack[-1], 32 if op == "MSTORE" else 1, self.shadow[-2]
+            self._mem_clear(offset, size)
+            if value_term is not None:
+                self.memory[offset] = (size, value_term)
+        elif op == "MLOAD":
+            return self._mem_read_word(stack[-1], self._result_of(index))
         elif op == "SHA3":
-            del shadow[-2:]
             terms = self._mem_terms(stack[-1], stack[-2])
-            shadow.append(opaque("sha3", self._result_of(index), *terms) if terms else None)
-        else:  # an op the interpreter records a CallEvent for
+            return opaque("sha3", self._result_of(index), *terms) if terms else None
+        elif op in _CALL_OPERANDS:  # an op the interpreter records a CallEvent for
             event = self.events[index]
             target_depth, value_depth = _CALL_OPERANDS[op]
             self.report.calls.append(
@@ -488,24 +443,38 @@ class _Walker:
                     gas=event.gas,
                     success=event.success,
                     transferred=event.transferred,
-                    target_term=shadow[-target_depth] if target_depth else None,
-                    value_term=shadow[-value_depth] if value_depth else None,
+                    target_term=self.shadow[-target_depth] if target_depth else None,
+                    value_term=self.shadow[-value_depth] if value_depth else None,
                     control_kinds=self.control_kinds,
                 )
             )
-            del shadow[len(shadow) - pops:]
             if op in CALL_OPS:
-                to = event.to
-                if event.return_data is not None:  # the call ran
-                    # out offset and size are the two deepest operands
-                    self._taint_returndata(
-                        to, event.return_data, stack[1 - pops], stack[-pops]
+                ret = event.return_data
+                self.last_callee = event.to
+                self.last_return = ret or b""
+                if ret is not None:  # the call ran
+                    # out offset and size are the two deepest of its operands
+                    pops = _STEPS[op][1]
+                    self._copy_in(
+                        stack[1 - pops], stack[-pops], ret, 0,
+                        max(len(ret), OUT_REGION_TAINT_BYTES), self._callret_term,
                     )
-                self.last_callee = to
-                self.last_return = event.return_data or b""
-                shadow.append(self._mark(f"callres_{i}_{to:x}", self._result_of(index)))
-            elif pushes:
-                shadow.append(None)
+                return self._mark(f"callres_{i}_{event.to:x}", self._result_of(index))
+        elif op == "CALLDATACOPY":  # the zeros copied past the data stay untainted
+            data = self.calldata
+            self._copy_in(stack[-1], stack[-3], data, stack[-2], len(data),
+                          self._calldata_word_term)
+        elif op == "RETURNDATACOPY":  # last_return is empty until a call ran
+            ret = self.last_return
+            self._copy_in(stack[-1], stack[-3], ret, stack[-2], len(ret), self._callret_term)
+        elif op == "RETURNDATASIZE":
+            if self.last_callee is not None:
+                return self._mark(f"retsize_{i}_{self.last_callee:x}", self._result_of(index))
+        elif op == "EXTCODESIZE":
+            return self._mark(f"extcode_{i}_{stack[-1]:x}", self._result_of(index))
+        else:  # CODECOPY: code is never tainted
+            self._mem_clear(stack[-1], stack[-3])
+        return None
 
 
 def _wraps(op: str, concretes: tuple) -> bool:

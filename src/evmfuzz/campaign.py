@@ -24,6 +24,7 @@ from .analysis import (
     PathConstraint,
     SolverBridge,
     TaintReport,
+    detect_solver,
     parse_var,
     purge_reverting_values,
     read_set,
@@ -46,6 +47,9 @@ from .ga.engine import FALLBACK_KEY, MAX_GAS, MIN_GAS
 REPORT_VERSION = 1
 
 INPUT_WALL_CAP = 1.0  # seconds; pathological bytecode must not stall the loop
+# generations without new coverage (and no solver model) before reinitialising
+STAGNATION_LIMIT = 10
+MAX_SOLVER_CALLS = 16  # per solver activation, not per campaign
 
 ADDRESS_MASK = (1 << 160) - 1
 MAX_SOLVED_CALLDATA_SIZE = 4096
@@ -68,7 +72,6 @@ class CampaignConfig:
     env_fuzzing: bool = True
     solver_timeout_ms: int = 100
     solver_argv: tuple[str, ...] | None = None  # external solver command
-    max_solver_calls: int = 16  # per activation, not per campaign
     detectors: tuple[str, ...] = ALL_KINDS
     trace_dir: str | None = None
     # transactions replayed after deployment, before the campaign snapshot:
@@ -151,11 +154,10 @@ class Campaign:
         if self.config.solver_argv:
             external_argv = list(self.config.solver_argv)
         elif self.config.solver_enabled:
-            external_argv = "auto"
+            external_argv = detect_solver(self.config.solver_timeout_ms)
         else:
             external_argv = None  # a disabled solver must never probe or spawn
         self.bridge = SolverBridge(
-            enabled=self.config.solver_enabled,
             timeout_ms=self.config.solver_timeout_ms,
             external_argv=external_argv,
         )
@@ -279,7 +281,7 @@ class Campaign:
                 break
             if time.monotonic() >= deadline:
                 break
-            if stagnation >= self.engine.config.stagnation_limit and not injected:
+            if stagnation >= STAGNATION_LIMIT and not injected:
                 population = self.engine.reinitialize()
                 stagnation = 0
             else:
@@ -300,7 +302,7 @@ class Campaign:
         if not self.config.solver_enabled:
             return []
         injected: list[Individual] = []
-        budget = self.config.max_solver_calls
+        budget = MAX_SOLVER_CALLS
         for branch in self.coverage.find_open_branches():
             if budget <= 0:
                 break

@@ -105,7 +105,7 @@ def _read_text(path: str, what: str) -> str:
     try:
         return Path(path).read_text()
     except OSError as exc:
-        raise _IoProblem(f"cannot read {what} {path!r}: {exc}") from exc
+        raise _Problem(EXIT_IO, f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def _read_code(path: str, what: str) -> bytes:
@@ -115,7 +115,7 @@ def _read_code(path: str, what: str) -> bytes:
     try:
         return bytes.fromhex(text)
     except ValueError as exc:
-        raise _InputProblem(f"{what} {path!r} is not hex: {exc}") from exc
+        raise _Problem(EXIT_INPUT, f"{what} {path!r} is not hex: {exc}") from exc
 
 
 def _read_abi(path: str | None) -> ContractAbi:
@@ -124,7 +124,7 @@ def _read_abi(path: str | None) -> ContractAbi:
     try:
         return parse_abi(_read_text(path, "ABI"))
     except (AbiError, json.JSONDecodeError) as exc:
-        raise _InputProblem(f"bad ABI {path!r}: {exc}") from exc
+        raise _Problem(EXIT_INPUT, f"bad ABI {path!r}: {exc}") from exc
 
 
 def _read_state(path: str | None) -> tuple:
@@ -145,7 +145,7 @@ def _read_state(path: str | None) -> tuple:
             if data:
                 bytes.fromhex(data.removeprefix("0x"))
     except (ValueError, TypeError, json.JSONDecodeError) as exc:
-        raise _InputProblem(f"bad state file {path!r}: {exc}") from exc
+        raise _Problem(EXIT_INPUT, f"bad state file {path!r}: {exc}") from exc
     return tuple(blob)
 
 
@@ -153,7 +153,7 @@ def _parse_detectors(text: str) -> tuple[str, ...]:
     kinds = tuple(part.strip().upper() for part in text.split(",") if part.strip())
     unknown = [kind for kind in kinds if kind not in ALL_KINDS]
     if unknown:
-        raise _InputProblem(f"unknown detectors: {', '.join(unknown)}")
+        raise _Problem(EXIT_INPUT, f"unknown detectors: {', '.join(unknown)}")
     return kinds
 
 
@@ -161,45 +161,42 @@ def _solver_argv(path: str, timeout_ms: int) -> tuple[str, ...]:
     """Build a command line for an explicitly chosen solver binary."""
     resolved = Path(path)
     if not resolved.is_file() or not os.access(resolved, os.X_OK):
-        raise _SolverProblem(f"solver binary {path!r} is not an executable file")
+        raise _Problem(EXIT_SOLVER, f"solver binary {path!r} is not an executable file")
     base = resolved.name.lower()
     for name, template in SOLVER_CANDIDATES:
         if base.startswith(name):
             return tuple(template(str(resolved), timeout_ms))
     known = ", ".join(name for name, _ in SOLVER_CANDIDATES)
-    raise _SolverProblem(
+    raise _Problem(
+        EXIT_SOLVER,
         f"unrecognized solver binary {path!r}; the name must start with one of: {known}"
     )
 
 
-class _InputProblem(Exception):
-    pass
+class _Problem(Exception):
+    """A reason to stop before the campaign starts, with its exit code."""
 
-
-class _IoProblem(Exception):
-    pass
-
-
-class _SolverProblem(Exception):
-    pass
+    def __init__(self, code: int, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if not args.bin and not args.bin_runtime:
-            raise _InputProblem("one of --bin or --bin-runtime is required")
+            raise _Problem(EXIT_INPUT, "one of --bin or --bin-runtime is required")
         abi = _read_abi(args.abi)
         runtime = _read_code(args.bin_runtime, "runtime code") if args.bin_runtime else b""
         creation = _read_code(args.bin, "creation code") if args.bin else None
         try:
             constructor_args = bytes.fromhex(args.constructor_args.removeprefix("0x"))
         except ValueError as exc:
-            raise _InputProblem(f"--constructor-args is not hex: {exc}") from exc
+            raise _Problem(EXIT_INPUT, f"--constructor-args is not hex: {exc}") from exc
         solver_argv = None
         if args.solver_bin:
             if args.no_solver:
-                raise _InputProblem("--solver-bin conflicts with --no-solver")
+                raise _Problem(EXIT_INPUT, "--solver-bin conflicts with --no-solver")
             solver_argv = _solver_argv(args.solver_bin, args.solver_timeout_ms)
         config = CampaignConfig(
             seed=args.seed,
@@ -214,15 +211,9 @@ def main(argv: list[str] | None = None) -> int:
             trace_dir=args.trace_dump,
             initial_state=_read_state(args.state),
         )
-    except _InputProblem as exc:
+    except _Problem as exc:
         print(f"fuzz: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _IoProblem as exc:
-        print(f"fuzz: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except _SolverProblem as exc:
-        print(f"fuzz: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return exc.code
 
     try:
         report = run_campaign(

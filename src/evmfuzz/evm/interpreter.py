@@ -121,8 +121,9 @@ class TraceFacts:
     detectors read from a trace, gathered in one pass over its columns.
 
     ``identities`` starts empty.  ``analysis.slots`` fills it with the slot
-    identity of each raw key it resolves against the trace's preimages, so
-    every distinct key is resolved once per trace, whoever asks first.
+    identity tuple of each raw key it resolves against the trace's
+    preimages, ``(declared slot, path)`` or ``("raw", key)``, so every
+    distinct key is resolved once per trace, whoever asks first.
     """
 
     executed: frozenset[int]  # every pc visited, the fault step's included
@@ -321,11 +322,12 @@ class Interpreter:
         self._digests: dict[bytes, int] = {}
         self._decoded: dict[bytes, tuple[frozenset[int], list]] = {}
 
-    def _keccak_word(self, blob: bytes) -> int:
-        """Keccak-256 of ``blob`` as a word, through the bounded memo."""
+    def _keccak_word(self, blob: bytes, deadline: float | None = None) -> int:
+        """Keccak-256 of ``blob`` as a word, through the bounded memo.
+        Raises ``TimeoutError`` if hashing runs past ``deadline``."""
         digest = self._digests.get(blob)
         if digest is None:
-            digest = int.from_bytes(keccak256(blob), "big")
+            digest = int.from_bytes(keccak256(blob, deadline), "big")
             if len(blob) < KECCAK_MEMO_BYTES and len(self._digests) < KECCAK_MEMO_ENTRIES:
                 self._digests[blob] = digest
         return digest
@@ -560,7 +562,7 @@ class Interpreter:
                 elif name == "SHA3":
                     offset, size = pop(), pop()
                     blob = mread(offset, size)
-                    digest = self._keccak_word(blob)
+                    digest = self._keccak_word(blob, give_up_at)
                     preimages[digest] = blob
                     append(digest)
                 elif name == "ADDRESS":
@@ -698,6 +700,10 @@ class Interpreter:
                     raise _Fault(f"unhandled opcode {name}")
             except _Fault:
                 faulted = True
+                break
+            except TimeoutError:  # a SHA3 region took the step past the wall cap
+                terminal = "TIMEOUT"
+                applied = False
                 break
             pc += 1
 

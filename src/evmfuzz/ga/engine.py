@@ -30,6 +30,7 @@ MIN_GAS = 21_000
 MAX_GAS = 8_000_000
 MAX_RAW_CALLDATA = 68  # selector + one argument word, roughly
 FALLBACK_KEY = b""
+POPULATION_SCALE = 2  # individuals per callable function
 
 
 @dataclass
@@ -37,8 +38,6 @@ class GaConfig:
     max_inputs: int = MAX_INPUTS
     crossover_probability: float = 0.9
     mutation_probability: float = 0.1
-    stagnation_limit: int = 10
-    population_scale: int = 2
     # ablation switches: pair parents by storage overlap, fuzz environment
     raw_aware: bool = True
     env_fuzzing: bool = True
@@ -112,9 +111,7 @@ class GeneticEngine:
         self._callable: list[FunctionSpec | None] = list(abi.functions)
         if abi.has_fallback or not self._callable:
             self._callable.append(None)
-        self.population_size = max(
-            2, self.config.population_scale * len(self._callable)
-        )
+        self.population_size = max(2, POPULATION_SCALE * len(self._callable))
         self._address_universe = accounts.all() + (contract_address,)
 
     # ------------------------------------------------------------------

@@ -13,6 +13,8 @@ campaign never reuses digests hashed by an earlier one.
 
 from __future__ import annotations
 
+import time
+
 _ROUND_CONSTANTS = (
     0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
     0x000000000000808B, 0x0000000080000001, 0x8000000080008081, 0x8000000000008009,
@@ -25,6 +27,8 @@ _ROUND_CONSTANTS = (
 _MASK = (1 << 64) - 1
 
 RATE_BYTES = 136  # 1600-bit state, 512-bit capacity for a 256-bit digest
+
+DEADLINE_CHECK_BYTES = 256 * RATE_BYTES  # absorbed between clock reads: ~0.1 s
 
 
 # The permutation is unrolled: lane (x, y) of the flat state state[x + 5*y]
@@ -124,13 +128,16 @@ def _keccak_f(state: list[int]) -> None:
                 a32, a42, a03, a13, a23, a33, a43, a04, a14, a24, a34, a44)
 
 
-def _sponge(data: bytes, pad_byte: int) -> bytes:
+def _sponge(data: bytes, pad_byte: int, deadline: float | None = None) -> bytes:
     state = [0] * 25
     padded = data + bytes([pad_byte]) + b"\x00" * (RATE_BYTES - 1 - len(data) % RATE_BYTES)
     # final bit of the pad10*1 rule (merges with the domain byte in the
     # single-byte-pad case)
     padded = padded[:-1] + bytes([padded[-1] | 0x80])
     for block_start in range(0, len(padded), RATE_BYTES):
+        if deadline is not None and block_start and block_start % DEADLINE_CHECK_BYTES == 0:
+            if time.monotonic() > deadline:
+                raise TimeoutError("hashing ran past its deadline")
         block = padded[block_start:block_start + RATE_BYTES]
         for i in range(RATE_BYTES // 8):
             state[i] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
@@ -138,9 +145,11 @@ def _sponge(data: bytes, pad_byte: int) -> bytes:
     return b"".join(state[i].to_bytes(8, "little") for i in range(4))
 
 
-def keccak256(data: bytes) -> bytes:
-    """32-byte Keccak-256 digest (legacy 0x01 domain padding)."""
-    return _sponge(data, 0x01)
+def keccak256(data: bytes, deadline: float | None = None) -> bytes:
+    """32-byte Keccak-256 digest (legacy 0x01 domain padding).  Raises
+    ``TimeoutError`` once ``time.monotonic()`` passes ``deadline``, read
+    every ``DEADLINE_CHECK_BYTES`` absorbed; without one, nothing is read."""
+    return _sponge(data, 0x01, deadline)
 
 
 def sha3_256_compat(data: bytes) -> bytes:

@@ -265,7 +265,7 @@ def test_ablation_flags_reach_the_engine():
     )
     assert campaign.engine.config.raw_aware is False
     assert campaign.engine.config.env_fuzzing is False
-    assert campaign.bridge.enabled is False
+    assert campaign.bridge.external is None
 
 
 # ---------------------------------------------------------------------------

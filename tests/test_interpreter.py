@@ -1,11 +1,14 @@
 import json
+import time
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evmfuzz.analysis import taint_individual
 from evmfuzz.asm import assemble, creation_wrapper
+from evmfuzz.detectors import DetectorSuite
 from evmfuzz.evm import (
     AccountSet,
     DeployError,
@@ -19,6 +22,7 @@ from evmfuzz.evm.interpreter import KECCAK_MEMO_BYTES, KECCAK_MEMO_ENTRIES, Trac
 from evmfuzz.evm import opcodes
 from evmfuzz.evm.opcodes import NAME_TO_CODE, WORD_OPS
 from evmfuzz.evm.state import INITIAL_BALANCE
+from evmfuzz.ga import Individual, Input
 from evmfuzz.keccak import keccak256
 
 from fixtures import GUARDED_ADD, MINI_CORPUS, OWNED_PROXY, SAFE_ASSERT, TOKEN_SALE
@@ -538,6 +542,26 @@ def test_gas_limit_binds_between_clock_checks(gas):
     )
     assert trace.terminal == "OUT_OF_GAS"
     assert trace.gas_used == len(trace.ops) == gas
+
+
+def test_wall_cap_cuts_a_long_sha3_short():
+    # one SHA3 over 1 MiB hashes for seconds inside a single instruction
+    accounts = AccountSet()
+    state = EmulatedState(accounts)
+    code = assemble("PUSH1 0x01 PUSH1 0x00 SSTORE PUSH3 0x100000 PUSH1 0x00 SHA3 STOP")
+    state.code[CONTRACT] = code
+    inp = Input(fn=None, sender=accounts.benign)
+    started = time.monotonic()
+    trace = Interpreter(wall_cap=0.05).execute(state, inp.transaction(CONTRACT), inp.env)
+    assert time.monotonic() - started < 0.5
+    assert trace.terminal == "TIMEOUT"
+    assert trace.state_delta_applied is False
+    assert state.storage == {}
+    assert trace.ops[-1] == "SHA3" and not trace.sha3_preimages
+    # the analyses take the cut trace like any other
+    reports = taint_individual([inp], [trace])
+    assert trace.facts.write_keys == {0}
+    DetectorSuite(accounts, CONTRACT, code).inspect(Individual([inp]), [trace], reports, [{}])
 
 
 def test_wall_cap_leaves_fast_programs_alone():

@@ -1,9 +1,10 @@
 import hashlib
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
-from evmfuzz.keccak import keccak256, sha3_256_compat
+from evmfuzz.keccak import DEADLINE_CHECK_BYTES, keccak256, sha3_256_compat
 
 from oracles.keccak_ref import keccak256_reference
 
@@ -55,3 +56,11 @@ def test_rate_boundaries(size):
     message = message[:size]
     assert keccak256(message) == keccak256_reference(message)
     assert sha3_256_compat(message) == hashlib.sha3_256(message).digest()
+
+
+def test_a_deadline_changes_no_digest_and_stops_long_inputs():
+    message = bytes(range(256)) * (2 * DEADLINE_CHECK_BYTES // 256 + 1)  # two clock reads
+    assert keccak256(message, time.monotonic() + 60) == keccak256(message)
+    assert keccak256(b"abc", time.monotonic() - 1) == keccak256(b"abc")  # never read
+    with pytest.raises(TimeoutError):
+        keccak256(message, time.monotonic() - 1)

@@ -11,6 +11,8 @@ from evmfuzz.evm.opcodes import NAME_TO_CODE, TABLE
 from evmfuzz.evm.state import INITIAL_BALANCE
 from evmfuzz.ga import Individual, Input, compute_fitness
 
+from oracles import taint_ref
+
 ACCOUNTS = AccountSet()
 CONTRACT = 0xB0B0
 
@@ -101,6 +103,7 @@ def test_no_input_crashes_the_pipeline(code, batch):
         tracker.run_input(i, inp, trace) for i, (inp, trace) in enumerate(zip(batch, traces))
     ]
     assert tracker.realignments == 0
+    assert reports == taint_ref.taint_individual(batch, traces)
 
     coverage = CoverageStore(code)
     for trace in traces:

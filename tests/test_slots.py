@@ -1,14 +1,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmfuzz.analysis import (
-    extract_storage_accesses,
-    read_set,
-    resolve_key,
-    slots,
-    taint_individual,
-    write_set,
-)
+from evmfuzz.analysis import read_set, resolve_key, slots, taint_individual, write_set
 from evmfuzz.asm import assemble
 from evmfuzz.detectors import DetectorSuite
 from evmfuzz.evm import AccountSet, EmulatedState, Interpreter, Transaction
@@ -21,7 +14,7 @@ CONTRACT = 0x51075
 
 def check(scenario):
     raw, preimages, expected = scenario
-    assert resolve_key(raw, preimages).identity() == expected
+    assert resolve_key(raw, preimages) == expected
 
 
 def test_static_slot():
@@ -38,7 +31,7 @@ def test_static_slot_resolves_without_scanning_the_preimages():
     _, preimages, _ = slots_ref.scenario_mapping(slot=1, key=0xABCDEF)
     unscannable = _Unscannable(preimages)
     for slot in (0, 3, (1 << 32) - 1):
-        assert resolve_key(slot, unscannable).identity() == (slot, ())
+        assert resolve_key(slot, unscannable) == (slot, ())
 
 
 def test_mapping_entry():
@@ -69,9 +62,7 @@ def test_array_of_structs():
 
 def test_unknown_hash_like_key_stays_raw():
     raw = int.from_bytes(b"\x80" + b"\x55" * 31, "big")
-    key = resolve_key(raw, {})
-    assert not key.resolved
-    assert key.identity() == ("raw", raw)
+    assert resolve_key(raw, {}) == ("raw", raw)
 
 
 def test_same_location_same_identity_different_routes():
@@ -79,7 +70,7 @@ def test_same_location_same_identity_different_routes():
     raw1, pre1, expected = slots_ref.scenario_mapping(slot=1, key=77)
     raw2, pre2, expected2 = slots_ref.scenario_mapping(slot=1, key=77)
     assert expected == expected2
-    assert resolve_key(raw1, pre1).identity() == resolve_key(raw2, pre2).identity()
+    assert resolve_key(raw1, pre1) == resolve_key(raw2, pre2)
 
 
 def test_different_keys_different_identities():
@@ -88,7 +79,7 @@ def test_different_keys_different_identities():
     assert id1 != id2
     merged = dict(pre1)
     merged.update(pre2)
-    assert resolve_key(raw1, merged).identity() != resolve_key(raw2, merged).identity()
+    assert resolve_key(raw1, merged) != resolve_key(raw2, merged)
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,16 +149,12 @@ def run_mapping_writer(value):
 
 def test_executed_mapping_write_resolves_to_declared_slot():
     trace, sender = run_mapping_writer(value=42)
-    accesses = extract_storage_accesses(trace)
-    writes = [a for a in accesses if a.kind == "write"]
-    reads = [a for a in accesses if a.kind == "read"]
+    writes, reads = trace.facts.write_keys, trace.facts.read_keys
     assert len(writes) == 1 and len(reads) == 2
 
     _, _, expected = slots_ref.scenario_mapping(slot=1, key=sender)
-    assert writes[0].key.identity() == expected
-    assert writes[0].value == 42
-    assert reads[0].key.identity() == expected
-    assert reads[1].key.identity() == (0, ())
+    assert {slots.slot_identity(trace, raw) for raw in writes} == {expected}
+    assert {slots.slot_identity(trace, raw) for raw in reads} == {expected, (0, ())}
 
 
 def test_read_write_sets_use_identities():

@@ -493,13 +493,6 @@ def test_bridge_uses_internal_when_no_binary_exists():
     assert bridge.stats["external"] == 0
 
 
-def test_bridge_disabled_never_solves():
-    bridge = SolverBridge(enabled=False, external_argv=None)
-    c = _constraint(apply("eq", var("callvalue_0"), const(42)), taken=False)
-    assert bridge.solve_branch([c], 0, {"callvalue_0": 7}).status == "unknown"
-    assert bridge.stats["attempts"] == 0
-
-
 def test_bridge_skips_unfuzzable_targets():
     bridge = SolverBridge(external_argv=None)
     c = _constraint(apply("eq", var("storage_1"), const(1)), taken=False)

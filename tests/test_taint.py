@@ -15,9 +15,15 @@ from evmfuzz.analysis import (
 )
 from evmfuzz.analysis.expr import evaluate
 from evmfuzz.analysis.taint import OUT_REGION_TAINT_BYTES
+from evmfuzz import campaign as campaign_module
 from evmfuzz.asm import assemble
+from evmfuzz.campaign import CampaignConfig, run_campaign
 from evmfuzz.evm import AccountSet, EmulatedState, EnvOverrides, Interpreter
+from evmfuzz.evm.opcodes import NAME_TO_CODE, TABLE, push_width
 from evmfuzz.ga import Input, MutationPools
+
+from fixtures import GUARDED_ADD, MINI_CORPUS, OWNED_PROXY, SAFE_ASSERT, TOKEN_SALE
+from oracles import taint_ref
 
 CONTRACT = 0x7A137
 HELPER = 0x8888
@@ -980,3 +986,81 @@ def test_deep_program_never_realigns():
     assert traces[0].terminal == "STOP"
     assert len(report.stores) == 2
     assert len(report.calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# differential: the shipped walker against the reference walker
+
+
+def assert_walkers_agree(inputs, traces):
+    """Both walkers give equal reports for every input, and neither realigns."""
+    shipped, reference = TaintTracker(), taint_ref.ReferenceTracker()
+    for i, (inp, trace) in enumerate(zip(inputs, traces)):
+        assert shipped.run_input(i, inp, trace) == reference.run_input(i, inp, trace)
+    assert shipped.realignments == reference.realignments == 0
+
+
+# Taints memory words at 0 (whole) and 0x30 (one byte), leaves a callret
+# word past the default 32-byte return data at 0x60, then calls 0x21, whose
+# injected 64 bytes are what RETURNDATACOPY reads from.
+TAINTED_PRELUDE = """
+    CALLVALUE PUSH1 0x00 MSTORE CALLER PUSH1 0x30 MSTORE8
+    PUSH1 0x40 PUSH1 0x40 PUSH1 0x00 PUSH1 0x00 PUSH1 0x22 GAS STATICCALL POP
+    PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x21 GAS STATICCALL POP
+"""
+# Stores the memory words at 0-0x60, a SHA3 over them, and slot 6 read back
+# after an untainted write over a tainted one.
+TAINTED_EPILOGUE = """
+    PUSH1 0x00 MLOAD PUSH1 0x01 SSTORE PUSH1 0x20 MLOAD PUSH1 0x02 SSTORE
+    PUSH1 0x40 MLOAD PUSH1 0x03 SSTORE PUSH1 0x60 MLOAD PUSH1 0x04 SSTORE
+    PUSH1 0x80 PUSH1 0x00 SHA3 PUSH1 0x05 SSTORE
+    CALLVALUE PUSH1 0x06 SSTORE PUSH1 0x00 PUSH1 0x06 SSTORE PUSH1 0x06 SLOAD PUSH1 0x07 SSTORE
+    STOP
+"""
+
+
+def every_opcode_program(code):
+    """CALLVALUE for each operand of ``code``, the op, then its result and
+    the memory it may have touched stored."""
+    _, pops, pushes = TABLE[code]
+    body = bytes([NAME_TO_CODE["CALLVALUE"]]) * pops + bytes([code]) + bytes(push_width(code))
+    if pushes:
+        body += assemble("PUSH1 0x00 SSTORE")
+    return assemble(TAINTED_PRELUDE) + body + assemble(TAINTED_EPILOGUE)
+
+
+@pytest.mark.parametrize("code", sorted(TABLE), ids=lambda code: TABLE[code][0])
+def test_every_opcode_over_tainted_operands_matches_the_reference(code):
+    program = every_opcode_program(code)
+    env = EnvOverrides(call_results={0x21: (1, bytes(range(64)))})
+    inputs = [
+        benign_input(value=value, env=env, raw_calldata=bytes(range(1, 41)))
+        for value in (0, 1, 33)
+    ]
+    traces, _ = execute(program, inputs)
+    assert_walkers_agree(inputs, traces)
+
+
+TAINT_FIXTURES = [TOKEN_SALE, SAFE_ASSERT, GUARDED_ADD, OWNED_PROXY, *MINI_CORPUS.values()]
+
+
+@pytest.mark.parametrize("compiled", TAINT_FIXTURES, ids=lambda compiled: compiled.name)
+def test_campaign_traces_match_the_reference(compiled, monkeypatch):
+    compared = []
+
+    def both_walkers(inputs, traces):
+        assert_walkers_agree(inputs, traces)
+        compared.append(len(traces))
+        return shipped_taint(inputs, traces)
+
+    shipped_taint = campaign_module.taint_individual
+    monkeypatch.setattr(campaign_module, "taint_individual", both_walkers)
+    run_campaign(
+        compiled.abi(),
+        compiled.runtime,
+        creation_code=compiled.creation,
+        constructor_args=compiled.constructor_args,
+        config=CampaignConfig(seed=1, generations=10),
+        contract_balance=compiled.contract_balance,
+    )
+    assert compared

@@ -1,9 +1,10 @@
 """Taint tracking over recorded traces.
 
 Walks the recorded steps of an executed input (its opcode and stack columns)
-while maintaining a shadow stack/memory/storage of symbolic terms.  The walk
-alone moves the shadow stack; a source, sink, memory or storage op only
-reads its operands' terms and returns the term it pushes.
+while maintaining a shadow memory/storage of symbolic terms.  The walk
+follows a plan built once per walked ops sequence: it visits only the steps
+that can carry taint and keeps one term per producing step, reading each
+operand's term through the step that produced it.
 Fuzzer-controllable sources (call value, caller, block values, calldata
 words, injected call results) become named variables; everything they touch
 becomes a compound term.  Conditional jumps over tainted conditions yield
@@ -188,7 +189,7 @@ _SOURCES_AND_SINKS = frozenset(
      "MLOAD", "MSTORE", "MSTORE8", "SHA3"]
 )
 
-# How the walk treats a step.  _STACK: the table's stack effect, untainted.
+# How a step is planned.  _STACK: the table's stack effect, untainted.
 # _EFFECT: the table's stack effect, pushing the term ``_Walker._effect``
 # returns.
 _PUSH, _STACK, _WORD, _DUP, _SWAP, _JUMPI, _EFFECT = range(7)
@@ -214,12 +215,80 @@ _STEPS = {
     for name, pops, pushes in TABLE.values()
 }
 
+# The producer of a stack slot that no step can taint.  A walk keeps one
+# term per step plus one last entry that stays None, which this indexes.
+_NEVER = -1
+
+# Bounds of one plan cache.  Once either is reached, plans are built and
+# walked but not kept: a loop whose trip count comes from calldata would
+# otherwise add one key, as long as the whole trace, for every count.
+PLAN_CACHE_ENTRIES = 1024
+PLAN_CACHE_STEPS = 1 << 17  # the total length of the cached keys
+
+
+def _plan(walked: tuple[str, ...], stacks) -> tuple[list[tuple], int]:
+    """The steps of one walked ops sequence that can carry taint, and how
+    often the stack heights they imply missed ``stacks`` (should stay zero;
+    a miss means a bug, and the walk forgets the stack's taint there).
+
+    The steps are the sources, sinks, memory and storage ops, and the word
+    ops and JUMPIs with an operand that such a step produced.  Each is
+    ``(index, kind, name, operands)``; ``operands`` holds the producing step
+    of each operand, top of stack first (of a JUMPI, only its condition),
+    ``_NEVER`` for a slot no step can taint."""
+    steps = []
+    slots: list[int] = []  # the producer of each stack slot
+    realignments = 0
+    for index, op in enumerate(walked):
+        if len(slots) != len(stacks[index]):
+            realignments += 1
+            slots = [_NEVER] * len(stacks[index])
+        kind, pops, pushes, name = _STEPS[op]
+        if kind == _PUSH:  # first: the commonest op by far
+            slots.append(_NEVER)
+        elif kind == _DUP:
+            slots.append(slots[-pops])
+        elif kind == _SWAP:
+            slots[-1], slots[-pops] = slots[-pops], slots[-1]
+        else:
+            operands = tuple(slots[:-pops - 1:-1])
+            del slots[len(slots) - pops:]
+            if kind == _JUMPI:
+                operands = operands[1:]
+            live = kind == _EFFECT or (
+                kind != _STACK and operands.count(_NEVER) != len(operands)
+            )
+            if live:
+                steps.append((index, kind, name if kind == _WORD else op, operands))
+            if pushes:
+                slots.append(index if live else _NEVER)
+    return steps, realignments
+
+
+class TaintPlans(dict):
+    """The taint plans of one campaign by walked ops sequence.  Every op has
+    a fixed stack effect and a transaction starts on an empty stack, so the
+    walked ops alone fix which step produced each operand."""
+
+    steps = 0  # the total length of the keys
+
+    def plan(self, walked: tuple[str, ...], stacks) -> tuple[list[tuple], int]:
+        plan = self.get(walked)
+        if plan is None:
+            plan = _plan(walked, stacks)
+            if len(self) < PLAN_CACHE_ENTRIES and self.steps + len(walked) <= PLAN_CACHE_STEPS:
+                self[walked] = plan
+                self.steps += len(walked)
+        return plan
+
 
 class TaintTracker:
-    """Shadow state shared by all inputs of one individual."""
+    """Shadow state shared by all inputs of one individual.  ``plans``
+    defaults to a fresh cache."""
 
-    def __init__(self) -> None:
+    def __init__(self, plans: TaintPlans | None = None) -> None:
         self._storage: dict[int, Term] = {}
+        self.plans = TaintPlans() if plans is None else plans
         self.realignments = 0  # should stay zero; misalignment means a bug
 
     def run_input(self, input_index: int, inp, trace: ExecutionTrace) -> TaintReport:
@@ -235,8 +304,10 @@ class TaintTracker:
         return report
 
 
-def taint_individual(inputs, traces: list[ExecutionTrace]) -> list[TaintReport]:
-    tracker = TaintTracker()
+def taint_individual(
+    inputs, traces: list[ExecutionTrace], plans: TaintPlans | None = None
+) -> list[TaintReport]:
+    tracker = TaintTracker(plans)
     return [
         tracker.run_input(index, inp, trace)
         for index, (inp, trace) in enumerate(zip(inputs, traces))
@@ -249,7 +320,7 @@ class _Walker:
         self.i = input_index
         self.trace = trace
         self.report = report
-        self.shadow: list[Term | None] = []
+        self.terms: list[Term | None] = []  # by producing step
         self.memory: dict[int, tuple[int, Term]] = {}
         self.control_kinds: frozenset[str] = frozenset()
         self.last_callee: int | None = None
@@ -325,50 +396,31 @@ class _Walker:
     def walk(self) -> None:
         i = self.i
         trace = self.trace
-        ops, pcs = trace.ops, trace.pcs
+        ops, pcs, stacks = trace.ops, trace.pcs, trace.stacks
         constraints = self.report.constraints
         end = len(ops)
         if trace.faulted:
             end -= 1  # the synthetic fault step: nothing executes past it
             if end and pcs[end - 1] == pcs[end]:
                 end -= 1  # it repeats the pc of the op that raised, unfinished
-        steps = _STEPS
-        shadow = self.shadow
-        for index, (op, stack) in enumerate(zip(ops[:end], trace.stacks)):
-            if len(shadow) != len(stack):
-                self.realignments += 1
-                shadow = self.shadow = [None] * len(stack)
-            kind, pops, pushes, name = steps[op]
-
-            if kind == _PUSH:  # first: the commonest op by far
-                shadow.append(None)
-            elif kind == _STACK:
-                del shadow[len(shadow) - pops:]
-                if pushes:
-                    shadow.append(None)
-            elif kind == _WORD:
-                terms = shadow[:-pops - 1:-1]  # top of stack first
-                # the deepest operand's slot takes the result; untainted
-                # operands leave it None
-                del shadow[len(shadow) + 1 - pops:]
-                if terms.count(None) != pops:
-                    concretes = stack[:-pops - 1:-1]
-                    result = apply(
+        steps, self.realignments = self.tracker.plans.plan(tuple(ops[:end]), stacks)
+        terms = self.terms = [None] * (end + 1)  # the last one for _NEVER
+        for index, kind, name, operands in steps:
+            stack = stacks[index]
+            if kind == _WORD:
+                args = [terms[p] for p in operands]  # top of stack first
+                if args.count(None) != len(args):
+                    concretes = stack[:-len(args) - 1:-1]
+                    result = terms[index] = apply(
                         name,
-                        *(const(c) if t is None else t for t, c in zip(terms, concretes)),
+                        *[const(c) if t is None else t for t, c in zip(args, concretes)],
                     )
-                    shadow[-1] = result
                     if name in _OVERFLOWABLE and _wraps(name, concretes):
                         self.report.overflows.append(
                             OverflowEvent(pcs[index], i, name, result, concretes)
                         )
-            elif kind == _DUP:
-                shadow.append(shadow[-pops])
-            elif kind == _SWAP:
-                shadow[-1], shadow[-pops] = shadow[-pops], shadow[-1]
             elif kind == _JUMPI:
-                del shadow[-1]
-                cond_term = shadow.pop()
+                cond_term = terms[operands[0]]
                 if cond_term is not None:
                     pc = pcs[index]
                     constraints.append(
@@ -383,21 +435,20 @@ class _Walker:
                     )
                     self.control_kinds |= var_kinds(cond_term)
             else:
-                result = self._effect(index, op, stack)
-                del shadow[len(shadow) - pops:]
-                if pushes:
-                    shadow.append(result)
+                terms[index] = self._effect(index, name, stack, operands)
 
-    def _effect(self, index: int, op: str, stack) -> Term | None:
+    def _effect(self, index: int, op: str, stack, operands) -> Term | None:
         """The term pushed by an op that reads a source, writes a sink, or
         moves taint through memory or storage; None for an untainted word
-        or none.  Operand terms are read in place, not popped."""
+        or none.  ``operands`` are the producers of its operands' terms,
+        top of stack first."""
         i = self.i
+        terms = self.terms
         # commonest first, as counted over the benchmark's fixture contracts
         if op == "CALLDATALOAD":
             return self._calldata_word_term(stack[-1], self._result_of(index))
         elif op == "SSTORE":
-            key, value_term = stack[-1], self.shadow[-2]
+            key, value_term = stack[-1], terms[operands[1]]
             if value_term is None:
                 self.tracker._storage.pop(key, None)
             else:
@@ -420,7 +471,7 @@ class _Walker:
         elif op in _ENV_SOURCES:
             return self._mark(f"{_ENV_SOURCES[op]}_{i}", self._result_of(index))
         elif op in ("MSTORE", "MSTORE8"):
-            offset, size, value_term = stack[-1], 32 if op == "MSTORE" else 1, self.shadow[-2]
+            offset, size, value_term = stack[-1], 32 if op == "MSTORE" else 1, terms[operands[1]]
             self._mem_clear(offset, size)
             if value_term is not None:
                 self.memory[offset] = (size, value_term)
@@ -443,8 +494,8 @@ class _Walker:
                     gas=event.gas,
                     success=event.success,
                     transferred=event.transferred,
-                    target_term=self.shadow[-target_depth] if target_depth else None,
-                    value_term=self.shadow[-value_depth] if value_depth else None,
+                    target_term=terms[operands[target_depth - 1]] if target_depth else None,
+                    value_term=terms[operands[value_depth - 1]] if value_depth else None,
                     control_kinds=self.control_kinds,
                 )
             )

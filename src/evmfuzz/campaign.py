@@ -23,6 +23,7 @@ from .analysis import (
     CoverageStore,
     PathConstraint,
     SolverBridge,
+    TaintPlans,
     TaintReport,
     detect_solver,
     parse_var,
@@ -170,6 +171,7 @@ class Campaign:
         self.executions = 0
         self._base = self.state.snapshot()
         self._infeasible: set[tuple[int, bool]] = set()
+        self._taint_plans = TaintPlans()  # per campaign: every campaign starts cold
         self._trace_dir = Path(self.config.trace_dir) if self.config.trace_dir else None
         if self._trace_dir:
             self._trace_dir.mkdir(parents=True, exist_ok=True)
@@ -209,7 +211,7 @@ class Campaign:
             traces.append(trace)
             self.engine.observe_trace(trace)
         self.executions += len(traces)
-        reports = taint_individual(individual.inputs, traces)
+        reports = taint_individual(individual.inputs, traces, self._taint_plans)
         return traces, reports, received_before
 
     def _evaluate(self, traces, executed_before) -> Evaluation:
@@ -238,10 +240,12 @@ class Campaign:
     # the generation loop
 
     def run(self) -> dict:
-        """The feedback loop.  The budget is checked at generation boundaries
-        only; the per-input wall cap bounds each execution in between.  One
-        series point lands after every executed population, so the series is
-        always one longer than the evolved-generation count."""
+        """The feedback loop.  The budget is checked after every individual;
+        the per-input wall cap bounds each execution in between.  One series
+        point lands after every executed population, so the series is always
+        one longer than the evolved-generation count.  A population the
+        budget cuts short still gets its point, over the individuals that
+        ran, and the campaign ends there without solving or evolving."""
         started = time.monotonic()
         deadline = started + self.config.timeout
         population = self.engine.initial_population()
@@ -265,9 +269,13 @@ class Campaign:
                     individual.inputs, traces, reports, self.engine.pools
                 )
                 self._dump_traces(individual, traces)
+                if time.monotonic() >= deadline:
+                    break
             self.series.append(
                 [round((time.monotonic() - started) * 1000.0, 1), self.coverage.percent()]
             )
+            if time.monotonic() >= deadline:
+                break
 
             injected: list[Individual] = []
             if grew:
@@ -278,8 +286,6 @@ class Campaign:
 
             cap = self.config.generations
             if cap is not None and self.generations >= cap:
-                break
-            if time.monotonic() >= deadline:
                 break
             if stagnation >= STAGNATION_LIMIT and not injected:
                 population = self.engine.reinitialize()

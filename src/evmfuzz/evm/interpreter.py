@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from typing import Iterator
 
@@ -188,13 +187,21 @@ class ExecutionTrace:
     sha3_preimages: dict[int, bytes] = field(default_factory=dict)
     return_data: bytes = b""
     gas_used: int = 0
+    # a plain memo: functools.cached_property takes a lock on every first read
+    _facts: TraceFacts | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def records(self) -> TraceRecords:
         return TraceRecords(self)
 
-    @cached_property
+    @property
     def facts(self) -> TraceFacts:
+        facts = self._facts
+        if facts is None:
+            facts = self._facts = self._gather_facts()
+        return facts
+
+    def _gather_facts(self) -> TraceFacts:
         ops, pcs, stacks = self.ops, self.pcs, self.stacks
         jumpis: list[tuple[int, int, bool]] = []
         reads: set[int] = set()

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 
 from evmfuzz.abi import AbiType, parse_abi
 from evmfuzz.asm import assemble, creation_wrapper
 from evmfuzz.campaign import (
+    INPUT_WALL_CAP,
     Campaign,
     CampaignConfig,
     _coerce_word,
@@ -406,6 +408,31 @@ def test_generation_cap_zero_runs_initial_population_only():
     assert report["generations"] == 0
     assert len(report["series"]) == 1
     assert report["executions"] > 0
+
+
+# ten functions, every call a loop of some 57 000 steps: one population of
+# twenty individuals takes far longer than one input's wall cap
+SLOW_ABI = parse_abi(
+    json.dumps([{"type": "function", "name": f"f{k}", "inputs": []} for k in range(10)])
+)
+SLOW_LOOP = assemble(
+    """
+    PUSH2 0x2000
+loop:
+    JUMPDEST PUSH1 0x01 SWAP1 SUB DUP1 PUSH @loop JUMPI
+    STOP
+"""
+)
+
+
+def test_the_budget_is_checked_between_individuals():
+    campaign = Campaign(SLOW_ABI, SLOW_LOOP, config=quick_config(timeout=0.05))
+    started = time.monotonic()
+    report = campaign.run()
+    assert time.monotonic() - started < 0.05 + INPUT_WALL_CAP
+    # the cut population still gets its series point, and nothing evolves
+    assert 0 < report["executions"] < campaign.engine.population_size
+    assert len(report["series"]) == 1 and report["generations"] == 0
 
 
 # writes slot 7 only for one specific caller, an address outside the fuzzed

@@ -4,7 +4,7 @@ raise: execute -> taint -> slot sets, coverage, fitness -> detectors."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmfuzz.analysis import CoverageStore, TaintTracker, read_set, write_set
+from evmfuzz.analysis import CoverageStore, TaintPlans, TaintTracker, read_set, write_set
 from evmfuzz.detectors import DetectorSuite
 from evmfuzz.evm import AccountSet, EmulatedState, EnvOverrides, Interpreter
 from evmfuzz.evm.opcodes import NAME_TO_CODE, TABLE
@@ -65,6 +65,11 @@ def programs(draw):
     return b"".join(parts)
 
 
+# One plan cache across all examples, as a campaign shares one across its
+# individuals; the runs are derandomized, so the examples and their order
+# are fixed.
+PLANS = TaintPlans()
+
 addresses = st.integers(0, 255)  # what a PUSH1 can name
 environments = st.builds(
     EnvOverrides,
@@ -98,7 +103,7 @@ def test_no_input_crashes_the_pipeline(code, batch):
         received.append(dict(state.received_from))
         traces.append(interpreter.execute(state, inp.transaction(CONTRACT), inp.env))
 
-    tracker = TaintTracker()  # taint_individual's loop, keeping the tracker to read
+    tracker = TaintTracker(PLANS)  # taint_individual's loop, keeping the tracker to read
     reports = [
         tracker.run_input(i, inp, trace) for i, (inp, trace) in enumerate(zip(batch, traces))
     ]

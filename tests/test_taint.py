@@ -5,6 +5,7 @@ import pytest
 from evmfuzz.analysis import (
     BLOCK_KINDS,
     FUZZABLE_KINDS,
+    TaintPlans,
     TaintTracker,
     parse_var,
     pool_tag_key,
@@ -13,6 +14,7 @@ from evmfuzz.analysis import (
     var_kinds,
     variables,
 )
+from evmfuzz.analysis import taint as taint_module
 from evmfuzz.analysis.expr import evaluate
 from evmfuzz.analysis.taint import OUT_REGION_TAINT_BYTES
 from evmfuzz import campaign as campaign_module
@@ -992,9 +994,10 @@ def test_deep_program_never_realigns():
 # differential: the shipped walker against the reference walker
 
 
-def assert_walkers_agree(inputs, traces):
-    """Both walkers give equal reports for every input, and neither realigns."""
-    shipped, reference = TaintTracker(), taint_ref.ReferenceTracker()
+def assert_walkers_agree(inputs, traces, plans=None):
+    """Both walkers give equal reports for every input, and neither realigns;
+    the shipped one walks through ``plans``, a fresh cache by default."""
+    shipped, reference = TaintTracker(plans), taint_ref.ReferenceTracker()
     for i, (inp, trace) in enumerate(zip(inputs, traces)):
         assert shipped.run_input(i, inp, trace) == reference.run_input(i, inp, trace)
     assert shipped.realignments == reference.realignments == 0
@@ -1041,17 +1044,72 @@ def test_every_opcode_over_tainted_operands_matches_the_reference(code):
     assert_walkers_agree(inputs, traces)
 
 
+# Equal ops and fault flags, walks of different length: the first
+# STATICCALL's out region passes the memory cap, so it raises and the walk
+# stops before it; the second runs, and the unassigned opcode after it faults.
+STATICCALL_OPERANDS = " PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 CALLVALUE GAS STATICCALL"
+STATICCALL_RAISES = assemble("PUSH4 0x7fffffff" + STATICCALL_OPERANDS)
+STATICCALL_RUNS = assemble("PUSH4 0x00000020" + STATICCALL_OPERANDS) + bytes([0x0C])
+
+
+@pytest.mark.parametrize("first_runs", [False, True])
+def test_plans_are_keyed_on_the_walked_ops(first_runs):
+    inp = benign_input()
+    [raises], _ = execute(STATICCALL_RAISES, [inp])
+    [runs], _ = execute(STATICCALL_RUNS, [inp])
+    assert raises.ops == runs.ops and raises.faulted and runs.faulted
+    plans = TaintPlans()
+    for trace in ([runs, raises] if first_runs else [raises, runs]):
+        assert_walkers_agree([inp], [trace], plans)
+    assert len(plans) == 2
+    assert len(taint_individual([inp], [runs], plans)[0].calls) == 1
+
+
+# Loops as often as its first argument says, branching on it every time:
+# one distinct path per trip count.
+COUNTED_LOOP = assemble(
+    """
+    PUSH1 0x04 CALLDATALOAD
+loop:
+    JUMPDEST DUP1 ISZERO PUSH @done JUMPI
+    PUSH1 0x01 SWAP1 SUB PUSH @loop JUMP
+done:
+    JUMPDEST CALLVALUE PUSH1 0x00 SSTORE STOP
+"""
+)
+
+
+@pytest.mark.parametrize("entries, steps", [(3, 1 << 17), (1024, 80)])
+def test_a_full_plan_cache_keeps_its_bound(entries, steps, monkeypatch):
+    monkeypatch.setattr(taint_module, "PLAN_CACHE_ENTRIES", entries)
+    monkeypatch.setattr(taint_module, "PLAN_CACHE_STEPS", steps)
+    inputs = [
+        benign_input(value=7, raw_calldata=bytes(4) + count.to_bytes(32, "big"))
+        for count in range(8)
+    ]
+    traces, _ = execute(COUNTED_LOOP, inputs)
+    assert len({tuple(trace.ops) for trace in traces}) == 8
+    plans = TaintPlans()
+    for inp, trace in zip(inputs, traces):
+        assert_walkers_agree([inp], [trace], plans)
+        assert len(plans) <= entries and plans.steps <= steps
+    assert 0 < len(plans) < 8
+    # the uncached paths walk again, equal to the reference
+    assert_walkers_agree(inputs, traces, plans)
+
+
 TAINT_FIXTURES = [TOKEN_SALE, SAFE_ASSERT, GUARDED_ADD, OWNED_PROXY, *MINI_CORPUS.values()]
 
 
 @pytest.mark.parametrize("compiled", TAINT_FIXTURES, ids=lambda compiled: compiled.name)
 def test_campaign_traces_match_the_reference(compiled, monkeypatch):
-    compared = []
+    compared, caches = [], []
 
-    def both_walkers(inputs, traces):
-        assert_walkers_agree(inputs, traces)
+    def both_walkers(inputs, traces, plans):
+        assert_walkers_agree(inputs, traces, plans)
         compared.append(len(traces))
-        return shipped_taint(inputs, traces)
+        caches.append(plans)
+        return shipped_taint(inputs, traces, plans)
 
     shipped_taint = campaign_module.taint_individual
     monkeypatch.setattr(campaign_module, "taint_individual", both_walkers)
@@ -1064,3 +1122,6 @@ def test_campaign_traces_match_the_reference(compiled, monkeypatch):
         contract_balance=compiled.contract_balance,
     )
     assert compared
+    # one cache for the whole campaign, and its plans were reused
+    assert all(plans is caches[0] for plans in caches)
+    assert len(caches[0]) < sum(compared)

@@ -100,6 +100,17 @@ class FunctionSpec:
     payable: bool
     signature: str
 
+    def argument_at(self, word: int) -> int | None:
+        """The position of the argument whose head holds head word ``word``
+        (counted from the first word after the selector); None past the
+        head."""
+        end = 0
+        for position, abi_type in enumerate(self.inputs):
+            end += abi_type.head_words()
+            if word < end:
+                return position
+        return None
+
 
 @dataclass
 class ContractAbi:

@@ -46,6 +46,20 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 # SMT-LIB emission
 
+# term op -> SMT-LIB function: bit-vector ops applied to the operands as they
+# are, predicates wrapped in an ite to a 0/1 word, shifts with the operands
+# swapped, and divisions guarded to 0 on a zero divisor.
+_BV_OPS = {
+    "add": "bvadd", "sub": "bvsub", "mul": "bvmul",
+    "and": "bvand", "or": "bvor", "xor": "bvxor", "not": "bvnot",
+}
+_PREDICATES = {
+    "lt": "bvult", "gt": "bvugt", "slt": "bvslt", "sgt": "bvsgt",
+    "eq": "=", "iszero": "=",
+}
+_SHIFTS = {"shl": "bvshl", "shr": "bvlshr", "sar": "bvashr"}
+_DIVISIONS = {"div": "bvudiv", "sdiv": "bvsdiv", "mod": "bvurem", "smod": "bvsrem"}
+
 
 class SmtLibWriter:
     def __init__(self) -> None:
@@ -82,17 +96,17 @@ class SmtLibWriter:
         if op in expr.OPAQUE_OPS:
             return self._fresh(term, op)
         args = [self.convert(arg) for arg in term.args]
-        if op == "add":
-            return f"(bvadd {args[0]} {args[1]})"
-        if op == "sub":
-            return f"(bvsub {args[0]} {args[1]})"
-        if op == "mul":
-            return f"(bvmul {args[0]} {args[1]})"
-        if op in ("div", "sdiv", "mod", "smod"):
-            func = {"div": "bvudiv", "sdiv": "bvsdiv",
-                    "mod": "bvurem", "smod": "bvsrem"}[op]
+        if op in _BV_OPS:
+            return f"({_BV_OPS[op]} {' '.join(args)})"
+        if op in _PREDICATES:
+            if len(args) == 1:
+                args.append(ZERO)  # iszero: equality with zero
+            return f"(ite ({_PREDICATES[op]} {args[0]} {args[1]}) {ONE} {ZERO})"
+        if op in _SHIFTS:  # the shift amount is the first operand
+            return f"({_SHIFTS[op]} {args[1]} {args[0]})"
+        if op in _DIVISIONS:
             b = self._let(args[1])
-            return f"(ite (= {b} {ZERO}) {ZERO} ({func} {args[0]} {b}))"
+            return f"(ite (= {b} {ZERO}) {ZERO} ({_DIVISIONS[op]} {args[0]} {b}))"
         if op in ("addmod", "mulmod"):
             func = "bvadd" if op == "addmod" else "bvmul"
             wide = [f"((_ zero_extend 256) {a})" for a in args]
@@ -105,32 +119,6 @@ class SmtLibWriter:
             return self._signextend(term, args)
         if op == "byte":
             return self._byte(term, args)
-        if op == "lt":
-            return f"(ite (bvult {args[0]} {args[1]}) {ONE} {ZERO})"
-        if op == "gt":
-            return f"(ite (bvugt {args[0]} {args[1]}) {ONE} {ZERO})"
-        if op == "slt":
-            return f"(ite (bvslt {args[0]} {args[1]}) {ONE} {ZERO})"
-        if op == "sgt":
-            return f"(ite (bvsgt {args[0]} {args[1]}) {ONE} {ZERO})"
-        if op == "eq":
-            return f"(ite (= {args[0]} {args[1]}) {ONE} {ZERO})"
-        if op == "iszero":
-            return f"(ite (= {args[0]} {ZERO}) {ONE} {ZERO})"
-        if op == "and":
-            return f"(bvand {args[0]} {args[1]})"
-        if op == "or":
-            return f"(bvor {args[0]} {args[1]})"
-        if op == "xor":
-            return f"(bvxor {args[0]} {args[1]})"
-        if op == "not":
-            return f"(bvnot {args[0]})"
-        if op == "shl":
-            return f"(bvshl {args[1]} {args[0]})"
-        if op == "shr":
-            return f"(bvlshr {args[1]} {args[0]})"
-        if op == "sar":
-            return f"(bvashr {args[1]} {args[0]})"
         return self._fresh(term, "op")  # anything exotic becomes opaque
 
     def _exp(self, term: Term, args: list[str]) -> str:
@@ -176,15 +164,15 @@ class SmtLibWriter:
         return f"((_ zero_extend 248) ((_ extract {hi} {hi - 7}) {args[1]}))"
 
     def wrap_lets(self, body: str) -> str:
+        """Bind the pending lets around ``body``; they are consumed."""
         for name, smt in reversed(self._lets):
             body = f"(let (({name} {smt})) {body})"
+        self._lets = []
         return body
 
 
 def condition_assertion(writer: SmtLibWriter, cond: Term, want_taken: bool) -> str:
     smt = writer.wrap_lets(writer.convert(cond))
-    # lets are consumed by this assertion; reset for the next one
-    writer._lets = []
     if want_taken:
         return f"(assert (not (= {smt} {ZERO})))"
     return f"(assert (= {smt} {ZERO}))"

@@ -21,7 +21,9 @@ mutation pools:
 
 where <i> is the input's position in its individual.  storage_* names carry
 no input index: they identify a location, persist across inputs, and are
-never directly fuzzable (the solver concretizes them).
+never directly fuzzable (the solver concretizes them).  ``VAR_KINDS`` says,
+per kind, which mutation pool a variable draws from and is solved into;
+``pool_bucket`` finds that pool's bucket for one input.
 """
 
 from __future__ import annotations
@@ -32,24 +34,31 @@ from ..evm import ExecutionTrace
 from ..evm.opcodes import CALL_OPS, MASK, TABLE, WORD_OPS
 from .expr import Term, apply, const, opaque, var
 
-FUZZABLE_KINDS = frozenset(
-    [
-        "callvalue",
-        "caller",
-        "origin",
-        "timestamp",
-        "blocknumber",
-        "calldatasize",
-        "gas",
-        "arg",
-        "callres",
-        "callret",
-        "retsize",
-        "extcode",
-    ]
-)
+# Variable kind -> (mutation pool, block value).  A kind with a pool is
+# fuzzable: mutation draws it from that pool, solved values go back into it,
+# and a guard revert blamed on it evicts the value drawn.  The solver only
+# concretizes the kinds without one.
+VAR_KINDS = {
+    "callvalue": ("amount", False),
+    "caller": ("sender", False),
+    "origin": ("sender", False),
+    "timestamp": ("timestamp", True),
+    "blocknumber": ("block_number", True),
+    "calldatasize": ("calldata_size", False),
+    "gas": ("gas_limit", False),
+    "arg": ("argument", False),
+    "callres": ("call_result", False),
+    "callret": ("call_result", False),
+    "retsize": ("call_result", False),
+    "extcode": ("extcode_size", False),
+    "calldata": (None, False),
+    "balance": (None, False),
+    "blockhash": (None, True),
+    "storage": (None, False),
+}
 
-BLOCK_KINDS = frozenset(["timestamp", "blocknumber", "blockhash"])
+FUZZABLE_KINDS = frozenset(kind for kind, (pool, _) in VAR_KINDS.items() if pool)
+BLOCK_KINDS = frozenset(kind for kind, (_, block) in VAR_KINDS.items() if block)
 
 
 @dataclass(frozen=True)
@@ -75,28 +84,20 @@ def parse_var(name: str) -> VarInfo:
     return VarInfo(kind, int(parts[1]))
 
 
-def pool_tag_key(info: VarInfo) -> str | None:
-    """The Input.pool_tags key a variable corresponds to, if any."""
-    if info.kind == "callvalue":
-        return "callvalue"
-    if info.kind in ("caller", "origin"):
-        return "caller"
-    if info.kind in ("timestamp", "blocknumber", "calldatasize", "gas"):
-        return info.kind
-    if info.kind == "arg":
-        return f"arg_{info.extra}"
-    if info.kind in ("callres", "retsize"):
-        return f"callret_{info.extra:x}"
-    if info.kind == "callret":
-        address, _chunk = info.extra
-        return f"callret_{address:x}"
-    if info.kind == "extcode":
-        return f"extcodesize_{info.extra:x}"
-    return None
-
-
-def var_kinds(term: Term) -> frozenset[str]:
-    return term.kinds
+def pool_bucket(info: VarInfo, inp) -> tuple[str, object] | None:
+    """The (pool kind, pool key) bucket a variable of input ``inp`` draws
+    from and is solved into, which also keys ``Input.pool_tags``.  The key
+    is the callee address for call results and code sizes, (selector,
+    argument position) for an argument's head word, and the selector
+    otherwise.  None for a kind without a pool, and for a calldata word that
+    no argument's head holds."""
+    pool = VAR_KINDS[info.kind][0]
+    if pool in ("call_result", "extcode_size"):
+        return pool, info.extra[0] if info.kind == "callret" else info.extra
+    if pool == "argument":
+        position = inp.fn.argument_at(info.extra) if inp.fn else None
+        return None if position is None else (pool, (inp.selector, position))
+    return None if pool is None else (pool, inp.selector)
 
 
 @dataclass(frozen=True)
@@ -433,7 +434,7 @@ class _Walker:
                             false_dest=pc + 1,
                         )
                     )
-                    self.control_kinds |= var_kinds(cond_term)
+                    self.control_kinds |= cond_term.kinds
             else:
                 terms[index] = self._effect(index, name, stack, operands)
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from ..evm.interpreter import ExecutionTrace
 from ..ga.individual import Input
 from ..ga.pools import MutationPools
-from .expr import variables
-from .taint import FUZZABLE_KINDS, TaintReport, parse_var, pool_tag_key
+from .solver import free_variables
+from .taint import TaintReport, parse_var, pool_bucket
 
 GUARD_TERMINALS = ("REVERT", "INVALID")
 
@@ -40,21 +40,12 @@ def purge_reverting_values(
         constraint = report.final_constraint()
         if constraint is None:
             continue
-        culprits = [
-            name
-            for name in sorted(variables(constraint.cond))
-            if parse_var(name).kind in FUZZABLE_KINDS
-        ]
+        culprits = free_variables(constraint.cond)
         if len(culprits) != 1:
             continue  # shared blame; see the module docstring
-        info = parse_var(culprits[0])
-        tag = pool_tag_key(info)
-        if tag is None:
-            continue
-        entry = inp.pool_tags.get(tag)
-        if entry is None:
-            continue
-        pool_kind, pool_key, value = entry
-        pools.purge(pool_kind, pool_key, value)
-        purged += 1
+        [culprit] = culprits
+        bucket = pool_bucket(parse_var(culprit), inp)
+        if bucket in inp.pool_tags:
+            pools.purge(*bucket, inp.pool_tags[bucket])
+            purged += 1
     return purged

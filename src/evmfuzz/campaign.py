@@ -27,6 +27,7 @@ from .analysis import (
     TaintReport,
     detect_solver,
     parse_var,
+    pool_bucket,
     purge_reverting_values,
     read_set,
     taint_individual,
@@ -43,7 +44,7 @@ from .ga import (
     Input,
     compute_fitness,
 )
-from .ga.engine import FALLBACK_KEY, MAX_GAS, MIN_GAS
+from .ga.engine import MAX_GAS, MIN_GAS
 
 REPORT_VERSION = 1
 
@@ -61,6 +62,18 @@ MAX_SOLVED_EXTCODE_SIZE = 1 << 24
 # the overflow detector with arithmetic no real block could produce.
 MAX_SOLVED_TIMESTAMP = 1 << 48
 MAX_SOLVED_BLOCK_NUMBER = 1 << 32
+
+# Where a solved transaction field lands: (on the input's env, attribute,
+# clamp).  The pool it goes into is the kind's pool in ``VAR_KINDS``.
+_SOLVED_FIELDS = {
+    "callvalue": (False, "value", lambda v: v),
+    "caller": (False, "sender", lambda v: v & ADDRESS_MASK),
+    "origin": (False, "sender", lambda v: v & ADDRESS_MASK),
+    "timestamp": (True, "timestamp", lambda v: min(v, MAX_SOLVED_TIMESTAMP)),
+    "blocknumber": (True, "block_number", lambda v: min(v, MAX_SOLVED_BLOCK_NUMBER)),
+    "calldatasize": (False, "calldata_size", lambda v: min(v, MAX_SOLVED_CALLDATA_SIZE)),
+    "gas": (False, "gas_limit", lambda v: min(max(v, MIN_GAS), MAX_GAS)),
+}
 
 
 @dataclass
@@ -371,88 +384,52 @@ class Campaign:
         return patched
 
     def _apply_var(self, inp: Input, info, value: int) -> None:
-        pools = self.engine.pools
-        selector = inp.fn.selector if inp.fn else FALLBACK_KEY
-        kind = info.kind
-        if kind == "callvalue":
-            inp.value = value
-            pools.insert("amount", selector, value)
-            inp.pool_tags["callvalue"] = ("amount", selector, value)
-        elif kind in ("caller", "origin"):
-            sender = value & ADDRESS_MASK
-            inp.sender = sender
-            pools.insert("sender", selector, sender)
-            inp.pool_tags["caller"] = ("sender", selector, sender)
-        elif kind == "timestamp":
-            stamp = min(value, MAX_SOLVED_TIMESTAMP)
-            inp.env.timestamp = stamp
-            pools.insert("timestamp", selector, stamp)
-            inp.pool_tags["timestamp"] = ("timestamp", selector, stamp)
-        elif kind == "blocknumber":
-            number = min(value, MAX_SOLVED_BLOCK_NUMBER)
-            inp.env.block_number = number
-            pools.insert("block_number", selector, number)
-            inp.pool_tags["blocknumber"] = ("block_number", selector, number)
-        elif kind == "calldatasize":
-            size = min(value, MAX_SOLVED_CALLDATA_SIZE)
-            inp.calldata_size = size
-            pools.insert("calldata_size", selector, size)
-            inp.pool_tags["calldatasize"] = ("calldata_size", selector, size)
-        elif kind == "gas":
-            gas = min(max(value, MIN_GAS), MAX_GAS)
-            inp.gas_limit = gas
-            pools.insert("gas_limit", selector, gas)
-            inp.pool_tags["gas"] = ("gas_limit", selector, gas)
+        """Write one solved variable into ``inp``.  A value that lands in a
+        mutation pool goes into its bucket and is tagged on the input."""
+        kind, env, solved = info.kind, inp.env, None
+        if kind in _SOLVED_FIELDS:
+            on_env, attribute, clamp = _SOLVED_FIELDS[kind]
+            solved = clamp(value)
+            setattr(env if on_env else inp, attribute, solved)
         elif kind == "arg":
-            self._apply_argument(inp, info.extra, value)
+            solved = self._apply_argument(inp, info.extra, value)
         elif kind == "callres":
-            callee = info.extra
-            _, ret = inp.env.call_results.get(callee, DEFAULT_CALL_RESULT)
-            solved = (1 if value else 0, ret)
-            inp.env.call_results[callee] = solved
-            pools.insert("call_result", callee, solved)
-            inp.pool_tags[f"callret_{callee:x}"] = ("call_result", callee, solved)
+            _, ret = env.call_results.get(info.extra, DEFAULT_CALL_RESULT)
+            solved = env.call_results[info.extra] = (1 if value else 0, ret)
         elif kind == "callret":
             callee, chunk = info.extra
-            success, ret = inp.env.call_results.get(callee, DEFAULT_CALL_RESULT)
+            success, ret = env.call_results.get(callee, DEFAULT_CALL_RESULT)
             ret = ret.ljust(32 * (chunk + 1), b"\x00")
-            word = value.to_bytes(32, "big")
-            ret = ret[: 32 * chunk] + word + ret[32 * (chunk + 1):]
-            solved = (success, ret)
-            inp.env.call_results[callee] = solved
-            pools.insert("call_result", callee, solved)
-            inp.pool_tags[f"callret_{callee:x}"] = ("call_result", callee, solved)
-        elif kind == "retsize":
-            inp.env.returndata_sizes[info.extra] = min(value, MAX_SOLVED_RETURN_SIZE)
+            ret = ret[: 32 * chunk] + value.to_bytes(32, "big") + ret[32 * (chunk + 1):]
+            solved = env.call_results[callee] = (success, ret)
         elif kind == "extcode":
-            target = info.extra
-            size = min(value, MAX_SOLVED_EXTCODE_SIZE)
-            inp.env.extcode_sizes[target] = size
-            pools.insert("extcode_size", target, size)
-            inp.pool_tags[f"extcodesize_{target:x}"] = ("extcode_size", target, size)
+            solved = env.extcode_sizes[info.extra] = min(value, MAX_SOLVED_EXTCODE_SIZE)
+        elif kind == "retsize":  # a size only: its pool holds whole call results
+            env.returndata_sizes[info.extra] = min(value, MAX_SOLVED_RETURN_SIZE)
+        if solved is not None:
+            bucket = pool_bucket(info, inp)
+            self.engine.pools.insert(*bucket, solved)
+            inp.pool_tags[bucket] = solved
 
-    def _apply_argument(self, inp: Input, word_index: int, value: int) -> None:
+    def _apply_argument(self, inp: Input, word_index: int, value: int):
+        """Write a solved calldata head word into ``inp``; returns the
+        argument value it became, or None where it fills no single-word
+        static argument."""
         if inp.fn is None:
             # raw calldata: patch the word in place, growing as needed
             end = 4 + 32 * (word_index + 1)
             data = bytearray(inp.raw_calldata.ljust(end, b"\x00"))
             data[end - 32: end] = value.to_bytes(32, "big")
             inp.raw_calldata = bytes(data)
-            return
-        # map the head word back to an argument; only single-word static
-        # arguments can take a solved value directly
-        offset = 0
-        for position, abi_type in enumerate(inp.fn.inputs):
-            if offset == word_index:
-                if abi_type.is_dynamic() or abi_type.head_words() != 1:
-                    return
-                coerced = _coerce_word(abi_type, value)
-                inp.args[position] = coerced
-                key = (inp.fn.selector, position)
-                self.engine.pools.insert("argument", key, coerced)
-                inp.pool_tags[f"arg_{position}"] = ("argument", key, coerced)
-                return
-            offset += abi_type.head_words()
+            return None
+        position = inp.fn.argument_at(word_index)
+        if position is None:
+            return None
+        abi_type = inp.fn.inputs[position]
+        if abi_type.is_dynamic() or abi_type.head_words() != 1:
+            return None
+        inp.args[position] = coerced = _coerce_word(abi_type, value)
+        return coerced
 
     # ------------------------------------------------------------------
     # reporting

@@ -140,7 +140,9 @@ def _read_state(path: str | None) -> tuple:
                 raise ValueError('every transaction needs a "from" address')
             for key in ("from", "to", "value", "timestamp"):
                 if key in tx:
-                    int(tx[key], 0) if isinstance(tx[key], str) else int(tx[key])
+                    number = int(tx[key], 0) if isinstance(tx[key], str) else int(tx[key])
+                    if number < 0 or (key in ("from", "to") and number >> 160):
+                        raise ValueError(f"{key} {tx[key]!r} is out of range")
             data = tx.get("data", "")
             if data:
                 bytes.fromhex(data.removeprefix("0x"))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .analysis.expr import contains, variables
 from .analysis.slots import slot_identity, write_set
-from .analysis.taint import BLOCK_KINDS, FUZZABLE_KINDS, TaintReport, parse_var, var_kinds
+from .analysis.taint import BLOCK_KINDS, FUZZABLE_KINDS, TaintReport, VarInfo, parse_var
 from .evm import ExecutionTrace
 from .evm.opcodes import CALL_OPS, SEND_OPS, disassemble
 from .evm.state import AccountSet
@@ -140,7 +140,7 @@ class DetectorSuite:
         if not view.trace.state_delta_applied:
             return  # a reverted overflow is a guard doing its job
         for event in view.report.overflows:
-            if not (var_kinds(event.result) & FUZZABLE_KINDS):
+            if not (event.result.kinds & FUZZABLE_KINDS):
                 continue
             sinks = []
             for store in view.report.stores:
@@ -185,9 +185,9 @@ class DetectorSuite:
                 continue
             kinds = set(call.control_kinds)
             if call.value_term is not None:
-                kinds |= var_kinds(call.value_term)
+                kinds |= call.value_term.kinds
             if call.target_term is not None:
-                kinds |= var_kinds(call.target_term)
+                kinds |= call.target_term.kinds
             hits = kinds & BLOCK_KINDS
             if hits:
                 yield "BD", call.pc, {"op": call.op, "depends_on": sorted(hits)}
@@ -230,16 +230,17 @@ class DetectorSuite:
                         }
 
     def _unchecked_calls(self, view):
-        checked = set()
-        for constraint in view.report.constraints:
-            checked |= variables(constraint.cond)
-        for call in view.report.calls:
-            if call.op not in CALL_OPS:
-                continue
-            if call.success:
-                continue
-            status_var = f"callres_{view.index}_{call.to:x}"
-            if status_var not in checked:
+        failed = [call for call in view.report.calls if call.op in CALL_OPS and not call.success]
+        if not failed:
+            return
+        # a call is checked when a branch condition reads its status flag
+        checked = {
+            parse_var(name)
+            for constraint in view.report.constraints
+            for name in variables(constraint.cond)
+        }
+        for call in failed:
+            if VarInfo("callres", view.index, call.to) not in checked:
                 yield "UE", call.pc, {"op": call.op, "callee": hex(call.to)}
 
     def _attacker_delegatecalls(self, view, views):

@@ -11,7 +11,7 @@ writer's transactions in front of the reader's.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..abi import ContractAbi, FunctionSpec, generate_argument
 from ..evm import (
@@ -29,15 +29,13 @@ BLOCK_RANGE = 10_000_000
 MIN_GAS = 21_000
 MAX_GAS = 8_000_000
 MAX_RAW_CALLDATA = 68  # selector + one argument word, roughly
-FALLBACK_KEY = b""
 POPULATION_SCALE = 2  # individuals per callable function
+CROSSOVER_PROBABILITY = 0.9
+MUTATION_PROBABILITY = 0.1  # per field of every input
 
 
 @dataclass
 class GaConfig:
-    max_inputs: int = MAX_INPUTS
-    crossover_probability: float = 0.9
-    mutation_probability: float = 0.1
     # ablation switches: pair parents by storage overlap, fuzz environment
     raw_aware: bool = True
     env_fuzzing: bool = True
@@ -129,17 +127,16 @@ class GeneticEngine:
             inp.raw_calldata = self.rng.randbytes(
                 self.rng.randrange(0, MAX_RAW_CALLDATA + 1)
             )
-            payable, selector = self.abi.fallback_payable, FALLBACK_KEY
+            payable = self.abi.fallback_payable
         else:
             inp.args = [
                 generate_argument(self.rng, t, self._address_universe)
                 for t in fn.inputs
             ]
-            payable, selector = fn.payable, fn.selector
+            payable = fn.payable
         if payable:
-            value = self.pools.pick_amount(selector)
-            inp.value = value
-            inp.pool_tags["callvalue"] = ("amount", selector, value)
+            selector = inp.selector
+            inp.value = inp.pool_tags["amount", selector] = self.pools.pick_amount(selector)
         return inp
 
     # ------------------------------------------------------------------
@@ -183,8 +180,8 @@ class GeneticEngine:
         eval_b: Evaluation,
     ) -> Individual:
         if (
-            self.rng.random() < self.config.crossover_probability
-            and len(a) + len(b) <= self.config.max_inputs
+            self.rng.random() < CROSSOVER_PROBABILITY
+            and len(a) + len(b) <= MAX_INPUTS
         ):
             if self.config.raw_aware and (
                 eval_b.storage_writes & eval_a.storage_reads
@@ -214,43 +211,38 @@ class GeneticEngine:
             self._mutate_input(inp)
 
     def _chance(self) -> bool:
-        return self.rng.random() < self.config.mutation_probability
+        return self.rng.random() < MUTATION_PROBABILITY
 
     def _mutate_input(self, inp: Input) -> None:
         rng = self.rng
-        selector = inp.fn.selector if inp.fn else FALLBACK_KEY
+        selector = inp.selector
         payable = inp.fn.payable if inp.fn else self.abi.fallback_payable
+        tags = inp.pool_tags  # by the (pool kind, pool key) bucket drawn from
 
         if self._chance():
             pooled = self.pools.pick("sender", selector)
             sender = pooled if pooled is not None else rng.choice(self.accounts.all())
-            inp.sender = sender
-            inp.pool_tags["caller"] = ("sender", selector, sender)
+            inp.sender = tags["sender", selector] = sender
         if payable and self._chance():
-            value = self.pools.pick_amount(selector)
-            inp.value = value
-            inp.pool_tags["callvalue"] = ("amount", selector, value)
+            inp.value = tags["amount", selector] = self.pools.pick_amount(selector)
         if self._chance():
             pooled = self.pools.pick("gas_limit", selector)
             gas = pooled if pooled is not None else rng.randrange(MIN_GAS, MAX_GAS + 1)
-            inp.gas_limit = gas
-            inp.pool_tags["gas"] = ("gas_limit", selector, gas)
+            inp.gas_limit = tags["gas_limit", selector] = gas
         if inp.fn is not None:
             for j, abi_type in enumerate(inp.fn.inputs):
                 if self._chance():
                     pooled = self.pools.pick("argument", (selector, j))
                     if pooled is None:
                         pooled = generate_argument(rng, abi_type, self._address_universe)
-                    inp.args[j] = pooled
-                    inp.pool_tags[f"arg_{j}"] = ("argument", (selector, j), pooled)
+                    inp.args[j] = tags["argument", (selector, j)] = pooled
         else:
             if self._chance():
                 inp.raw_calldata = rng.randbytes(rng.randrange(0, MAX_RAW_CALLDATA + 1))
         if self._chance():
             pooled = self.pools.pick("calldata_size", selector)
             if pooled is not None:
-                inp.calldata_size = pooled
-                inp.pool_tags["calldatasize"] = ("calldata_size", selector, pooled)
+                inp.calldata_size = tags["calldata_size", selector] = pooled
             elif rng.random() < 0.5:
                 inp.calldata_size = None
             else:
@@ -267,10 +259,9 @@ class GeneticEngine:
                 ts = rng.randrange(DEPLOY_TIMESTAMP, DEPLOY_TIMESTAMP + TEN_YEARS)
             if ts is None:
                 inp.env.timestamp = DEPLOY_TIMESTAMP
-                inp.pool_tags.pop("timestamp", None)
+                tags.pop(("timestamp", selector), None)
             else:
-                inp.env.timestamp = ts
-                inp.pool_tags["timestamp"] = ("timestamp", selector, ts)
+                inp.env.timestamp = tags["timestamp", selector] = ts
         if self._chance():
             roll = rng.random()
             number = self.pools.pick("block_number", selector) if roll < 0.6 else None
@@ -280,10 +271,9 @@ class GeneticEngine:
                 )
             if number is None:
                 inp.env.block_number = DEPLOY_BLOCK_NUMBER
-                inp.pool_tags.pop("blocknumber", None)
+                tags.pop(("block_number", selector), None)
             else:
-                inp.env.block_number = number
-                inp.pool_tags["blocknumber"] = ("block_number", selector, number)
+                inp.env.block_number = tags["block_number", selector] = number
         for callee in sorted(self.known_callees):
             if self._chance():
                 pooled = self.pools.pick("call_result", callee)
@@ -291,8 +281,7 @@ class GeneticEngine:
                     success = 1 if rng.random() < 0.75 else 0
                     ret = b"\x00" * 32 if rng.random() < 0.5 else rng.randbytes(32)
                     pooled = (success, ret)
-                inp.env.call_results[callee] = pooled
-                inp.pool_tags[f"callret_{callee:x}"] = ("call_result", callee, pooled)
+                inp.env.call_results[callee] = tags["call_result", callee] = pooled
             if self._chance():
                 inp.env.returndata_sizes[callee] = rng.choice(
                     [0, 32, 64, rng.randrange(0, 1025)]
@@ -302,8 +291,7 @@ class GeneticEngine:
                 pooled = self.pools.pick("extcode_size", target)
                 if pooled is None:
                     pooled = rng.choice([0, 1, 100, 24_576, rng.randrange(0, 24_577)])
-                inp.env.extcode_sizes[target] = pooled
-                inp.pool_tags[f"extcodesize_{target:x}"] = ("extcode_size", target, pooled)
+                inp.env.extcode_sizes[target] = tags["extcode_size", target] = pooled
 
     # ------------------------------------------------------------------
     # generation turnover

@@ -11,6 +11,7 @@ from ..abi import FunctionSpec, encode_calldata
 from ..evm import EnvOverrides, Transaction
 
 MAX_INPUTS = 5  # maximum transactions per individual
+FALLBACK_KEY = b""  # the selector the pools file raw calldata inputs under
 
 
 @dataclass
@@ -19,8 +20,8 @@ class Input:
     executes in.
 
     fn is None for raw (fallback) calldata.  pool_tags remembers which field
-    values were drawn from a mutation pool — (pool kind, pool key, value) per
-    taint-variable base name — so failing constraints can evict exactly the
+    values were drawn from a mutation pool: the value by the (pool kind, pool
+    key) bucket it came from, so failing constraints can evict exactly the
     values that caused a revert.
     """
 
@@ -32,7 +33,11 @@ class Input:
     raw_calldata: bytes = b""
     calldata_size: int | None = None
     env: EnvOverrides = field(default_factory=EnvOverrides)
-    pool_tags: dict[str, tuple[str, object, object]] = field(default_factory=dict)
+    pool_tags: dict[tuple[str, object], object] = field(default_factory=dict)
+
+    @property
+    def selector(self) -> bytes:
+        return self.fn.selector if self.fn else FALLBACK_KEY
 
     def calldata(self) -> bytes:
         if self.fn is None:

@@ -90,10 +90,3 @@ class MutationPools:
         buf = self._buffers.get((kind, key))
         if buf is not None:
             buf.purge(value)
-
-    def size(self, kind: str, key) -> int:
-        buf = self._buffers.get((kind, key))
-        return len(buf) if buf else 0
-
-    def total(self) -> int:
-        return sum(len(buf) for buf in self._buffers.values())

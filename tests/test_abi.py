@@ -75,6 +75,14 @@ def test_head_words_for_static_arrays():
     assert AbiType.parse("uint256[]").head_words() == 1
 
 
+def test_argument_at_maps_head_words_to_positions():
+    fn = parse_abi(json.dumps([{"type": "function", "name": "f", "inputs": [
+        {"name": "a", "type": "uint256[2][2]"}, {"name": "b", "type": "bytes"},
+        {"name": "c", "type": "address"},
+    ]}])).functions[0]
+    assert [fn.argument_at(word) for word in range(7)] == [0, 0, 0, 0, 1, 2, None]
+
+
 # ---------------------------------------------------------------------------
 # selectors
 

@@ -335,6 +335,19 @@ def test_apply_model_patches_static_argument():
     assert campaign.engine.pools.pick("argument", (fn.selector, 0)) == 0xDEADBEEF12345678
 
 
+def test_apply_model_fills_the_argument_whose_head_holds_the_word():
+    # f(uint256[2] a, uint256 b): a fills head words 0-1, so word 2 is b
+    fn = parse_abi(
+        '[{"type": "function", "name": "f", "inputs": [{"name": "a", "type":'
+        ' "uint256[2]"}, {"name": "b", "type": "uint256"}]}]'
+    ).functions[0]
+    campaign = make_campaign()
+    individual = Individual([Input(fn=fn, sender=1, args=[[0, 0], 0])])
+    inp = campaign._apply_model(individual, {"arg_1_0": 4, "arg_2_0": 5}).inputs[0]
+    assert inp.args == [[0, 0], 5]  # a word inside the array is not written
+    assert inp.pool_tags == {("argument", (fn.selector, 1)): 5}
+
+
 def test_apply_model_patches_raw_calldata_word():
     campaign = make_campaign()
     individual = Individual([Input(fn=None, sender=1, raw_calldata=b"\xaa\xbb\xcc\xdd")])

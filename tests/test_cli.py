@@ -194,6 +194,10 @@ def test_rejects_unknown_detector(compiled, capsys):
         '[{"to": "0x1"}]',  # transaction without a sender
         '[{"from": "pole"}]',  # unparseable address
         '[{"from": "0x1", "data": "0xzz"}]',  # unparseable calldata
+        '[{"from": "0x1", "value": -5}]',  # negative value
+        '[{"from": "0x1", "timestamp": "-0x1"}]',  # negative timestamp
+        '[{"from": "0x1%s"}]' % ("0" * 40),  # a sender of 161 bits
+        '[{"from": "0x1", "to": %d}]' % (1 << 160),  # a recipient of 161 bits
     ],
 )
 def test_rejects_bad_state_file(compiled, capsys, blob):

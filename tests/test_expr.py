@@ -14,7 +14,7 @@ from evmfuzz.analysis.expr import (
     var,
     variables,
 )
-from evmfuzz.analysis.taint import parse_var, var_kinds
+from evmfuzz.analysis.taint import parse_var
 
 from oracles import bigint_ref
 
@@ -171,7 +171,7 @@ def _rebuilt(term):
 @given(term=_TERMS)
 def test_cached_sets_and_hash_agree_with_the_tree(term):
     assert variables(term) == _reference_variables(term)
-    assert var_kinds(term) == {parse_var(name).kind for name in variables(term)}
+    assert term.kinds == {parse_var(name).kind for name in variables(term)}
     assert hash(term) == hash((term.op, term.args, term.value, term.name))
     copy = _rebuilt(term)
     assert copy is not term

@@ -2,16 +2,18 @@ import json
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmfuzz.abi import parse_abi
 from evmfuzz.evm import ExecutionTrace
 from evmfuzz.evm.state import AccountSet
+from evmfuzz.ga import engine as engine_module
 from evmfuzz.ga import (
+    MAX_INPUTS,
     CircularBuffer,
     Evaluation,
-    GaConfig,
     GeneticEngine,
     Individual,
     MutationPools,
@@ -32,14 +34,18 @@ CONTRACT = 0xC0DE00000000000000000000000000000000C0DE
 ACCOUNTS = AccountSet()
 
 
-def make_engine(seed=7, **config_kwargs):
-    return GeneticEngine(
-        random.Random(seed),
-        parse_abi(ABI_JSON),
-        ACCOUNTS,
-        CONTRACT,
-        GaConfig(**config_kwargs) if config_kwargs else None,
-    )
+def make_engine(seed=7):
+    return GeneticEngine(random.Random(seed), parse_abi(ABI_JSON), ACCOUNTS, CONTRACT)
+
+
+@pytest.fixture
+def always_cross(monkeypatch):
+    monkeypatch.setattr(engine_module, "CROSSOVER_PROBABILITY", 1.0)
+
+
+@pytest.fixture
+def always_mutate(monkeypatch):
+    monkeypatch.setattr(engine_module, "MUTATION_PROBABILITY", 1.0)
 
 
 def trace_with(ops, pcs, stacks, applied=True):
@@ -191,7 +197,7 @@ def test_initial_population_round_robins_functions():
         assert inp.sender in ACCOUNTS.all()
         if inp.fn.name == "buy":
             assert inp.value in (0, 1)
-            assert "callvalue" in inp.pool_tags
+            assert ("amount", inp.selector) in inp.pool_tags
         else:
             assert inp.value == 0
 
@@ -211,8 +217,9 @@ def eval_with(writes=(), reads=(), fitness=1.0):
     )
 
 
-def test_crossover_puts_writer_first():
-    engine = make_engine(crossover_probability=1.0, mutation_probability=0.0)
+def test_crossover_puts_writer_first(always_cross, monkeypatch):
+    monkeypatch.setattr(engine_module, "MUTATION_PROBABILITY", 0.0)
+    engine = make_engine()
     population = engine.initial_population()
     a, b = population[0], population[1]
 
@@ -226,8 +233,8 @@ def test_crossover_puts_writer_first():
     assert [i.fn.name for i in child.inputs] == ["buy", "withdraw"]
 
 
-def test_crossover_never_exceeds_max_inputs():
-    engine = make_engine(crossover_probability=1.0)
+def test_crossover_never_exceeds_max_inputs(always_cross):
+    engine = make_engine()
     base = engine.initial_population()
     a = Individual([base[0].inputs[0].copy() for _ in range(3)])
     b = Individual([base[1].inputs[0].copy() for _ in range(3)])
@@ -244,14 +251,16 @@ def test_crossover_never_exceeds_max_inputs():
     linked=st.booleans(),
 )
 def test_crossover_length_bound_property(seed, len_a, len_b, linked):
-    engine = make_engine(seed=seed, crossover_probability=1.0)
+    engine = make_engine(seed=seed)
     base = engine.initial_population()
     a = Individual([base[0].inputs[0].copy() for _ in range(len_a)])
     b = Individual([base[1].inputs[0].copy() for _ in range(len_b)])
     ea = eval_with(writes={1} if linked else set())
     eb = eval_with(reads={1} if linked else set())
-    child = engine.crossover(a, b, ea, eb)
-    assert 1 <= len(child) <= engine.config.max_inputs
+    with pytest.MonkeyPatch.context() as patch:  # a fixture would outlive one example
+        patch.setattr(engine_module, "CROSSOVER_PROBABILITY", 1.0)
+        child = engine.crossover(a, b, ea, eb)
+    assert 1 <= len(child) <= MAX_INPUTS
 
 
 def test_partner_selection_round_robins_data_linked_individuals():
@@ -274,8 +283,8 @@ def test_partner_falls_back_to_ranking_without_links():
     assert partner in (0, 1, 2)
 
 
-def test_mutation_never_touches_selector_and_respects_pools():
-    engine = make_engine(mutation_probability=1.0)
+def test_mutation_never_touches_selector_and_respects_pools(always_mutate):
+    engine = make_engine()
     engine.pools.insert("argument", (engine.abi.functions[2].selector, 0), 777)
     engine.pools.insert("timestamp", engine.abi.functions[2].selector, 1_600_000_000)
     individual = Individual([engine.random_input(engine.abi.functions[2])])
@@ -285,12 +294,12 @@ def test_mutation_never_touches_selector_and_respects_pools():
     assert inp.fn is before_fn
     assert inp.args[0] == 777
     assert inp.env.timestamp == 1_600_000_000
-    assert inp.pool_tags["arg_0"] == ("argument", (before_fn.selector, 0), 777)
-    assert inp.pool_tags["timestamp"] == ("timestamp", before_fn.selector, 1_600_000_000)
+    assert inp.pool_tags["argument", (before_fn.selector, 0)] == 777
+    assert inp.pool_tags["timestamp", before_fn.selector] == 1_600_000_000
 
 
-def test_mutation_uses_call_result_registry():
-    engine = make_engine(mutation_probability=1.0)
+def test_mutation_uses_call_result_registry(always_mutate):
+    engine = make_engine()
     callee = 0x1234
     engine.known_callees.add(callee)
     engine.pools.insert("call_result", callee, (1, b"\x01" * 32))

@@ -5,13 +5,16 @@ import pytest
 from evmfuzz.analysis import (
     BLOCK_KINDS,
     FUZZABLE_KINDS,
+    VAR_KINDS,
+    PathConstraint,
     TaintPlans,
+    TaintReport,
     TaintTracker,
     parse_var,
-    pool_tag_key,
+    pool_bucket,
     purge_reverting_values,
     taint_individual,
-    var_kinds,
+    var,
     variables,
 )
 from evmfuzz.analysis import taint as taint_module
@@ -20,9 +23,10 @@ from evmfuzz.analysis.taint import OUT_REGION_TAINT_BYTES
 from evmfuzz import campaign as campaign_module
 from evmfuzz.asm import assemble
 from evmfuzz.campaign import CampaignConfig, run_campaign
-from evmfuzz.evm import AccountSet, EmulatedState, EnvOverrides, Interpreter
+from evmfuzz.abi import parse_abi
+from evmfuzz.evm import AccountSet, EmulatedState, EnvOverrides, ExecutionTrace, Interpreter
 from evmfuzz.evm.opcodes import NAME_TO_CODE, TABLE, push_width
-from evmfuzz.ga import Input, MutationPools
+from evmfuzz.ga import Individual, Input, MutationPools
 
 from fixtures import GUARDED_ADD, MINI_CORPUS, OWNED_PROXY, SAFE_ASSERT, TOKEN_SALE
 from oracles import taint_ref
@@ -241,7 +245,7 @@ def test_timestamp_and_number_sources():
     [report], _ = reports_for(code, [benign_input(env=env)])
     cond = report.constraints[0].cond
     assert variables(cond) == {"timestamp_0", "blocknumber_0"}
-    assert var_kinds(cond) & BLOCK_KINDS == {"timestamp", "blocknumber"}
+    assert cond.kinds & BLOCK_KINDS == {"timestamp", "blocknumber"}
     assert report.var_values["timestamp_0"] == 1_600_000_000
     assert report.var_values["blocknumber_0"] == 6_000_000
 
@@ -573,7 +577,7 @@ def test_call_status_is_a_fuzzable_source():
     assert report.var_values[f"callres_0_{HELPER:x}"] == 0
     info = parse_var(f"callres_0_{HELPER:x}")
     assert info.kind in FUZZABLE_KINDS
-    assert pool_tag_key(info) == f"callret_{HELPER:x}"
+    assert pool_bucket(info, inp) == ("call_result", HELPER)
 
 
 def test_returned_data_words_become_callret_variables():
@@ -606,7 +610,7 @@ def test_returned_data_words_become_callret_variables():
     assert report.var_values[name] == 77
     info = parse_var(name)
     assert info.extra == (HELPER, 0)
-    assert pool_tag_key(info) == f"callret_{HELPER:x}"
+    assert pool_bucket(info, benign_input()) == ("call_result", HELPER)
 
 
 def test_returndatasize_variable_names_last_callee():
@@ -693,14 +697,63 @@ def test_variable_grammar_roundtrip(name, kind, input_index, extra):
         assert info.extra == extra
 
 
-def test_fuzzable_kinds_have_pool_tags_where_pools_exist():
-    for name in ["callvalue_0", "caller_0", "timestamp_0", "blocknumber_0",
-                 "calldatasize_0", "gas_0", "arg_3_0", "callres_0_8888",
-                 "callret_0_8888_w1", "retsize_0_8888", "extcode_0_8888"]:
-        assert pool_tag_key(parse_var(name)) is not None
-    # non-fuzzable sources have no pool to purge
-    for name in ["balance_0", "blockhash_0", "storage_5", "calldata_7_0"]:
-        assert pool_tag_key(parse_var(name)) is None
+ONE_ARG_ABI = parse_abi(
+    '[{"type": "function", "name": "f", "payable": true,'
+    ' "inputs": [{"name": "x", "type": "uint256"}]}]'
+)
+
+
+def blamed_revert(name):
+    """A reverted trace and a report whose last guard reads only ``name``."""
+    trace = ExecutionTrace([], [], [], terminal="REVERT", state_delta_applied=False)
+    report = TaintReport(0, constraints=[PathConstraint(0, 0, var(name), False, 1, 2)])
+    return trace, report
+
+
+def pool_contents(pools):
+    return {bucket: list(buffer) for bucket, buffer in pools._buffers.items()}
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["callvalue_0", "caller_0", "origin_0", "timestamp_0", "blocknumber_0",
+     "calldatasize_0", "gas_0", "arg_0_0", f"callres_0_{HELPER:x}",
+     f"callret_0_{HELPER:x}_w1", f"retsize_0_{HELPER:x}", f"extcode_0_{HELPER:x}"],
+)
+def test_solved_values_round_trip_through_their_pool(name):
+    campaign = campaign_module.Campaign(ONE_ARG_ABI, assemble("STOP"))
+    pools = campaign.engine.pools
+    info = parse_var(name)
+    individual = Individual([Input(fn=ONE_ARG_ABI.functions[0], sender=1, args=[0])])
+    if info.kind == "retsize":  # a size has no pool: tag its call result first
+        individual = campaign._apply_model(individual, {f"callres_0_{HELPER:x}": 1})
+    bucket = pool_bucket(info, individual.inputs[0])
+    assert bucket[0] == VAR_KINDS[info.kind][0]
+    pools.insert(*bucket, "kept")
+    inp = campaign._apply_model(individual, {name: 5}).inputs[0]
+    solved = inp.pool_tags[bucket]
+    assert list(inp.pool_tags) == [bucket]
+    assert solved in list(pools._buffers[bucket])
+    expected = pool_contents(pools)
+    expected[bucket].remove(solved)
+    trace, report = blamed_revert(name)
+    assert purge_reverting_values([inp], [trace], [report], pools) == 1
+    assert pool_contents(pools) == expected
+
+
+@pytest.mark.parametrize("name", ["balance_0", "blockhash_0", "storage_5", "calldata_7_0"])
+def test_non_fuzzable_kinds_purge_nothing(name):
+    assert name.partition("_")[0] not in FUZZABLE_KINDS
+    pools = MutationPools()
+    inp = Input(fn=ONE_ARG_ABI.functions[0], sender=1, args=[0])
+    for pool in ("amount", "sender", "timestamp", "block_number", "gas_limit", "calldata_size"):
+        pools.insert(pool, inp.selector, 5)
+        inp.pool_tags[pool, inp.selector] = 5
+    assert pool_bucket(parse_var(name), inp) is None
+    expected = pool_contents(pools)
+    trace, report = blamed_revert(name)
+    assert purge_reverting_values([inp], [trace], [report], pools) == 0
+    assert pool_contents(pools) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +779,7 @@ def test_guard_revert_purges_the_blamed_pool_value():
     pools = MutationPools()
     pools.insert("amount", b"", 7)
     inp = benign_input(value=7)
-    inp.pool_tags["callvalue"] = ("amount", b"", 7)
+    inp.pool_tags["amount", b""] = 7
     traces, _ = execute(guard, [inp])
     assert traces[0].terminal == "REVERT"
     reports = taint_individual([inp], traces)
@@ -735,11 +788,49 @@ def test_guard_revert_purges_the_blamed_pool_value():
     assert pools.pick("amount", b"") is None  # bucket emptied
 
 
+def test_guard_revert_purges_the_argument_whose_head_word_it_read():
+    # f(uint256[2] a, uint256 b, uint256 c): a fills head words 0-1, b word 2,
+    # c word 3, so a guard on word 2 blames b, the argument at position 1
+    fn = parse_abi(
+        '[{"type": "function", "name": "f", "inputs": [{"name": "a", "type":'
+        ' "uint256[2]"}, {"name": "b", "type": "uint256"}, {"name": "c", "type":'
+        ' "uint256"}]}]'
+    ).functions[0]
+    guard = assemble(
+        """
+        PUSH1 0x44
+        CALLDATALOAD
+        PUSH1 0x2a
+        EQ
+        PUSH @ok
+        JUMPI
+        PUSH1 0x00
+        PUSH1 0x00
+        REVERT
+    ok:
+        JUMPDEST
+        STOP
+    """
+    )
+    pools = MutationPools()
+    inp = Input(fn=fn, sender=AccountSet().benign, args=[[1, 2], 7, 9])
+    for position, value in ((1, 7), (2, 9)):
+        pools.insert("argument", (fn.selector, position), value)
+        inp.pool_tags["argument", (fn.selector, position)] = value
+    traces, _ = execute(guard, [inp])
+    assert traces[0].terminal == "REVERT"
+    reports = taint_individual([inp], traces)
+    assert variables(reports[0].final_constraint().cond) == {"arg_2_0"}
+    assert purge_reverting_values([inp], traces, reports, pools) == 1
+    assert pools.pick("argument", (fn.selector, 1)) is None  # b's 7 evicted
+    assert pools.pick("argument", (fn.selector, 2)) == 9  # c's 9 kept
+
+
 def test_applied_inputs_never_purge():
     pools = MutationPools()
     pools.insert("amount", b"", 42)
     inp = benign_input(value=42)
-    inp.pool_tags["callvalue"] = ("amount", b"", 42)
+    inp.pool_tags["amount", b""] = 42
     traces, _ = execute(VALUE_GUARD, [inp])
     assert traces[0].state_delta_applied is True
     reports = taint_individual([inp], traces)
@@ -752,7 +843,7 @@ def test_revert_without_tainted_guard_purges_nothing():
     pools = MutationPools()
     pools.insert("amount", b"", 3)
     inp = benign_input(value=3)
-    inp.pool_tags["callvalue"] = ("amount", b"", 3)
+    inp.pool_tags["amount", b""] = 3
     traces, _ = execute(always_revert, [inp])
     reports = taint_individual([inp], traces)
     assert purge_reverting_values([inp], traces, reports, pools) == 0

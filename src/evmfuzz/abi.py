@@ -12,7 +12,6 @@ import random
 import string as string_mod
 from dataclasses import dataclass, field
 
-from .evm.opcodes import signed
 from .keccak import keccak256
 
 WORD = 32
@@ -118,12 +117,6 @@ class ContractAbi:
     constructor_inputs: tuple[AbiType, ...] = ()
     has_fallback: bool = False
     fallback_payable: bool = False
-
-    def by_selector(self, selector: bytes) -> FunctionSpec | None:
-        for fn in self.functions:
-            if fn.selector == selector:
-                return fn
-        return None
 
 
 def function_signature(name: str, inputs: tuple[AbiType, ...]) -> str:
@@ -247,65 +240,6 @@ def _encode_tail(abi_type: AbiType, value) -> bytes:
 
 def encode_calldata(fn: FunctionSpec, values: list) -> bytes:
     return fn.selector + encode_arguments(fn.inputs, values)
-
-
-# ---------------------------------------------------------------------------
-# decoding
-
-
-def decode_arguments(types: tuple[AbiType, ...] | list[AbiType], blob: bytes) -> list:
-    values = []
-    offset = 0
-    for abi_type in types:
-        if abi_type.is_dynamic():
-            pointer = int.from_bytes(blob[offset:offset + WORD], "big")
-            values.append(_decode_tail(abi_type, blob, pointer))
-            offset += WORD
-        else:
-            values.append(_decode_static(abi_type, blob, offset))
-            offset += abi_type.head_words() * WORD
-    return values
-
-
-def _decode_word(abi_type: AbiType, word: bytes):
-    kind = abi_type.kind
-    x = int.from_bytes(word, "big")
-    if kind == "uint":
-        return x
-    if kind == "int":
-        return signed(x)
-    if kind == "address":
-        return x & ((1 << 160) - 1)
-    if kind == "bool":
-        return x & 1
-    if kind == "fbytes":
-        return word[:abi_type.bits]
-    raise AbiError(f"not a word type: {kind}")  # pragma: no cover
-
-
-def _decode_static(abi_type: AbiType, blob: bytes, offset: int):
-    if abi_type.kind == "array":
-        width = abi_type.elem.head_words() * WORD
-        return [
-            _decode_static(abi_type.elem, blob, offset + i * width)
-            for i in range(abi_type.length)
-        ]
-    return _decode_word(abi_type, blob[offset:offset + WORD])
-
-
-def _decode_tail(abi_type: AbiType, blob: bytes, pointer: int):
-    if abi_type.kind == "string":
-        size = int.from_bytes(blob[pointer:pointer + WORD], "big")
-        return blob[pointer + WORD:pointer + WORD + size].decode("utf-8", "replace")
-    if abi_type.kind == "bytes":
-        size = int.from_bytes(blob[pointer:pointer + WORD], "big")
-        return blob[pointer + WORD:pointer + WORD + size]
-    if abi_type.kind == "array":
-        if abi_type.length < 0:
-            count = int.from_bytes(blob[pointer:pointer + WORD], "big")
-            return decode_arguments([abi_type.elem] * count, blob[pointer + WORD:])
-        return decode_arguments([abi_type.elem] * abi_type.length, blob[pointer:])
-    raise AbiError(f"not a dynamic type: {abi_type.kind}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from __future__ import annotations
 import re
 import shutil
 import subprocess
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from ..evm.opcodes import WORD, signed
 from . import expr
@@ -313,7 +315,7 @@ class InternalSolver:
         want = not target.taken
         candidates = self._candidates(target.cond, want, env, free)
         seen = set()
-        for candidate in candidates[: self.MAX_CANDIDATES]:
+        for candidate in islice(candidates, self.MAX_CANDIDATES):
             key = tuple(sorted(candidate.items()))
             if key in seen:
                 continue
@@ -332,8 +334,10 @@ class InternalSolver:
         want: bool,
         env: dict[str, int],
         free: frozenset[str],
-    ) -> list[dict[str, int]]:
-        out = list(self._solve_bool(cond, want, env, free, depth=0))
+    ) -> Iterator[dict[str, int]]:
+        """Candidate assignments, drawn lazily: an ``and``/``or`` tree makes
+        the product of its branches' candidates, 2**leaves of them."""
+        yield from self._solve_bool(cond, want, env, free, depth=0)
         # concrete-first heuristics: nudge each free variable around the
         # values and constants the condition already mentions
         interesting: list[int] = [0, 1, 2]
@@ -346,8 +350,7 @@ class InternalSolver:
         interesting += [1 << 255, MASK]
         for name in sorted(free):
             for value in interesting:
-                out.append({name: value & MASK})
-        return out
+                yield {name: value & MASK}
 
     def _constants(self, term: Term) -> list[int]:
         if term.op == "const":

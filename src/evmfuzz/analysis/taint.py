@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..evm import ExecutionTrace
+from ..evm import CallEvent, ExecutionTrace
 from ..evm.opcodes import CALL_OPS, MASK, TABLE, WORD_OPS
 from .expr import Term, apply, const, opaque, var
 
@@ -103,17 +103,13 @@ def pool_bucket(info: VarInfo, inp) -> tuple[str, object] | None:
 @dataclass(frozen=True)
 class PathConstraint:
     pc: int
-    input_index: int
     cond: Term
     taken: bool
-    true_dest: int
-    false_dest: int
 
 
 @dataclass
 class OverflowEvent:
     pc: int
-    input_index: int
     op: str
     result: Term
     concrete_operands: tuple
@@ -121,15 +117,7 @@ class OverflowEvent:
 
 @dataclass
 class CallAnnotation:
-    record_index: int
-    input_index: int
-    pc: int
-    op: str
-    to: int
-    value: int
-    gas: int
-    success: int
-    transferred: bool
+    event: CallEvent  # what the interpreter recorded for the call
     target_term: Term | None
     value_term: Term | None
     control_kinds: frozenset[str]
@@ -138,11 +126,8 @@ class CallAnnotation:
 @dataclass
 class StoreAnnotation:
     record_index: int
-    input_index: int
     pc: int
-    raw_key: int
     value_term: Term | None
-    control_kinds: frozenset[str]
 
 
 @dataclass
@@ -153,9 +138,6 @@ class TaintReport:
     calls: list[CallAnnotation] = field(default_factory=list)
     stores: list[StoreAnnotation] = field(default_factory=list)
     var_values: dict[str, int] = field(default_factory=dict)
-
-    def final_constraint(self) -> PathConstraint | None:
-        return self.constraints[-1] if self.constraints else None
 
 
 # A CALL-family op's out region gets a callret_* term per 32-byte chunk only
@@ -395,7 +377,6 @@ class _Walker:
     # -- the walk --------------------------------------------------------
 
     def walk(self) -> None:
-        i = self.i
         trace = self.trace
         ops, pcs, stacks = trace.ops, trace.pcs, trace.stacks
         constraints = self.report.constraints
@@ -418,22 +399,12 @@ class _Walker:
                     )
                     if name in _OVERFLOWABLE and _wraps(name, concretes):
                         self.report.overflows.append(
-                            OverflowEvent(pcs[index], i, name, result, concretes)
+                            OverflowEvent(pcs[index], name, result, concretes)
                         )
             elif kind == _JUMPI:
                 cond_term = terms[operands[0]]
                 if cond_term is not None:
-                    pc = pcs[index]
-                    constraints.append(
-                        PathConstraint(
-                            pc=pc,
-                            input_index=i,
-                            cond=cond_term,
-                            taken=stack[-2] != 0,
-                            true_dest=stack[-1],
-                            false_dest=pc + 1,
-                        )
-                    )
+                    constraints.append(PathConstraint(pcs[index], cond_term, stack[-2] != 0))
                     self.control_kinds |= cond_term.kinds
             else:
                 terms[index] = self._effect(index, name, stack, operands)
@@ -454,16 +425,7 @@ class _Walker:
                 self.tracker._storage.pop(key, None)
             else:
                 self.tracker._storage[key] = value_term
-            self.report.stores.append(
-                StoreAnnotation(
-                    record_index=index,
-                    input_index=i,
-                    pc=self.trace.pcs[index],
-                    raw_key=key,
-                    value_term=value_term,
-                    control_kinds=self.control_kinds,
-                )
-            )
+            self.report.stores.append(StoreAnnotation(index, self.trace.pcs[index], value_term))
         elif op == "SLOAD":
             stored = self.tracker._storage.get(stack[-1])
             if stored is None:
@@ -486,15 +448,7 @@ class _Walker:
             target_depth, value_depth = _CALL_OPERANDS[op]
             self.report.calls.append(
                 CallAnnotation(
-                    record_index=index,
-                    input_index=i,
-                    pc=self.trace.pcs[index],
-                    op=op,
-                    to=event.to,
-                    value=event.value,
-                    gas=event.gas,
-                    success=event.success,
-                    transferred=event.transferred,
+                    event=event,
                     target_term=terms[operands[target_depth - 1]] if target_depth else None,
                     value_term=terms[operands[value_depth - 1]] if value_depth else None,
                     control_kinds=self.control_kinds,

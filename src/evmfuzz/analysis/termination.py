@@ -8,8 +8,12 @@ already known to bounce off the same check.  A guard over several free
 quantities purges nothing: any one of them could be the wrong one, and
 evicting a value that only failed because of its neighbour throws away
 solver work (the exact payment for one schedule is still exact after a
-mutation bends the clock).  Values that came from fresh randomness (no
-pool tag on the input) are left alone — there is nothing to evict.
+mutation bends the clock).  A field with no pool tag on the input is left
+alone.  Mutation tags the sender, gas limit, arguments, block values, call
+results and code sizes it writes even when they came from fresh randomness
+rather than a pool, and copies keep the tags of values evicted earlier.  So
+a purge often names a value absent from its bucket; it still counts as an
+eviction and resets that bucket's round-robin cursor.
 """
 
 from __future__ import annotations
@@ -37,10 +41,9 @@ def purge_reverting_values(
     for inp, trace, report in zip(inputs, traces, reports):
         if trace.state_delta_applied or trace.terminal not in GUARD_TERMINALS:
             continue
-        constraint = report.final_constraint()
-        if constraint is None:
+        if not report.constraints:
             continue
-        culprits = free_variables(constraint.cond)
+        culprits = free_variables(report.constraints[-1].cond)
         if len(culprits) != 1:
             continue  # shared blame; see the module docstring
         [culprit] = culprits

@@ -38,7 +38,6 @@ from .evm import EmulatedState, EnvOverrides, Interpreter, Transaction
 from .evm.interpreter import DEFAULT_CALL_RESULT, _derive_address
 from .ga import (
     Evaluation,
-    GaConfig,
     GeneticEngine,
     Individual,
     Input,
@@ -160,10 +159,8 @@ class Campaign:
             abi,
             accounts,
             self.address,
-            GaConfig(
-                raw_aware=self.config.raw_aware,
-                env_fuzzing=self.config.env_fuzzing,
-            ),
+            raw_aware=self.config.raw_aware,
+            env_fuzzing=self.config.env_fuzzing,
         )
         if self.config.solver_argv:
             external_argv = list(self.config.solver_argv)

@@ -148,7 +148,7 @@ class DetectorSuite:
                     sinks.append(("SSTORE", store.pc))
             for call in view.report.calls:
                 if call.value_term is not None and contains(call.value_term, event.result):
-                    sinks.append((call.op, call.pc))
+                    sinks.append((call.event.op, call.event.pc))
             if sinks:
                 yield "IO", event.pc, {
                     "op": event.op,
@@ -160,26 +160,28 @@ class DetectorSuite:
         if not view.trace.state_delta_applied:
             return
         for call in view.report.calls:
-            if call.op not in ("CALL", "CALLCODE"):
+            event = call.event
+            if event.op not in ("CALL", "CALLCODE"):
                 continue
-            if not call.transferred or call.gas <= REENTRANCY_GAS_STIPEND:
+            if not event.transferred or event.gas <= REENTRANCY_GAS_STIPEND:
                 continue
             later_stores = [
                 store.pc
                 for store in view.report.stores
-                if store.record_index > call.record_index
+                if store.record_index > event.record_index
             ]
             if later_stores:
-                yield "RE", call.pc, {
-                    "gas": call.gas,
-                    "value": call.value,
+                yield "RE", event.pc, {
+                    "gas": event.gas,
+                    "value": event.value,
                     "stores_after": later_stores,
                 }
 
     def _block_dependent_transfers(self, view):
         for call in view.report.calls:
-            moves_value = call.transferred or (
-                call.op == "SELFDESTRUCT" and view.trace.state_delta_applied
+            event = call.event
+            moves_value = event.transferred or (
+                event.op == "SELFDESTRUCT" and view.trace.state_delta_applied
             )
             if not moves_value:
                 continue
@@ -190,11 +192,11 @@ class DetectorSuite:
                 kinds |= call.target_term.kinds
             hits = kinds & BLOCK_KINDS
             if hits:
-                yield "BD", call.pc, {"op": call.op, "depends_on": sorted(hits)}
+                yield "BD", event.pc, {"op": event.op, "depends_on": sorted(hits)}
 
     def _order_dependent_transfers(self, view, views):
         for call in view.report.calls:
-            if not call.transferred or call.value_term is None:
+            if not call.event.transferred or call.value_term is None:
                 continue
             value_vars = variables(call.value_term)
             # storage the transfer depends on, written by someone else in an
@@ -207,7 +209,7 @@ class DetectorSuite:
                 writers = self.slot_writers.get(identity, set())
                 foreign = writers - {view.input.sender}
                 if foreign:
-                    yield "TD", call.pc, {
+                    yield "TD", call.event.pc, {
                         "slot": list(identity) if identity[0] != "raw" else ["raw", hex(identity[1])],
                         "other_writers": [hex(w) for w in sorted(foreign)],
                     }
@@ -224,13 +226,16 @@ class DetectorSuite:
                         continue
                     shared = variables(store.value_term) & value_vars
                     if shared:
-                        yield "TD", call.pc, {
+                        yield "TD", call.event.pc, {
                             "mediated_by": sorted(shared),
                             "other_writers": [hex(earlier.input.sender)],
                         }
 
     def _unchecked_calls(self, view):
-        failed = [call for call in view.report.calls if call.op in CALL_OPS and not call.success]
+        failed = [
+            call.event for call in view.report.calls
+            if call.event.op in CALL_OPS and not call.event.success
+        ]
         if not failed:
             return
         # a call is checked when a branch condition reads its status flag
@@ -239,15 +244,15 @@ class DetectorSuite:
             for constraint in view.report.constraints
             for name in variables(constraint.cond)
         }
-        for call in failed:
-            if VarInfo("callres", view.index, call.to) not in checked:
-                yield "UE", call.pc, {"op": call.op, "callee": hex(call.to)}
+        for event in failed:
+            if VarInfo("callres", view.index, event.to) not in checked:
+                yield "UE", event.pc, {"op": event.op, "callee": hex(event.to)}
 
     def _attacker_delegatecalls(self, view, views):
         if not view.trace.state_delta_applied:
             return
         for call in view.report.calls:
-            if call.op != "DELEGATECALL" or call.target_term is None:
+            if call.event.op != "DELEGATECALL" or call.target_term is None:
                 continue
             controlling = []
             for name in sorted(variables(call.target_term)):
@@ -258,8 +263,8 @@ class DetectorSuite:
                 if source is not None and self.accounts.is_attacker(source.sender):
                     controlling.append(name)
             if controlling:
-                yield "UD", call.pc, {
-                    "target": hex(call.to),
+                yield "UD", call.event.pc, {
+                    "target": hex(call.event.to),
                     "controlled_by": controlling,
                 }
 
@@ -267,19 +272,20 @@ class DetectorSuite:
         if not view.trace.state_delta_applied:
             return
         for call in view.report.calls:
-            if call.op not in ("CALL", "CALLCODE"):
+            event = call.event
+            if event.op not in ("CALL", "CALLCODE"):
                 continue
-            if not call.transferred or call.value <= 0:
+            if not event.transferred or event.value <= 0:
                 continue
-            if not self.accounts.is_attacker(call.to):
+            if not self.accounts.is_attacker(event.to):
                 continue
-            if view.received_before.get(call.to, 0) > 0:
+            if view.received_before.get(event.to, 0) > 0:
                 continue  # the recipient paid in first: refund, not leak
-            if self._address_supplied_by_non_attacker(call.to, views):
+            if self._address_supplied_by_non_attacker(event.to, views):
                 continue  # somebody trusted asked for this payout
-            yield "LE", call.pc, {
-                "to": hex(call.to),
-                "value": call.value,
+            yield "LE", event.pc, {
+                "to": hex(event.to),
+                "value": event.value,
                 "sender": hex(view.input.sender),
             }
 
@@ -303,10 +309,10 @@ class DetectorSuite:
         if not self.accounts.is_attacker(view.input.sender):
             return
         for call in view.report.calls:
-            if call.op == "SELFDESTRUCT":
-                yield "US", call.pc, {
+            if call.event.op == "SELFDESTRUCT":
+                yield "US", call.event.pc, {
                     "sender": hex(view.input.sender),
-                    "beneficiary": hex(call.to),
+                    "beneficiary": hex(call.event.to),
                 }
 
     # -- cross-transaction memory -----------------------------------------

@@ -23,8 +23,8 @@ from . import opcodes
 from .opcodes import CALL_OPS, MASK, WORD_OPS
 from .state import EmulatedState
 
-DEFAULT_GAS_BUDGET = 8_000_000
-DEFAULT_MEMORY_CAP = 16 * 1024 * 1024
+GAS_BUDGET = 8_000_000  # per transaction, at 1 gas per instruction
+MEMORY_CAP = 16 * 1024 * 1024
 STACK_LIMIT = 1024
 
 # Keccak memo bounds: preimages shorter than one rate block (136 bytes), at
@@ -90,7 +90,6 @@ class TraceRecord:
     op: str
     pc: int
     stack: tuple[int, ...]  # pre-execution snapshot, top of stack last
-    depth: int  # always 0: calls never execute code
     error: bool  # the synthetic fault step that ends a faulted trace
 
 
@@ -160,7 +159,7 @@ class TraceRecords(Sequence):
         if not 0 <= index <= last:
             raise IndexError("trace record index out of range")
         return TraceRecord(
-            trace.ops[index], trace.pcs[index], trace.stacks[index], 0,
+            trace.ops[index], trace.pcs[index], trace.stacks[index],
             trace.faulted and index == last,
         )
 
@@ -239,7 +238,7 @@ class ExecutionTrace:
                     "op": record.op,
                     "pc": record.pc,
                     "stack": [hex(item) for item in record.stack],
-                    "depth": record.depth,
+                    "depth": 0,  # calls never execute code
                     "error": record.error,
                 }
             )
@@ -317,14 +316,7 @@ class Interpreter:
     a run on its own would do.
     """
 
-    def __init__(
-        self,
-        gas_budget: int = DEFAULT_GAS_BUDGET,
-        memory_cap: int = DEFAULT_MEMORY_CAP,
-        wall_cap: float | None = None,
-    ) -> None:
-        self.gas_budget = gas_budget
-        self.memory_cap = memory_cap
+    def __init__(self, wall_cap: float | None = None) -> None:
         self.wall_cap = wall_cap  # seconds per transaction, None = unlimited
         self._digests: dict[bytes, int] = {}
         self._decoded: dict[bytes, tuple[frozenset[int], list]] = {}
@@ -347,34 +339,27 @@ class Interpreter:
         state: EmulatedState,
         creation_code: bytes,
         sender: int,
-        value: int = 0,
-        env: EnvOverrides | None = None,
         constructor_args: bytes = b"",
     ) -> tuple[int, ExecutionTrace]:
-        """Run creation code; on RETURN install the runtime code.
+        """Run creation code, sending no value, under the deployment block
+        context; on RETURN install the runtime code.
 
         Constructor arguments travel appended to the creation code, which is
         where CODECOPY-based constructor prologues expect them.
         """
-        env = env or EnvOverrides()
         nonce = state.nonces.get(sender, 0)
         state.nonces[sender] = nonce + 1
         address = _derive_address(sender, nonce)
-        if value > state.balance_of(sender):
-            raise DeployError("deployment value exceeds sender balance")
         snap = state.snapshot()
-        if value:
-            state.debit(sender, value)
-            state.credit(address, value)
         trace = self._run(
             state,
             code=creation_code + constructor_args,
             self_addr=address,
             sender=sender,
-            value=value,
+            value=0,
             data=b"",
-            gas=self.gas_budget,
-            env=env,
+            gas=GAS_BUDGET,
+            env=EnvOverrides(),
         )
         if trace.terminal != "RETURN" or not trace.state_delta_applied:
             state.restore(snap)
@@ -409,7 +394,7 @@ class Interpreter:
             sender=tx.sender,
             value=tx.value,
             data=tx.data,
-            gas=min(tx.gas_limit, self.gas_budget),
+            gas=min(tx.gas_limit, GAS_BUDGET),
             env=env,
         )
         if not trace.state_delta_applied:
@@ -467,7 +452,7 @@ class Interpreter:
             if size == 0:
                 return
             end = offset + size
-            if end > self.memory_cap:
+            if end > MEMORY_CAP:
                 raise _Fault("memory cap exceeded")
             if end > len(memory):
                 memory.extend(b"\x00" * (((end + 31) // 32) * 32 - len(memory)))

@@ -1,6 +1,5 @@
 from .engine import (
     Evaluation,
-    GaConfig,
     GeneticEngine,
     compute_fitness,
     ranking_order,
@@ -12,7 +11,6 @@ from .pools import KINDS, POOL_CAPACITY, CircularBuffer, MutationPools
 __all__ = [
     "CircularBuffer",
     "Evaluation",
-    "GaConfig",
     "GeneticEngine",
     "Individual",
     "Input",

@@ -34,13 +34,6 @@ CROSSOVER_PROBABILITY = 0.9
 MUTATION_PROBABILITY = 0.1  # per field of every input
 
 
-@dataclass
-class GaConfig:
-    # ablation switches: pair parents by storage overlap, fuzz environment
-    raw_aware: bool = True
-    env_fuzzing: bool = True
-
-
 CROSSOVER_LOG_CAP = 4096
 
 
@@ -94,13 +87,17 @@ class GeneticEngine:
         abi: ContractAbi,
         accounts: AccountSet,
         contract_address: int,
-        config: GaConfig | None = None,
+        *,
+        raw_aware: bool = True,
+        env_fuzzing: bool = True,
     ) -> None:
         self.rng = rng
         self.abi = abi
         self.accounts = accounts
         self.contract_address = contract_address
-        self.config = config or GaConfig()
+        # ablation switches: pair parents by storage overlap, fuzz environment
+        self.raw_aware = raw_aware
+        self.env_fuzzing = env_fuzzing
         self.pools = MutationPools()
         self.known_callees: set[int] = set()
         self.known_extcode_targets: set[int] = set()
@@ -162,7 +159,7 @@ class GeneticEngine:
                 (mine.storage_writes & other.storage_reads)
                 or (other.storage_writes & mine.storage_reads)
             )
-        ] if self.config.raw_aware else []
+        ] if self.raw_aware else []
         if candidates:
             partner = candidates[self._partner_cursor % len(candidates)]
             self._partner_cursor += 1
@@ -183,7 +180,7 @@ class GeneticEngine:
             self.rng.random() < CROSSOVER_PROBABILITY
             and len(a) + len(b) <= MAX_INPUTS
         ):
-            if self.config.raw_aware and (
+            if self.raw_aware and (
                 eval_b.storage_writes & eval_a.storage_reads
                 and not (eval_a.storage_writes & eval_b.storage_reads)
             ):
@@ -248,7 +245,7 @@ class GeneticEngine:
             else:
                 base = len(inp.calldata()) if inp.calldata_size is None else inp.calldata_size
                 inp.calldata_size = rng.randrange(0, max(base, 4) + 1)
-        if not self.config.env_fuzzing:
+        if not self.env_fuzzing:
             return
         # overrides must stay reversible: an input that can never get back to
         # the chain default would drift away from every replayable schedule

@@ -190,21 +190,17 @@ class ReferenceWalker:
             shadow.append(result)
             if name in ("add", "sub", "mul") and wraps(name, concretes):
                 self.report.overflows.append(
-                    OverflowEvent(self.trace.pcs[index], i, name, result, concretes)
+                    OverflowEvent(self.trace.pcs[index], name, result, concretes)
                 )
         elif op == "JUMPI":
             shadow.pop()
             cond_term = shadow.pop()
             if cond_term is not None:
-                pc = self.trace.pcs[index]
                 self.report.constraints.append(
                     PathConstraint(
-                        pc=pc,
-                        input_index=i,
+                        pc=self.trace.pcs[index],
                         cond=cond_term,
                         taken=stack[-2] != 0,
-                        true_dest=stack[-1],
-                        false_dest=pc + 1,
                     )
                 )
                 self.control_kinds |= cond_term.kinds
@@ -277,11 +273,8 @@ class ReferenceWalker:
             self.report.stores.append(
                 StoreAnnotation(
                     record_index=index,
-                    input_index=i,
                     pc=self.trace.pcs[index],
-                    raw_key=key,
                     value_term=value_term,
-                    control_kinds=self.control_kinds,
                 )
             )
         elif op == "MLOAD":
@@ -300,15 +293,7 @@ class ReferenceWalker:
             target_depth, value_depth = CALL_OPERANDS[op]
             self.report.calls.append(
                 CallAnnotation(
-                    record_index=index,
-                    input_index=i,
-                    pc=self.trace.pcs[index],
-                    op=op,
-                    to=event.to,
-                    value=event.value,
-                    gas=event.gas,
-                    success=event.success,
-                    transferred=event.transferred,
+                    event=event,
                     target_term=shadow[-target_depth] if target_depth else None,
                     value_term=shadow[-value_depth] if value_depth else None,
                     control_kinds=self.control_kinds,

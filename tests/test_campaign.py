@@ -265,8 +265,8 @@ def test_ablation_flags_reach_the_engine():
         MAGIC_GUARD,
         config=CampaignConfig(raw_aware=False, env_fuzzing=False, solver_enabled=False),
     )
-    assert campaign.engine.config.raw_aware is False
-    assert campaign.engine.config.env_fuzzing is False
+    assert campaign.engine.raw_aware is False
+    assert campaign.engine.env_fuzzing is False
     assert campaign.bridge.external is None
 
 

@@ -345,8 +345,6 @@ def test_create_is_shallow_and_deterministic():
     assert first.to != second.to
     assert state.balance_of(first.to) == 5
     assert state.code[first.to] == b""
-    # no child execution happened: every record belongs to depth zero
-    assert all(r.depth == 0 for r in trace.records)
 
     _, state2 = run(src, value=5)
     assert state2.code.keys() == state.code.keys()
@@ -406,7 +404,6 @@ def test_a_faulted_trace_flags_its_last_record_only():
     trace, _ = run("PUSH1 0x01 PUSH1 0x02 ADD POP POP")  # the second POP underflows
     assert (trace.terminal, trace.faulted) == ("INVALID", True)
     assert len(trace.records) == len(trace.ops) == 6
-    assert [r.depth for r in trace.records] == [0] * 6
     assert [r.error for r in trace.records] == [False] * 5 + [True]
     assert list(trace.jsonl()) == [
         '{"op": "PUSH1", "pc": 0, "stack": [], "depth": 0, "error": false}',
@@ -429,7 +426,7 @@ def test_records_are_built_only_when_read(monkeypatch):
     trace, _ = run("PUSH1 0x01 PUSH1 0x02 ADD POP STOP")
     assert len(trace.records) == 5
     assert built == []
-    assert trace.records[-1] == TraceRecord("STOP", 6, (), 0, False)
+    assert trace.records[-1] == TraceRecord("STOP", 6, (), False)
     assert len(built) == 1
 
 
@@ -479,7 +476,7 @@ def test_deploy_reverting_constructor_raises_and_leaves_state():
     creation = assemble("PUSH1 0x01 PUSH1 0x00 SSTORE PUSH1 0x00 PUSH1 0x00 REVERT")
     state = EmulatedState()
     with pytest.raises(DeployError):
-        Interpreter().deploy(state, creation, ACCOUNTS.deployer, value=5)
+        Interpreter().deploy(state, creation, ACCOUNTS.deployer)
     assert state.storage == {}
     assert state.balance_of(ACCOUNTS.deployer) == INITIAL_BALANCE
     assert state.code == {}

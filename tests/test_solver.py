@@ -186,11 +186,8 @@ def test_emitted_smt_means_what_the_term_means(term, values):
 # scripts and models
 
 
-def _constraint(cond, taken, pc=10, input_index=0):
-    return PathConstraint(
-        pc=pc, input_index=input_index, cond=cond, taken=taken,
-        true_dest=pc + 90, false_dest=pc + 1,
-    )
+def _constraint(cond, taken, pc=10):
+    return PathConstraint(pc=pc, cond=cond, taken=taken)
 
 
 def test_branch_script_negates_target_and_keeps_prefix():
@@ -475,6 +472,28 @@ def test_caller_guard_solves_to_the_compared_address():
     result = _flip([_constraint(cond, taken=False)], 0, {"caller_0": 0xA1})
     assert result.status == "sat"
     assert result.model == {"caller_0": owner}
+
+
+def test_candidates_are_drawn_lazily(monkeypatch):
+    # negating the `or` of 16 comparisons makes every one false: the product
+    # rule gives 2**16 candidates, and solve keeps at most MAX_CANDIDATES
+    cond = apply("lt", var("arg_0_0"), const(100))
+    for k in range(1, 16):
+        cond = apply("or", cond, apply("lt", var(f"arg_{k}_0"), const(100)))
+    drawn = []
+    solve_bool = InternalSolver._solve_bool
+
+    def counting(self, cond, want, env, free, depth):
+        for candidate in solve_bool(self, cond, want, env, free, depth):
+            if depth == 0:
+                drawn.append(candidate)
+            yield candidate
+
+    monkeypatch.setattr(InternalSolver, "_solve_bool", counting)
+    values = {f"arg_{k}_0": 5 if k == 0 else 200 for k in range(16)}
+    result = _flip([_constraint(cond, taken=True)], 0, values)
+    assert result.status == "sat"
+    assert 1 <= len(drawn) <= InternalSolver.MAX_CANDIDATES
 
 
 # ---------------------------------------------------------------------------

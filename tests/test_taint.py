@@ -89,7 +89,6 @@ def test_callvalue_branch_produces_constraint():
     assert len(report.constraints) == 1
     constraint = report.constraints[0]
     assert constraint.taken is False  # 7 != 42
-    assert constraint.input_index == 0
     assert variables(constraint.cond) == {"callvalue_0"}
     assert report.var_values["callvalue_0"] == 7
     # the recorded condition replays concretely
@@ -98,12 +97,11 @@ def test_callvalue_branch_produces_constraint():
 
 
 def test_branch_destinations_recorded():
-    [report], _ = reports_for(VALUE_GUARD, [benign_input(value=42)])
+    [report], [trace] = reports_for(VALUE_GUARD, [benign_input(value=42)])
     constraint = report.constraints[0]
     assert constraint.taken is True
-    # the taken destination is the JUMPDEST offset of `yes`
-    assert constraint.true_dest == VALUE_GUARD.index(0x5B)
-    assert constraint.false_dest == constraint.pc + 1
+    # the trace records the JUMPI's taken destination, the JUMPDEST of `yes`
+    assert trace.facts.jumpis == [(constraint.pc, VALUE_GUARD.index(0x5B), True)]
 
 
 def test_second_input_gets_its_own_index():
@@ -494,11 +492,13 @@ def test_call_annotation_carries_terms_and_event_data():
     [report], traces = reports_for(SEND_ALL, [benign_input(value=6)])
     assert len(report.calls) == 1
     call = report.calls[0]
-    assert call.op == "CALL"
-    assert call.to == HELPER
-    assert call.value == 6
-    assert call.transferred is True
-    assert call.success == 1
+    assert call.event is traces[0].calls[0]
+    event = call.event
+    assert event.op == "CALL"
+    assert event.to == HELPER
+    assert event.value == 6
+    assert event.transferred is True
+    assert event.success == 1
     assert variables(call.value_term) == {"callvalue_0"}
     assert call.target_term is None  # PUSH20 constant
     assert call.control_kinds == frozenset()
@@ -508,8 +508,8 @@ def test_failed_create_is_annotated_as_failed():
     code = assemble("PUSH1 0x00 PUSH1 0x00 PUSH1 0x01 CALLVALUE ADD CREATE POP STOP")
     [report], _ = reports_for(code, [benign_input(value=2)])
     [create] = report.calls
-    assert (create.op, create.to, create.value) == ("CREATE", 0, 3)
-    assert (create.success, create.transferred) == (0, False)
+    assert (create.event.op, create.event.to, create.event.value) == ("CREATE", 0, 3)
+    assert (create.event.success, create.event.transferred) == (0, False)
     assert variables(create.value_term) == {"callvalue_0"}
 
 
@@ -544,7 +544,6 @@ def test_control_kinds_stick_after_tainted_branch():
     assert len(report.calls) == 1
     assert "timestamp" in report.calls[0].control_kinds
     assert len(report.stores) == 1
-    assert "timestamp" in report.stores[0].control_kinds
 
 
 def test_call_status_is_a_fuzzable_source():
@@ -706,7 +705,7 @@ ONE_ARG_ABI = parse_abi(
 def blamed_revert(name):
     """A reverted trace and a report whose last guard reads only ``name``."""
     trace = ExecutionTrace([], [], [], terminal="REVERT", state_delta_applied=False)
-    report = TaintReport(0, constraints=[PathConstraint(0, 0, var(name), False, 1, 2)])
+    report = TaintReport(0, constraints=[PathConstraint(0, var(name), False)])
     return trace, report
 
 
@@ -820,7 +819,7 @@ def test_guard_revert_purges_the_argument_whose_head_word_it_read():
     traces, _ = execute(guard, [inp])
     assert traces[0].terminal == "REVERT"
     reports = taint_individual([inp], traces)
-    assert variables(reports[0].final_constraint().cond) == {"arg_2_0"}
+    assert variables(reports[0].constraints[-1].cond) == {"arg_2_0"}
     assert purge_reverting_values([inp], traces, reports, pools) == 1
     assert pools.pick("argument", (fn.selector, 1)) is None  # b's 7 evicted
     assert pools.pick("argument", (fn.selector, 2)) == 9  # c's 9 kept
@@ -924,7 +923,7 @@ def test_huge_copy_sizes_fault_and_the_walk_stops(op, size):
     [report] = taint_individual([inp], traces)
     assert time.monotonic() - started < 5.0
     faulting_op = len(traces[0].records) - 2
-    assert all(call.record_index < faulting_op for call in report.calls)
+    assert all(call.event.record_index < faulting_op for call in report.calls)
 
 
 # 15 MiB: under the memory cap, so the copy executes

@@ -9,9 +9,12 @@ prefix).
 
 Queries go to an external SMT-LIB 2 solver process when one is installed.
 When none is available — or it gives up — an internal word-level solver
-takes over: it derives candidate assignments by inverting the condition's
-operation chain around observed concrete values, then verifies candidates
-by concrete evaluation, so anything it returns is a real model.
+takes over.  It derives candidate assignments from two tables: one relation
+table (``_RELATIONS``) says which values a condition's sides should take,
+and one inverse table (``_INVERSES``) passes a target down through each
+word op to the operand that holds a fuzzable variable, around the other
+operand's observed concrete value.  It then verifies candidates by concrete
+evaluation, so anything it returns is a real model.
 """
 
 from __future__ import annotations
@@ -21,9 +24,10 @@ import shutil
 import subprocess
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
-from ..evm.opcodes import WORD, signed
+from ..evm.opcodes import WORD
 from . import expr
 from .expr import MASK, Term, evaluate, variables
 from .taint import FUZZABLE_KINDS, PathConstraint, parse_var
@@ -284,19 +288,71 @@ class ExternalSolver:
 # internal fallback
 
 
-def _modinv(a: int) -> int | None:
-    if a % 2 == 0:
-        return None
-    return pow(a, -1, WORD)
+def _mul_inverse(target: int, factor: int, own) -> tuple[int, ...]:
+    if factor & 1:  # odd factors are units mod 2**256
+        return (target * pow(factor, -1, WORD),)
+    if factor and target % factor == 0:
+        return (target // factor,)
+    return ()
+
+
+def _and_inverse(target: int, mask: int, own) -> Iterator[int]:
+    if target & ~mask & MASK:
+        return  # the target has bits the mask clears
+    yield target
+    own_value = own()
+    if own_value is not None:  # the operand's own bits where the mask clears them
+        yield (own_value & ~mask & MASK) | target
+
+
+# Term op -> (operand position, inverse) for each operand the internal solver
+# can solve for.  The inverse takes the target, the other operand's value (0
+# for a unary op) and a thunk for the operand's own value, and returns the
+# values the operand must take for the op to yield the target; the solver
+# masks them to words.  Shift amounts and SIGNEXTEND's byte index are the
+# first operand, as on the stack.
+_INVERSES = {
+    "add": ((0, lambda t, o, own: (t - o,)), (1, lambda t, o, own: (t - o,))),
+    "sub": ((0, lambda t, o, own: (t + o,)), (1, lambda t, o, own: (o - t,))),
+    "xor": ((0, lambda t, o, own: (t ^ o,)), (1, lambda t, o, own: (t ^ o,))),
+    "not": ((0, lambda t, o, own: (MASK ^ t,)),),
+    "mul": ((0, _mul_inverse), (1, _mul_inverse)),
+    "div": ((0, lambda t, o, own: (t * o,) if o else ()),),
+    "shl": ((1, lambda t, o, own: (t >> o,) if o < 256 else ()),),
+    "shr": ((1, lambda t, o, own: (t << o,) if o < 256 else ()),),
+    "and": ((0, _and_inverse), (1, _and_inverse)),
+    "signextend": ((1, lambda t, o, own: (t,)),),
+}
+
+# Relation -> (negation, mirror, offsets, bounds): the relation that holds
+# when it does not, the same relation with its operands swapped, and the
+# values an adjustable left side tries, tightest first: the right side's
+# value plus each offset, then each bound.  The term ops are eq, lt, gt, slt
+# and sgt; the others only arise as negations.
+_RELATIONS = {
+    "eq": ("ne", "eq", (0,), ()),
+    "ne": ("eq", "ne", (1,), ()),
+    "lt": ("ge", "gt", (-1, -2), (0,)),
+    "gt": ("le", "lt", (1, 2), (MASK,)),
+    "slt": ("sge", "sgt", (-1, -2), (1 << 255,)),
+    "sgt": ("sle", "slt", (1, 2), ((1 << 255) - 1,)),
+    "ge": ("lt", "le", (0, 1), ()),
+    "le": ("gt", "ge", (0, -1), ()),
+    "sge": ("slt", "sle", (0, 1), ()),
+    "sle": ("sgt", "sge", (0, -1), ()),
+}
 
 
 class InternalSolver:
     """Inverse-propagation solver for chains of invertible word operations.
 
-    Complete enough for the guard shapes compilers emit around a single
-    fuzzable quantity (comparisons over add/sub/xor/not/mul-by-odd chains);
-    says "unknown" rather than guessing wrong, and only returns models that
-    re-evaluate correctly against the full constraint prefix.
+    A condition's relations, ``iszero`` and ``and``/``or`` set the values
+    its sides should take (``_RELATIONS``); each word op on the way down to
+    a fuzzable variable is inverted around the other operand's observed
+    value (``_INVERSES``).  Complete enough for the guard shapes compilers
+    emit around a single fuzzable quantity; says "unknown" rather than
+    guessing wrong, and only returns models that re-evaluate correctly
+    against the full constraint prefix.
     """
 
     MAX_CANDIDATES = 256
@@ -378,176 +434,60 @@ class InternalSolver:
         op = cond.op
         if op == "iszero":
             yield from self._solve_bool(cond.args[0], not want, env, free, depth + 1)
-            return
-        if op == "eq":
-            a, b = cond.args
-            if want:
-                yield from self._unify_pair(a, b, env, free, depth)
-            else:
-                for other, target in ((a, b), (b, a)):
-                    value = self._eval(target, env)
-                    if value is not None:
-                        yield from self._unify(other, (value + 1) & MASK, env, free, depth)
-            return
-        if op in ("lt", "gt", "slt", "sgt"):
+        elif op in _RELATIONS:
             yield from self._solve_compare(cond, want, env, free, depth)
-            return
-        if op == "and":
-            if want:
-                for left in self._solve_bool(cond.args[0], True, env, free, depth + 1):
-                    for right in self._solve_bool(cond.args[1], True, env, free, depth + 1):
-                        merged = self._merge(left, right)
-                        if merged is not None:
-                            yield merged
-                    yield left
-            else:
-                yield from self._solve_bool(cond.args[0], False, env, free, depth + 1)
-                yield from self._solve_bool(cond.args[1], False, env, free, depth + 1)
-            return
-        if op == "or":
-            if want:
-                yield from self._solve_bool(cond.args[0], True, env, free, depth + 1)
-                yield from self._solve_bool(cond.args[1], True, env, free, depth + 1)
-            else:
-                for left in self._solve_bool(cond.args[0], False, env, free, depth + 1):
-                    for right in self._solve_bool(cond.args[1], False, env, free, depth + 1):
-                        merged = self._merge(left, right)
-                        if merged is not None:
-                            yield merged
-            return
-        # arbitrary word used as a condition
-        if want:
-            yield from self._unify(cond, 1, env, free, depth)
-        else:
-            yield from self._unify(cond, 0, env, free, depth)
+        elif op in ("and", "or"):
+            first, second = (
+                partial(self._solve_bool, arg, want, env, free, depth + 1) for arg in cond.args
+            )
+            if want != (op == "and"):  # a truthy or, a zero and: either side will do
+                yield from first()
+                yield from second()
+                return
+            for left in first():  # a truthy and, a zero or: both sides at once
+                for right in second():
+                    merged = self._merge(left, right)
+                    if merged is not None:
+                        yield merged
+                if op == "and":
+                    yield left  # the right side may be truthy already
+        else:  # an arbitrary word used as a condition
+            yield from self._unify(cond, int(want), env, free, depth)
 
     def _solve_compare(self, cond, want, env, free, depth):
-        op = cond.op
-        if not want:
-            op = {"lt": "ge", "gt": "le", "slt": "sge", "sgt": "sle"}[op]
+        relation = cond.op if want else _RELATIONS[cond.op][0]
         a, b = cond.args
-        a_val = self._eval(a, env)
-        b_val = self._eval(b, env)
-        is_signed = op in ("slt", "sgt", "sge", "sle")
-
-        def boundaries(op_now, other_val):
-            # target values for the adjustable side, tightest first
-            if other_val is None:
-                return []
-            o = signed(other_val) if is_signed else other_val
-            if op_now in ("lt", "slt"):
-                return [o - 1, o - 2, 0 if not is_signed else -(1 << 255)]
-            if op_now in ("gt", "sgt"):
-                return [o + 1, o + 2, MASK if not is_signed else (1 << 255) - 1]
-            if op_now in ("ge", "sge"):
-                return [o, o + 1]
-            return [o, o - 1]  # le / sle
-
-        flip = {"lt": "gt", "gt": "lt", "slt": "sgt", "sgt": "slt",
-                "ge": "le", "le": "ge", "sge": "sle", "sle": "sge"}
-        for side, other_val, op_now in ((a, b_val, op), (b, a_val, flip[op])):
-            if self._ground(side, free):
-                continue
-            for target in boundaries(op_now, other_val):
-                yield from self._unify(side, target & MASK, env, free, depth)
-
-    def _unify_pair(self, a, b, env, free, depth):
-        for side, other in ((a, b), (b, a)):
+        for side, other, held in ((a, b, relation), (b, a, _RELATIONS[relation][1])):
             if self._ground(side, free):
                 continue
             value = self._eval(other, env)
-            if value is not None:
-                yield from self._unify(side, value, env, free, depth)
+            if value is None:
+                continue
+            _, _, offsets, bounds = _RELATIONS[held]
+            for target in (*(value + offset for offset in offsets), *bounds):
+                yield from self._unify(side, target, env, free, depth)
 
     def _unify(self, term, target, env, free, depth):
-        """Assignments that could make term evaluate to target."""
+        """Assignments that could make term evaluate to target: a free
+        variable takes it, and an op in ``_INVERSES`` hands each operand it
+        can solve for the values that operand must take."""
         if depth > 24:
             return
         target &= MASK
-        op = term.op
-        if op == "var":
+        if term.op == "var":
             if term.name in free:
                 yield {term.name: target}
             return
-        if op == "const":
-            return
-        if op == "add":
-            a, b = term.args
-            for x, y in ((a, b), (b, a)):
-                y_val = self._eval(y, env)
-                if y_val is not None and not self._ground(x, free):
-                    yield from self._unify(x, (target - y_val) & MASK, env, free, depth + 1)
-            return
-        if op == "sub":
-            a, b = term.args
-            b_val = self._eval(b, env)
-            if b_val is not None and not self._ground(a, free):
-                yield from self._unify(a, (target + b_val) & MASK, env, free, depth + 1)
-            a_val = self._eval(a, env)
-            if a_val is not None and not self._ground(b, free):
-                yield from self._unify(b, (a_val - target) & MASK, env, free, depth + 1)
-            return
-        if op == "xor":
-            a, b = term.args
-            for x, y in ((a, b), (b, a)):
-                y_val = self._eval(y, env)
-                if y_val is not None and not self._ground(x, free):
-                    yield from self._unify(x, target ^ y_val, env, free, depth + 1)
-            return
-        if op == "not":
-            yield from self._unify(term.args[0], MASK ^ target, env, free, depth + 1)
-            return
-        if op == "mul":
-            a, b = term.args
-            for x, y in ((a, b), (b, a)):
-                y_val = self._eval(y, env)
-                if y_val is None or self._ground(x, free):
-                    continue
-                inverse = _modinv(y_val) if y_val else None
-                if inverse is not None:
-                    yield from self._unify(x, (target * inverse) & MASK, env, free, depth + 1)
-                elif y_val and target % y_val == 0:
-                    yield from self._unify(x, (target // y_val) & MASK, env, free, depth + 1)
-            return
-        if op == "div":
-            a, b = term.args
-            b_val = self._eval(b, env)
-            if b_val and not self._ground(a, free):
-                yield from self._unify(a, (target * b_val) & MASK, env, free, depth + 1)
-            return
-        if op == "shl":
-            s, v = term.args
-            s_val = self._eval(s, env)
-            if s_val is not None and s_val < 256 and not self._ground(v, free):
-                yield from self._unify(v, target >> s_val, env, free, depth + 1)
-            return
-        if op == "shr":
-            s, v = term.args
-            s_val = self._eval(s, env)
-            if s_val is not None and s_val < 256 and not self._ground(v, free):
-                yield from self._unify(v, (target << s_val) & MASK, env, free, depth + 1)
-            return
-        if op == "and":
-            a, b = term.args
-            for x, y in ((a, b), (b, a)):
-                y_val = self._eval(y, env)
-                if y_val is None or self._ground(x, free):
-                    continue
-                if target & ~y_val & MASK:
-                    continue  # impossible: target has bits the mask clears
-                x_val = self._eval(x, env)
-                yield from self._unify(x, target, env, free, depth + 1)
-                if x_val is not None:
-                    keep_high = (x_val & ~y_val & MASK) | target
-                    yield from self._unify(x, keep_high, env, free, depth + 1)
-            return
-        if op == "signextend":
-            k, x = term.args
-            k_val = self._eval(k, env)
-            if k_val is not None and not self._ground(x, free):
-                yield from self._unify(x, target, env, free, depth + 1)
-            return
-        # everything else (sha3, mix, exp, ...) is not invertible here
+        args = term.args
+        for position, inverse in _INVERSES.get(term.op, ()):
+            side = args[position]
+            if self._ground(side, free):
+                continue
+            other = self._eval(args[1 - position], env) if len(args) == 2 else 0
+            if other is None:
+                continue
+            for value in inverse(target, other, partial(self._eval, side, env)):
+                yield from self._unify(side, value, env, free, depth + 1)
 
     def _merge(self, left: dict, right: dict) -> dict | None:
         merged = dict(left)

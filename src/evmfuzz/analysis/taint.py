@@ -132,7 +132,6 @@ class StoreAnnotation:
 
 @dataclass
 class TaintReport:
-    input_index: int
     constraints: list[PathConstraint] = field(default_factory=list)
     overflows: list[OverflowEvent] = field(default_factory=list)
     calls: list[CallAnnotation] = field(default_factory=list)
@@ -275,9 +274,10 @@ class TaintTracker:
         self.realignments = 0  # should stay zero; misalignment means a bug
 
     def run_input(self, input_index: int, inp, trace: ExecutionTrace) -> TaintReport:
-        """Walk the trace ``inp`` produced; the walk reads the calldata and
-        everything else it needs from ``trace``."""
-        report = TaintReport(input_index=input_index)
+        """Walk the trace ``inp`` produced, naming its variables after
+        ``input_index``; the walk reads the calldata and everything else it
+        needs from ``trace``, not from ``inp``."""
+        report = TaintReport()
         storage_before = dict(self._storage)
         walker = _Walker(self, input_index, trace, report)
         walker.walk()
@@ -385,6 +385,9 @@ class _Walker:
             end -= 1  # the synthetic fault step: nothing executes past it
             if end and pcs[end - 1] == pcs[end]:
                 end -= 1  # it repeats the pc of the op that raised, unfinished
+        elif trace.terminal == "TIMEOUT" and end and ops[end - 1] in _CALL_OPERANDS \
+                and end - 1 not in self.events:
+            end -= 1  # the clock cut it short inside a memory region, unfinished
         steps, self.realignments = self.tracker.plans.plan(tuple(ops[:end]), stacks)
         terms = self.terms = [None] * (end + 1)  # the last one for _NEVER
         for index, kind, name, operands in steps:

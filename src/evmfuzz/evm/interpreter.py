@@ -18,7 +18,7 @@ from typing import Iterator
 import json
 import time
 
-from ..keccak import RATE_BYTES, keccak256
+from ..keccak import DEADLINE_CHECK_BYTES, RATE_BYTES, keccak256
 from . import opcodes
 from .opcodes import CALL_OPS, MASK, WORD_OPS
 from .state import EmulatedState
@@ -454,6 +454,11 @@ class Interpreter:
             end = offset + size
             if end > MEMORY_CAP:
                 raise _Fault("memory cap exceeded")
+            # one step over a region this large can cost as much as the steps
+            # between clock checkpoints, so the clock is read before it
+            if size >= DEADLINE_CHECK_BYTES and give_up_at is not None:
+                if time.monotonic() > give_up_at:
+                    raise TimeoutError("a memory region ran past the wall cap")
             if end > len(memory):
                 memory.extend(b"\x00" * (((end + 31) // 32) * 32 - len(memory)))
 
@@ -693,7 +698,7 @@ class Interpreter:
             except _Fault:
                 faulted = True
                 break
-            except TimeoutError:  # a SHA3 region took the step past the wall cap
+            except TimeoutError:  # a large memory region met the wall cap
                 terminal = "TIMEOUT"
                 applied = False
                 break

@@ -88,6 +88,12 @@ class Input:
                 f"{addr:#x}": [success, ret.hex()]
                 for addr, (success, ret) in sorted(self.env.call_results.items())
             },
+            "returndata_sizes": {
+                f"{addr:#x}": size for addr, size in sorted(self.env.returndata_sizes.items())
+            },
+            "extcode_sizes": {
+                f"{addr:#x}": size for addr, size in sorted(self.env.extcode_sizes.items())
+            },
         }
 
 

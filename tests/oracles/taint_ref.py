@@ -57,7 +57,7 @@ class ReferenceTracker:
         self.realignments = 0
 
     def run_input(self, input_index, inp, trace):
-        report = TaintReport(input_index=input_index)
+        report = TaintReport()
         storage_before = dict(self.storage)
         walker = ReferenceWalker(self, input_index, trace, report)
         walker.walk()
@@ -160,6 +160,9 @@ class ReferenceWalker:
             end -= 1
             if end and pcs[end - 1] == pcs[end]:
                 end -= 1
+        elif trace.terminal == "TIMEOUT" and end and ops[end - 1] in CALL_OPERANDS \
+                and end - 1 not in self.events:
+            end -= 1
         for index in range(end):
             op, stack = ops[index], trace.stacks[index]
             if len(self.shadow) != len(stack):

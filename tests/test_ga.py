@@ -352,6 +352,17 @@ def test_fingerprint_is_content_based():
     assert other.fingerprint() != ind.fingerprint()
 
 
+@pytest.mark.parametrize("sizes", ["returndata_sizes", "extcode_sizes"])
+def test_fingerprint_names_the_injected_sizes(sizes):
+    # execution reads both maps, so inputs that differ only there must not
+    # share a fingerprint (trace dump file names, Finding.individual)
+    ind = make_engine().initial_population()[0]
+    other = ind.copy()
+    getattr(other.inputs[0].env, sizes)[0xCD] = 7
+    assert other.fingerprint() != ind.fingerprint()
+    assert other.describe()[0][sizes] == {"0xcd": 7}
+
+
 def test_reinitialize_keeps_pools():
     engine = make_engine()
     engine.pools.insert("timestamp", engine.abi.functions[0].selector, 42)

@@ -26,7 +26,7 @@ from evmfuzz.ga import Individual, Input
 from evmfuzz.keccak import keccak256
 
 from fixtures import GUARDED_ADD, MINI_CORPUS, OWNED_PROXY, SAFE_ASSERT, TOKEN_SALE
-from oracles import bigint_ref
+from oracles import bigint_ref, taint_ref
 from oracles.keccak_ref import keccak256_reference
 
 ACCOUNTS = AccountSet()
@@ -557,6 +557,38 @@ def test_wall_cap_cuts_a_long_sha3_short():
     assert trace.ops[-1] == "SHA3" and not trace.sha3_preimages
     # the analyses take the cut trace like any other
     reports = taint_individual([inp], [trace])
+    assert trace.facts.write_keys == {0}
+    DetectorSuite(accounts, CONTRACT, code).inspect(Individual([inp]), [trace], reports, [{}])
+
+
+@pytest.mark.parametrize("region", [
+    "PUSH3 0xFFFFE0 PUSH1 0x00 PUSH1 0x20 CODECOPY",
+    "PUSH3 0xFFFFE0 PUSH1 0x00 PUSH1 0x20 CALLDATACOPY",
+    "PUSH3 0xFFFFE0 PUSH1 0x20 LOG0",
+    "PUSH3 0xFFFFE0 PUSH1 0x20 PUSH1 0x00 PUSH1 0x00 PUSH2 0x9999 PUSH1 0x00 STATICCALL POP",
+    "PUSH1 0x00 PUSH1 0x00 PUSH3 0xFFFFE0 PUSH1 0x20 PUSH2 0x9999 PUSH1 0x00 STATICCALL POP",
+    "PUSH3 0xFFFFE0 PUSH1 0x20 PUSH1 0x00 CREATE POP",
+], ids=["CODECOPY", "CALLDATACOPY", "LOG0", "STATICCALL-out", "STATICCALL-in", "CREATE"])
+def test_wall_cap_cuts_a_loop_over_a_large_region_short(region):
+    # each step reads or copies a region that ends at the memory cap, some
+    # milliseconds, so the steps between two clock checkpoints take seconds
+    accounts = AccountSet()
+    state = EmulatedState(accounts)
+    code = assemble(f"PUSH1 0x01 PUSH1 0x00 SSTORE loop: JUMPDEST {region} PUSH @loop JUMP")
+    state.code[CONTRACT] = code
+    inp = Input(fn=None, sender=accounts.benign)
+    started = time.monotonic()
+    trace = Interpreter(wall_cap=0.05).execute(state, inp.transaction(CONTRACT), inp.env)
+    assert time.monotonic() - started < 0.05 + 0.5
+    assert trace.terminal == "TIMEOUT"
+    assert trace.state_delta_applied is False
+    assert state.storage == {}
+    assert len(trace.ops) == trace.gas_used
+    # the step the clock cut short may be a call or create with no CallEvent;
+    # the analyses take the cut trace like any other
+    reports = taint_individual([inp], [trace])
+    assert reports == taint_ref.taint_individual([inp], [trace])
+    assert len(reports[0].calls) == len(trace.calls)
     assert trace.facts.write_keys == {0}
     DetectorSuite(accounts, CONTRACT, code).inspect(Individual([inp]), [trace], reports, [{}])
 

@@ -35,7 +35,7 @@ from .analysis import (
 )
 from .detectors import ALL_KINDS, DetectorSuite
 from .evm import EmulatedState, EnvOverrides, Interpreter, Transaction
-from .evm.interpreter import DEFAULT_CALL_RESULT, _derive_address
+from .evm.interpreter import DEFAULT_CALL_RESULT, GAS_BUDGET, _derive_address
 from .ga import (
     Evaluation,
     GeneticEngine,
@@ -103,6 +103,8 @@ class CampaignConfig:
             "solver_argv": list(self.solver_argv) if self.solver_argv else None,
             "detectors": list(self.detectors),
             "initial_state": [dict(tx) for tx in self.initial_state],
+            # fixed, not configurable: every instruction costs 1 gas
+            "gas_model": {"per_instruction": 1, "per_transaction_cap": GAS_BUDGET},
         }
 
 
@@ -207,16 +209,17 @@ class Campaign:
     # execution
 
     def run_individual(
-        self, individual: Individual
+        self, individual: Individual, deadline: float | None = None
     ) -> tuple[list, list[TaintReport], list[dict[int, int]]]:
-        """Execute one individual from the deployment snapshot."""
+        """Execute one individual from the deployment snapshot; each input
+        stops at the earlier of its wall cap and ``deadline``."""
         self.state.restore(self._base)
         traces = []
         received_before = []
         for inp in individual.inputs:
             received_before.append(dict(self.state.received_from))
             trace = self.interpreter.execute(
-                self.state, inp.transaction(self.address), inp.env
+                self.state, inp.transaction(self.address), inp.env, deadline
             )
             traces.append(trace)
             self.engine.observe_trace(trace)
@@ -250,8 +253,9 @@ class Campaign:
     # the generation loop
 
     def run(self) -> dict:
-        """The feedback loop.  The budget is checked after every individual;
-        the per-input wall cap bounds each execution in between.  One series
+        """The feedback loop.  The budget is checked after every individual,
+        and every input stops at the earlier of its wall cap and the end of
+        the budget, so an individual overruns neither.  One series
         point lands after every executed population, so the series is always
         one longer than the evolved-generation count.  A population the
         budget cuts short still gets its point, over the individuals that
@@ -267,7 +271,7 @@ class Campaign:
             witnesses: list[tuple[Individual, list[TaintReport]]] = []
             grew = False
             for individual in population:
-                traces, reports, received_before = self.run_individual(individual)
+                traces, reports, received_before = self.run_individual(individual, deadline)
                 for trace in traces:
                     grew = self.coverage.merge_trace(trace) or grew
                 evals.append(self._evaluate(traces, executed_before))

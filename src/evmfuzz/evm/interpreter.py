@@ -19,6 +19,7 @@ import json
 import time
 
 from ..keccak import DEADLINE_CHECK_BYTES, RATE_BYTES, keccak256
+from ..memo import TraceMemo
 from . import opcodes
 from .opcodes import CALL_OPS, MASK, WORD_OPS
 from .state import EmulatedState
@@ -32,7 +33,13 @@ STACK_LIMIT = 1024
 KECCAK_MEMO_BYTES = RATE_BYTES
 KECCAK_MEMO_ENTRIES = 4096
 
-# With a wall cap, the clock is read at every multiple of this many steps.
+# Transaction outcome memo bounds: at most this many outcomes per interpreter,
+# holding at most this many trace steps in all.
+OUTCOME_MEMO_ENTRIES = 128
+OUTCOME_MEMO_STEPS = 1 << 16
+
+# With a wall cap or a deadline, the clock is read at every multiple of this
+# many steps.
 CLOCK_STEPS = 4096
 
 # Block context the contract is deployed under; campaign env ranges start here.
@@ -164,7 +171,7 @@ class TraceRecords(Sequence):
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecutionTrace:
     """One run, recorded as three parallel columns.
 
@@ -173,6 +180,11 @@ class ExecutionTrace:
     abnormally (stack misuse, bad jump, memory cap, unassigned opcode,
     unpayable transaction); its last step is then a synthetic ``INVALID``
     that did not execute.  ``calldata`` is the data the run read.
+
+    A trace is shared: the interpreter hands the same object to every run
+    that repeats a memoized transaction, so nothing may change a trace once
+    ``execute`` returns it (its ``facts`` memo aside).  It is equal and
+    hashed by identity, which lets the taint memo key on it.
     """
 
     ops: list[str]
@@ -187,7 +199,7 @@ class ExecutionTrace:
     return_data: bytes = b""
     gas_used: int = 0
     # a plain memo: functools.cached_property takes a lock on every first read
-    _facts: TraceFacts | None = field(default=None, init=False, repr=False, compare=False)
+    _facts: TraceFacts | None = field(default=None, init=False, repr=False)
 
     @property
     def records(self) -> TraceRecords:
@@ -298,9 +310,18 @@ def _decode(code: bytes) -> tuple[frozenset[int], list]:
 class Interpreter:
     """Executes transactions and deployments against an ``EmulatedState``.
 
-    An instance memoizes two pure functions of bytes that a campaign would
+    An instance keeps three memos of pure functions that a campaign would
     otherwise recompute on nearly every transaction:
 
+    * the outcome of ``execute``, keyed by the pre-state's contents (the
+      items of its five maps), the transaction's fields and the
+      environment's: a repeat restores the stored post-state (a run that was
+      not applied stores none) and returns the stored trace, so several runs
+      share one trace object.  Two equal states that hold their items in
+      different orders only cost a miss.  A ``TIMEOUT`` trace depends on the
+      clock and is never stored.  At most ``OUTCOME_MEMO_ENTRIES`` outcomes
+      holding ``OUTCOME_MEMO_STEPS`` trace steps are kept, the oldest
+      evicted first;
     * the Keccak digests of ``SHA3`` and ``BLOCKHASH`` preimages, for
       preimages shorter than ``KECCAK_MEMO_BYTES`` and up to
       ``KECCAK_MEMO_ENTRIES`` of them (later or longer ones are hashed
@@ -312,14 +333,15 @@ class Interpreter:
       CREATE change the code at an address.
 
     The memos live on the instance, not in the process, so every campaign
-    (which owns one interpreter) starts cold and is timed doing the hashing
-    a run on its own would do.
+    (which owns one interpreter) starts cold and is timed doing the work a
+    run on its own would do.
     """
 
     def __init__(self, wall_cap: float | None = None) -> None:
-        self.wall_cap = wall_cap  # seconds per transaction, None = unlimited
+        self.wall_cap = wall_cap  # seconds per transaction; None or 0 = unlimited
         self._digests: dict[bytes, int] = {}
         self._decoded: dict[bytes, tuple[frozenset[int], list]] = {}
+        self._outcomes = TraceMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_STEPS)
 
     def _keccak_word(self, blob: bytes, deadline: float | None = None) -> int:
         """Keccak-256 of ``blob`` as a word, through the bounded memo.
@@ -372,8 +394,37 @@ class Interpreter:
         state: EmulatedState,
         tx: Transaction,
         env: EnvOverrides | None = None,
+        deadline: float | None = None,
     ) -> ExecutionTrace:
+        """Run ``tx`` against ``state``, applying its effects unless the run
+        failed.  A run ends in ``TIMEOUT`` at the earlier of the wall cap and
+        ``deadline`` (a ``time.monotonic()`` value), at once if that has
+        passed; a repeat of a memoized transaction does not run at all."""
         env = env or EnvOverrides()
+        key = (
+            tuple(state.balances.items()), tuple(state.code.items()),
+            tuple(state.storage.items()), tuple(state.received_from.items()),
+            tuple(state.nonces.items()),
+            tx.sender, tx.to, tx.value, tx.gas_limit, tx.data,
+            env.timestamp, env.block_number, tuple(env.call_results.items()),
+            tuple(env.returndata_sizes.items()), tuple(env.extcode_sizes.items()),
+        )
+        digest = hash(key)
+        outcome = self._outcomes.find(digest, key)
+        if outcome is not None:
+            trace, post = outcome
+            if post is not None:  # else the run left the state as it found it
+                state.restore(post)
+            return trace
+        trace = self._transact(state, tx, env, deadline)
+        if trace.terminal != "TIMEOUT":
+            post = state.snapshot() if trace.state_delta_applied else None
+            self._outcomes.store(digest, key, (trace, post), len(trace.ops))
+        return trace
+
+    def _transact(
+        self, state: EmulatedState, tx: Transaction, env: EnvOverrides, deadline: float | None
+    ) -> ExecutionTrace:
         code = state.code.get(tx.to, b"")
         snap = state.snapshot()
         if tx.value > state.balance_of(tx.sender):
@@ -396,6 +447,7 @@ class Interpreter:
             data=tx.data,
             gas=min(tx.gas_limit, GAS_BUDGET),
             env=env,
+            deadline=deadline,
         )
         if not trace.state_delta_applied:
             state.restore(snap)
@@ -414,6 +466,7 @@ class Interpreter:
         data: bytes,
         gas: int,
         env: EnvOverrides,
+        deadline: float | None = None,
     ) -> ExecutionTrace:
         ops: list[str] = []
         pcs: list[int] = []
@@ -435,9 +488,13 @@ class Interpreter:
         applied = True
         faulted = False
         return_data = b""
-        give_up_at = time.monotonic() + self.wall_cap if self.wall_cap else None
-        # the next step count at which the gas limit or, with a wall cap, the
-        # clock is checked: the gas limit and every multiple of CLOCK_STEPS
+        give_up_at = deadline  # the earlier of the deadline and the wall cap
+        if self.wall_cap:
+            capped = time.monotonic() + self.wall_cap
+            give_up_at = capped if deadline is None else min(capped, deadline)
+        # the next step count at which the gas limit or, with a time to give
+        # up at, the clock is checked: the gas limit and every multiple of
+        # CLOCK_STEPS, step 0 included
         checkpoint = gas if give_up_at is None else 0
 
         def push(x: int) -> None:

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from evmfuzz import campaign as campaign_module
 from evmfuzz.abi import AbiType, parse_abi
+from evmfuzz.analysis import taint as taint_module
 from evmfuzz.asm import assemble, creation_wrapper
 from evmfuzz.campaign import (
     INPUT_WALL_CAP,
@@ -13,8 +15,11 @@ from evmfuzz.campaign import (
     run_campaign,
     write_report,
 )
+from evmfuzz.evm import interpreter as interpreter_module
 from evmfuzz.ga import Individual, Input
 from evmfuzz.keccak import keccak256
+
+from fixtures import GUARDED_ADD, MINI_CORPUS, OWNED_PROXY, SAFE_ASSERT, TOKEN_SALE
 
 
 def selector(signature: str) -> bytes:
@@ -291,6 +296,10 @@ def test_report_keys_are_pinned():
         "crossovers",
     }
     assert report["seed"] == report["config"]["seed"]
+    assert report["config"]["gas_model"] == {
+        "per_instruction": 1,
+        "per_transaction_cap": 8_000_000,
+    }
     assert set(report["coverage"]) == {
         "instructions_visited",
         "instructions_total",
@@ -438,13 +447,30 @@ loop:
 )
 
 
-def test_the_budget_is_checked_between_individuals():
+ENDLESS_LOOP = assemble("loop: JUMPDEST PUSH @loop JUMP")
+
+
+def test_the_budget_is_checked_between_individuals(monkeypatch):
     campaign = Campaign(SLOW_ABI, SLOW_LOOP, config=quick_config(timeout=0.05))
     started = time.monotonic()
     report = campaign.run()
     assert time.monotonic() - started < 0.05 + INPUT_WALL_CAP
     # the cut population still gets its series point, and nothing evolves
     assert 0 < report["executions"] < campaign.engine.population_size
+    assert len(report["series"]) == 1 and report["generations"] == 0
+
+    # every input of one individual would loop until its wall cap: the budget
+    # cuts the first short and ends the rest before their first step
+    cap = 0.2
+    monkeypatch.setattr(campaign_module, "INPUT_WALL_CAP", cap)
+    campaign = Campaign(SLOW_ABI, ENDLESS_LOOP, config=quick_config(timeout=0.05))
+    sender = campaign.state.accounts.benign
+    looping = Individual([Input(fn, sender) for fn in SLOW_ABI.functions[:5]])
+    monkeypatch.setattr(campaign.engine, "initial_population", lambda: [looping])
+    started = time.monotonic()
+    report = campaign.run()
+    assert time.monotonic() - started < 0.05 + cap
+    assert report["executions"] == 5
     assert len(report["series"]) == 1 and report["generations"] == 0
 
 
@@ -541,3 +567,32 @@ def test_explicit_solver_argv_reaches_the_subprocess(monkeypatch, tmp_path):
     # the external route failing must not kill the run; the fallback still
     # gets to answer
     assert report["solver"]["attempts"] > 0
+
+
+# ---------------------------------------------------------------------------
+# memoized outcomes
+
+
+CORPUS = [TOKEN_SALE, SAFE_ASSERT, GUARDED_ADD, OWNED_PROXY, *MINI_CORPUS.values()]
+
+
+def fixture_report(compiled) -> dict:
+    report = run_campaign(
+        compiled.abi(),
+        compiled.runtime,
+        creation_code=compiled.creation,
+        constructor_args=compiled.constructor_args,
+        config=CampaignConfig(seed=1, generations=15),
+        contract_balance=compiled.contract_balance,
+    )
+    # timing fields aside
+    del report["elapsed_seconds"]
+    report["series"] = [coverage for _, coverage in report["series"]]
+    return report
+
+
+def test_the_memos_change_no_report(monkeypatch):
+    memoized = [fixture_report(compiled) for compiled in CORPUS]
+    monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_ENTRIES", 0)
+    monkeypatch.setattr(taint_module, "WALK_MEMO_ENTRIES", 0)
+    assert [fixture_report(compiled) for compiled in CORPUS] == memoized

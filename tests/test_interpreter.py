@@ -692,8 +692,8 @@ def test_each_code_is_decoded_once_per_interpreter(monkeypatch):
     monkeypatch.setattr(opcodes, "valid_jumpdests", counting)
     interpreter = Interpreter()
     loop = assemble("PUSH1 0x03 loop: JUMPDEST PUSH1 0x01 SWAP1 SUB DUP1 PUSH @loop JUMPI STOP")
-    for _ in range(5):
-        trace, _ = run(loop, interpreter=interpreter)
+    for attempt in range(5):  # each at its own timestamp: no outcome is reused
+        trace, _ = run(loop, interpreter=interpreter, env=EnvOverrides(timestamp=attempt))
         assert trace.terminal == "STOP"
     run(b"\x00", interpreter=interpreter)
     assert scanned == [loop, b"\x00"]
@@ -724,8 +724,9 @@ def test_sha3_digests_stay_exact_through_the_memo(size):
     interpreter = Interpreter()
     preimage = bytes((7 * i + size) & 0xFF for i in range(size))
     expected = int.from_bytes(keccak256_reference(preimage), "big")
-    for _ in range(2):  # the first run fills the memo, the second reads it
-        trace, _ = run(HASH_CALLDATA, data=preimage, interpreter=interpreter)
+    for attempt in range(2):  # the first run fills the memo, the second reads it
+        env = EnvOverrides(timestamp=attempt)  # no outcome is reused
+        trace, _ = run(HASH_CALLDATA, data=preimage, interpreter=interpreter, env=env)
         assert returned_word(trace) == expected
         assert trace.sha3_preimages == {expected: preimage}
     # only preimages shorter than one rate block are kept
@@ -736,8 +737,9 @@ def test_blockhash_goes_through_the_memo():
     interpreter = Interpreter()
     preimage = b"blockhash" + (7).to_bytes(32, "big")
     expected = int.from_bytes(keccak256_reference(preimage), "big")
-    for _ in range(2):
-        trace, _ = run(f"PUSH1 0x07 BLOCKHASH {RETURN_TOP}", interpreter=interpreter)
+    for attempt in range(2):
+        trace, _ = run(f"PUSH1 0x07 BLOCKHASH {RETURN_TOP}", interpreter=interpreter,
+                       env=EnvOverrides(timestamp=attempt))
         assert returned_word(trace) == expected
     assert interpreter._digests == {preimage: expected}
 
@@ -761,9 +763,102 @@ def test_keccak_memo_stays_within_its_bound():
     assert len(interpreter._digests) == KECCAK_MEMO_ENTRIES
     # the second run reads the first 4096 keys from the memo and hashes the
     # rest again; every digest must match the first run's, all computed afresh
-    second, _ = run(source, interpreter=interpreter)
+    second, _ = run(source, interpreter=interpreter, env=EnvOverrides(timestamp=1))
+    assert second is not first
     assert second.sha3_preimages == first.sha3_preimages
     assert len(interpreter._digests) == KECCAK_MEMO_ENTRIES
     hashed = list(first.sha3_preimages.items())
     for digest, preimage in hashed[::97] + hashed[-64:]:
         assert int.from_bytes(keccak256(preimage), "big") == digest
+
+
+# ---------------------------------------------------------------------------
+# the outcome memo and the campaign deadline
+
+ENDLESS = "loop: JUMPDEST PUSH @loop JUMP"
+# about 57 000 steps, then STOP
+COUNTDOWN = "PUSH2 0x2000 loop: JUMPDEST PUSH1 0x01 SWAP1 SUB DUP1 PUSH @loop JUMPI STOP"
+
+
+def run_until(source, interpreter, deadline):
+    state = EmulatedState()
+    state.code[CONTRACT] = assemble(source)
+    tx = Transaction(sender=ACCOUNTS.benign, to=CONTRACT, value=0, gas_limit=8_000_000, data=b"")
+    return interpreter.execute(state, tx, EnvOverrides(), deadline), state
+
+
+@pytest.mark.parametrize("wall_cap", [None, 0, 60.0])
+def test_a_spent_budget_ends_the_input_in_timeout(wall_cap):
+    # a cap of 0 or None means no cap, but the deadline still binds
+    started = time.monotonic()
+    trace, _ = run_until(ENDLESS, Interpreter(wall_cap=wall_cap), deadline=started - 1.0)
+    assert trace.terminal == "TIMEOUT" and trace.ops == []
+    assert time.monotonic() - started < 0.1
+
+
+def test_the_earlier_of_cap_and_deadline_binds():
+    started = time.monotonic()
+    trace, _ = run_until(ENDLESS, Interpreter(wall_cap=60.0), deadline=started + 0.05)
+    assert trace.terminal == "TIMEOUT"
+    assert time.monotonic() - started < 0.05 + 0.5
+    started = time.monotonic()
+    trace, _ = run_until(ENDLESS, Interpreter(wall_cap=0.05), deadline=started + 60.0)
+    assert trace.terminal == "TIMEOUT"
+    assert time.monotonic() - started < 0.05 + 0.5
+
+
+def test_a_timeout_is_run_again_not_reused():
+    interpreter = Interpreter()
+    cut, _ = run_until(COUNTDOWN, interpreter, deadline=time.monotonic() - 1.0)
+    assert cut.terminal == "TIMEOUT"
+    whole, _ = run_until(COUNTDOWN, interpreter, deadline=None)
+    assert whole.terminal == "STOP" and whole is not cut
+    # a finished run is reused, even past the deadline: it does no work
+    again, _ = run_until(COUNTDOWN, interpreter, deadline=time.monotonic() - 1.0)
+    assert again is whole
+
+
+def test_a_repeat_restores_the_post_state():
+    interpreter = Interpreter()
+    source = "CALLVALUE PUSH1 0x00 SSTORE STOP"
+    first, first_state = run(source, value=5, interpreter=interpreter)
+    second, second_state = run(source, value=5, interpreter=interpreter)
+    assert second is first
+    assert second_state.snapshot() == first_state.snapshot()
+    assert second_state.storage == {(CONTRACT, 0): 5}
+    assert second_state.received_from == {ACCOUNTS.benign: 5}
+    # a changed pre-state misses
+    state = EmulatedState()
+    state.sstore(CONTRACT, 1, 1)
+    third, state = run(source, value=5, interpreter=interpreter, state=state)
+    assert third is not first
+    assert state.storage == {(CONTRACT, 0): 5, (CONTRACT, 1): 1}
+
+
+COUNTED_LOOP = """
+    PUSH1 0x00 CALLDATALOAD
+    loop: JUMPDEST DUP1 ISZERO PUSH @done JUMPI
+    PUSH1 0x01 SWAP1 SUB PUSH @loop JUMP
+    done: JUMPDEST STOP
+"""
+
+
+@pytest.mark.parametrize("entries, steps", [(3, 1 << 16), (128, 200)])
+def test_a_full_outcome_memo_keeps_its_bounds(entries, steps, monkeypatch):
+    monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_ENTRIES", entries)
+    monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_STEPS", steps)
+    interpreter = Interpreter()
+    memo = interpreter._outcomes
+    traces = {}
+    for count in [*range(12), *range(12)]:
+        data = count.to_bytes(32, "big")
+        trace, _ = run(COUNTED_LOOP, data=data, interpreter=interpreter)
+        assert len(memo._items) <= entries and memo.held <= steps
+        fresh, _ = run(COUNTED_LOOP, data=data)
+        assert (trace.ops, trace.stacks) == (fresh.ops, fresh.stacks)
+        traces.setdefault(count, []).append(trace)
+    assert 0 < len(memo._items) < 12
+    # the oldest outcome was evicted and ran again; the newest is reused
+    assert traces[0][1] is not traces[0][0]
+    again, _ = run(COUNTED_LOOP, data=(11).to_bytes(32, "big"), interpreter=interpreter)
+    assert again is traces[11][1]

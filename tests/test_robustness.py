@@ -1,6 +1,7 @@
 """No bytecode, calldata or environment makes the per-transaction pipeline
 raise, or a transaction overrun its wall cap: execute -> taint -> slot sets,
-coverage, fitness -> detectors."""
+coverage, fitness -> detectors.  A transaction the interpreter repeats from
+its outcome memo ends as a fresh run of it would."""
 
 import time
 
@@ -138,3 +139,36 @@ def test_no_input_crashes_the_pipeline(code, batch):
             zip(trace.ops, trace.pcs, trace.stacks)
         )
         assert [r.error for r in records] == [False] * (len(records) - 1) + [trace.faulted]
+
+
+def outcome(trace, state) -> tuple:
+    return (trace.ops, trace.pcs, trace.stacks, trace.terminal, trace.faulted,
+            trace.return_data, trace.calls, trace.sha3_preimages, state.snapshot())
+
+
+def prepared(code: bytes, poke: str) -> EmulatedState:
+    state = EmulatedState(AccountSet())
+    state.code[CONTRACT] = code
+    if poke == "sstore":
+        state.sstore(CONTRACT, 0, 1)
+    elif poke == "credit":
+        state.credit(CONTRACT, 1)
+    return state
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(code=programs(), inp=inputs, poke=st.sampled_from(("none", "sstore", "credit")))
+def test_a_repeated_transaction_ends_as_a_fresh_run(code, inp, poke):
+    interpreter = Interpreter(wall_cap=WALL_CAP)
+    tx = inp.transaction(CONTRACT)
+    first = interpreter.execute(prepared(code, "none"), tx, inp.env)
+    # the second run starts from an equal state, or one that a store or a
+    # credit made different, which it must see
+    state = prepared(code, poke)
+    second = interpreter.execute(state, tx, inp.env)
+    fresh_state = prepared(code, poke)
+    fresh = Interpreter(wall_cap=WALL_CAP).execute(fresh_state, tx, inp.env)
+    reused = poke == "none" and first.terminal != "TIMEOUT"
+    assert (second is first) is reused
+    if "TIMEOUT" not in (second.terminal, fresh.terminal):
+        assert outcome(second, state) == outcome(fresh, fresh_state)

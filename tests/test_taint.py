@@ -1188,6 +1188,37 @@ def test_a_full_plan_cache_keeps_its_bound(entries, steps, monkeypatch):
     assert_walkers_agree(inputs, traces, plans)
 
 
+@pytest.mark.parametrize("entries, steps", [(3, 1 << 16), (128, 80)])
+def test_a_full_walk_memo_keeps_its_bounds(entries, steps, monkeypatch):
+    monkeypatch.setattr(taint_module, "WALK_MEMO_ENTRIES", entries)
+    monkeypatch.setattr(taint_module, "WALK_MEMO_STEPS", steps)
+    inputs = [
+        benign_input(value=7, raw_calldata=bytes(4) + count.to_bytes(32, "big"))
+        for count in range(8)
+    ]
+    traces, _ = execute(COUNTED_LOOP, inputs)
+    plans = TaintPlans()
+    for _ in range(2):
+        for inp, trace in zip(inputs, traces):
+            assert_walkers_agree([inp], [trace], plans)
+            assert len(plans.walks._items) <= entries and plans.walks.held <= steps
+    assert 0 < len(plans.walks._items) < 8
+
+
+def test_a_repeated_walk_reuses_its_report():
+    writer = benign_input(value=7)
+    traces, _ = execute(assemble("CALLVALUE PUSH1 0x00 SSTORE STOP"), [writer])
+    plans = TaintPlans()
+    first = TaintTracker(plans).run_input(0, writer, traces[0])
+    assert TaintTracker(plans).run_input(0, writer, traces[0]) is first
+    # another input position names other variables; another shadow storage
+    # may read other terms
+    assert TaintTracker(plans).run_input(1, writer, traces[0]) is not first
+    tracker = TaintTracker(plans)
+    tracker.run_input(0, writer, traces[0])
+    assert tracker.run_input(0, writer, traces[0]) is not first
+
+
 TAINT_FIXTURES = [TOKEN_SALE, SAFE_ASSERT, GUARDED_ADD, OWNED_PROXY, *MINI_CORPUS.values()]
 
 

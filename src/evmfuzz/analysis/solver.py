@@ -19,6 +19,7 @@ evaluation, so anything it returns is a real model.
 
 from __future__ import annotations
 
+import operator
 import re
 import shutil
 import subprocess
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import islice
 
-from ..evm.opcodes import WORD
+from ..evm.opcodes import WORD, signed
 from . import expr
 from .expr import MASK, Term, evaluate, variables
 from .taint import FUZZABLE_KINDS, PathConstraint, parse_var
@@ -305,41 +306,137 @@ def _and_inverse(target: int, mask: int, own) -> Iterator[int]:
         yield (own_value & ~mask & MASK) | target
 
 
-# Term op -> (operand position, inverse) for each operand the internal solver
-# can solve for.  The inverse takes the target, the other operand's value (0
-# for a unary op) and a thunk for the operand's own value, and returns the
-# values the operand must take for the op to yield the target; the solver
-# masks them to words.  Shift amounts and SIGNEXTEND's byte index are the
-# first operand, as on the stack.
+# An abstract word is a tuple (known, bits, lo, hi): the bits every
+# assignment gives the same value, those values, and an unsigned interval
+# holding every value the word can take.  The rules below map operands'
+# abstract words to the result's, soundly for every assignment.
+
+_TOP = (0, 0, 0, MASK)
+_FLAG = (MASK ^ 1, 0, 0, 1)  # a comparison's result: 0 or 1
+
+
+def _word(known: int, bits: int, lo: int = 0, hi: int = MASK) -> tuple[int, int, int, int]:
+    """An abstract word whose bits and interval tighten each other: the
+    known bits bound the interval, and the bits above the highest bit in
+    which its bounds differ are known."""
+    bits &= known
+    lo, hi = max(lo, bits), min(hi, bits | (MASK ^ known))
+    prefix = MASK ^ ((1 << (lo ^ hi).bit_length()) - 1)
+    return known | prefix, bits | (lo & prefix), lo, hi
+
+
+def _top(*operands) -> tuple[int, int, int, int]:
+    return _TOP
+
+
+def _low_known(a, b) -> int:
+    """The low bits known in both words, up to the first bit either lacks."""
+    both = a[0] & b[0]
+    return ((both + 1) & ~both) - 1
+
+
+def _trailing_zeros(a) -> int:
+    zeros = a[0] & ~a[1]
+    return ((zeros + 1) & ~zeros).bit_length() - 1
+
+
+def _shift_rule(left: bool):
+    """SHL or SHR of the second operand by a constant first operand."""
+    def rule(amount, x):
+        if amount[2] != amount[3]:
+            return _TOP
+        n = amount[2]
+        if n >= 256:
+            return _word(MASK, 0)
+        if left:
+            lo, hi = (x[2] << n, x[3] << n) if x[3] << n <= MASK else (0, MASK)
+            return _word((x[0] << n | (1 << n) - 1) & MASK, (x[1] << n) & MASK, lo, hi)
+        return _word(x[0] >> n | MASK ^ (MASK >> n), x[1] >> n, x[2] >> n, x[3] >> n)
+    return rule
+
+
+def _div_rule(x, divisor):
+    if divisor[2] != divisor[3] or not divisor[2]:
+        return _TOP
+    return _word(0, 0, x[2] // divisor[2], x[3] // divisor[2])
+
+
+def _and_rule(a, b):
+    zeros = (a[0] & ~a[1]) | (b[0] & ~b[1])
+    return _word((a[0] & b[0]) | zeros, a[1] & b[1])
+
+
+# Term op -> (abstract rule, inverses).  Each inverse is an (operand
+# position, inverse) pair for an operand the internal solver can solve for.
+# The inverse takes the target, the other operand's value (0 for a unary op)
+# and a thunk for the operand's own value, and returns the values the
+# operand must take for the op to yield the target; the solver masks them to
+# words.  Shift amounts and SIGNEXTEND's byte index are the first operand,
+# as on the stack.
 _INVERSES = {
-    "add": ((0, lambda t, o, own: (t - o,)), (1, lambda t, o, own: (t - o,))),
-    "sub": ((0, lambda t, o, own: (t + o,)), (1, lambda t, o, own: (o - t,))),
-    "xor": ((0, lambda t, o, own: (t ^ o,)), (1, lambda t, o, own: (t ^ o,))),
-    "not": ((0, lambda t, o, own: (MASK ^ t,)),),
-    "mul": ((0, _mul_inverse), (1, _mul_inverse)),
-    "div": ((0, lambda t, o, own: (t * o,) if o else ()),),
-    "shl": ((1, lambda t, o, own: (t >> o,) if o < 256 else ()),),
-    "shr": ((1, lambda t, o, own: (t << o,) if o < 256 else ()),),
-    "and": ((0, _and_inverse), (1, _and_inverse)),
-    "signextend": ((1, lambda t, o, own: (t,)),),
+    "add": (lambda a, b: _word(_low_known(a, b), a[1] + b[1]),
+            ((0, lambda t, o, own: (t - o,)), (1, lambda t, o, own: (t - o,)))),
+    "sub": (lambda a, b: _word(_low_known(a, b), a[1] - b[1]),
+            ((0, lambda t, o, own: (t + o,)), (1, lambda t, o, own: (o - t,)))),
+    "xor": (lambda a, b: _word(a[0] & b[0], a[1] ^ b[1]),
+            ((0, lambda t, o, own: (t ^ o,)), (1, lambda t, o, own: (t ^ o,)))),
+    "not": (lambda a: _word(a[0], ~a[1]), ((0, lambda t, o, own: (MASK ^ t,)),)),
+    "mul": (lambda a, b: _word((1 << min(256, _trailing_zeros(a) + _trailing_zeros(b))) - 1, 0),
+            ((0, _mul_inverse), (1, _mul_inverse))),
+    "div": (_div_rule, ((0, lambda t, o, own: (t * o,) if o else ()),)),
+    "shl": (_shift_rule(True), ((1, lambda t, o, own: (t >> o,) if o < 256 else ()),)),
+    "shr": (_shift_rule(False), ((1, lambda t, o, own: (t << o,) if o < 256 else ()),)),
+    "and": (_and_rule, ((0, _and_inverse), (1, _and_inverse))),
+    "signextend": (_top, ((1, lambda t, o, own: (t,)),)),
 }
 
-# Relation -> (negation, mirror, offsets, bounds): the relation that holds
-# when it does not, the same relation with its operands swapped, and the
-# values an adjustable left side tries, tightest first: the right side's
-# value plus each offset, then each bound.  The term ops are eq, lt, gt, slt
-# and sgt; the others only arise as negations.
+# The abstract rules of the term ops _INVERSES lacks; any op in neither
+# table (variables, sha3, mix and the rest) is top.
+_WORD_RULES = {
+    "or": lambda a, b: _word((a[0] & b[0]) | a[1] | b[1], a[1] | b[1]),
+    **dict.fromkeys(("iszero", "eq", "lt", "gt", "slt", "sgt"), lambda *operands: _FLAG),
+}
+
+
+def _may_equal(a, b) -> bool:
+    return not (a[0] & b[0] & (a[1] ^ b[1]) or a[3] < b[2] or b[3] < a[2])
+
+
+def _signed_may(test):
+    """A signed relation is decided only between two exact words."""
+    return lambda a, b: a[2] != a[3] or b[2] != b[3] or test(signed(a[2]), signed(b[2]))
+
+
+# Relation -> (negation, mirror, offsets, bounds, may hold): the relation
+# that holds when it does not, the same relation with its operands swapped,
+# the values an adjustable left side tries, tightest first (the right side's
+# value plus each offset, then each bound), and whether the relation can hold
+# between two abstract words.  The term ops are eq, lt, gt, slt and sgt; the
+# others only arise as negations.
 _RELATIONS = {
-    "eq": ("ne", "eq", (0,), ()),
-    "ne": ("eq", "ne", (1,), ()),
-    "lt": ("ge", "gt", (-1, -2), (0,)),
-    "gt": ("le", "lt", (1, 2), (MASK,)),
-    "slt": ("sge", "sgt", (-1, -2), (1 << 255,)),
-    "sgt": ("sle", "slt", (1, 2), ((1 << 255) - 1,)),
-    "ge": ("lt", "le", (0, 1), ()),
-    "le": ("gt", "ge", (0, -1), ()),
-    "sge": ("slt", "sle", (0, 1), ()),
-    "sle": ("sgt", "sge", (0, -1), ()),
+    "eq": ("ne", "eq", (0,), (), _may_equal),
+    "ne": ("eq", "ne", (1,), (), lambda a, b: not a[2] == a[3] == b[2] == b[3]),
+    "lt": ("ge", "gt", (-1, -2), (0,), lambda a, b: a[2] < b[3]),
+    "gt": ("le", "lt", (1, 2), (MASK,), lambda a, b: a[3] > b[2]),
+    "slt": ("sge", "sgt", (-1, -2), (1 << 255,), _signed_may(operator.lt)),
+    "sgt": ("sle", "slt", (1, 2), ((1 << 255) - 1,), _signed_may(operator.gt)),
+    "ge": ("lt", "le", (0, 1), (), lambda a, b: a[3] >= b[2]),
+    "le": ("gt", "ge", (0, -1), (), lambda a, b: a[2] <= b[3]),
+    "sge": ("slt", "sle", (0, 1), (), _signed_may(operator.ge)),
+    "sle": ("sgt", "sge", (0, -1), (), _signed_may(operator.le)),
+}
+
+# Boolean op -> whether a condition of that op can take the truth value
+# `want`, from whether its operands can (`can(operand, truth)`), as
+# _solve_bool reads them.  A nonzero AND needs both operands nonzero; a zero
+# AND can come from two nonzero operands, so only the word rule judges it.
+_TRUTHS = {
+    "iszero": lambda can, args, want: can(args[0], not want),
+    "and": lambda can, args, want: not want or (can(args[0], True) and can(args[1], True)),
+    "or": lambda can, args, want: (
+        (can(args[0], True) or can(args[1], True)) if want
+        else (can(args[0], False) and can(args[1], False))
+    ),
 }
 
 
@@ -353,9 +450,18 @@ class InternalSolver:
     emit around a single fuzzable quantity; says "unknown" rather than
     guessing wrong, and only returns models that re-evaluate correctly
     against the full constraint prefix.
+
+    It answers "unsat" only when the target condition alone cannot take the
+    wanted truth value: every variable, fuzzable or not, ranges over all
+    words, every subterm gets an abstract word (known bits and an unsigned
+    interval) from its op's rule, and the condition's relation, or the
+    ``_TRUTHS`` rule of its ``iszero``/``and``/``or``, cannot hold between
+    them.  A query that is unsatisfiable only through the prefix stays
+    "unknown".
     """
 
     MAX_CANDIDATES = 256
+    MAX_DEPTH = 24  # deeper subterms are top, deeper conditions unjudged
 
     def solve(
         self,
@@ -367,8 +473,10 @@ class InternalSolver:
         free = free_variables(target.cond)
         if not free:
             return SolveResult("unknown", route="internal")
-        env = dict(var_values)
         want = not target.taken
+        if not self._can_be(target.cond, want, {}, 0):
+            return SolveResult("unsat", route="internal")
+        env = dict(var_values)
         candidates = self._candidates(target.cond, want, env, free)
         seen = set()
         for candidate in islice(candidates, self.MAX_CANDIDATES):
@@ -381,6 +489,38 @@ class InternalSolver:
             if self._verifies(constraints, target_index, want, trial):
                 return SolveResult("sat", model=candidate, route="internal")
         return SolveResult("unknown", route="internal")
+
+    # -- unsat proofs -----------------------------------------------------
+
+    def _can_be(self, cond: Term, want: bool, words: dict, depth: int) -> bool:
+        """False only if no assignment gives cond the truth value want."""
+        op = cond.op
+        if op in _RELATIONS:
+            may_hold = _RELATIONS[op if want else _RELATIONS[op][0]][4]
+            return may_hold(*(self._abstract(arg, words, depth + 1) for arg in cond.args))
+        truth = _TRUTHS.get(op)
+        if truth is not None and depth < self.MAX_DEPTH:
+            can = partial(self._can_be, words=words, depth=depth + 1)
+            if not truth(can, cond.args, want):
+                return False
+        _, _, lo, hi = self._abstract(cond, words, depth)
+        return hi > 0 if want else lo == 0
+
+    def _abstract(self, term: Term, words: dict, depth: int) -> tuple[int, int, int, int]:
+        """The abstract word of term over every assignment; ``words`` keeps
+        each subterm's by identity, so shared subterms are visited once."""
+        if term.op == "const":
+            return _word(MASK, term.value)
+        word = words.get(id(term))
+        if word is None:
+            entry = _INVERSES.get(term.op)
+            rule = entry[0] if entry else _WORD_RULES.get(term.op, _top)
+            if rule is _top or depth >= self.MAX_DEPTH:
+                word = _TOP
+            else:
+                word = rule(*(self._abstract(arg, words, depth + 1) for arg in term.args))
+            words[id(term)] = word
+        return word
 
     # -- candidate generation -------------------------------------------
 
@@ -463,7 +603,7 @@ class InternalSolver:
             value = self._eval(other, env)
             if value is None:
                 continue
-            _, _, offsets, bounds = _RELATIONS[held]
+            offsets, bounds = _RELATIONS[held][2:4]
             for target in (*(value + offset for offset in offsets), *bounds):
                 yield from self._unify(side, target, env, free, depth)
 
@@ -479,7 +619,7 @@ class InternalSolver:
                 yield {term.name: target}
             return
         args = term.args
-        for position, inverse in _INVERSES.get(term.op, ()):
+        for position, inverse in _INVERSES.get(term.op, (None, ()))[1]:
             side = args[position]
             if self._ground(side, free):
                 continue

@@ -26,6 +26,7 @@ from .analysis import (
     TaintPlans,
     TaintReport,
     detect_solver,
+    free_variables,
     parse_var,
     pool_bucket,
     purge_reverting_values,
@@ -182,6 +183,10 @@ class Campaign:
         self.generations = 0
         self.executions = 0
         self._base = self.state.snapshot()
+        # (pc, want_taken) of every branch side a solver answered unsat for,
+        # never asked about again.  The answer covers the query built from
+        # one witness (for the internal solver, its target condition alone);
+        # another witness's condition at that pc is not checked again.
         self._infeasible: set[tuple[int, bool]] = set()
         self._taint_plans = TaintPlans()  # per campaign: every campaign starts cold
         self._trace_dir = Path(self.config.trace_dir) if self.config.trace_dir else None
@@ -333,6 +338,8 @@ class Campaign:
             if witness is None:
                 continue
             individual, constraints, target_index, var_values = witness
+            if not free_variables(constraints[target_index].cond):
+                continue  # nothing to solve for: no call, no budget spent
             budget -= 1
             result = self.bridge.solve_branch(constraints, target_index, var_values)
             if result.status == "sat" and result.model:
@@ -340,7 +347,6 @@ class Campaign:
                 # value got purged) is solved again from a fresh witness
                 injected.append(self._apply_model(individual, result.model))
             elif result.status == "unsat":
-                # the other side is infeasible from this prefix; don't retry
                 self._infeasible.add(key)
         return injected
 
@@ -453,6 +459,7 @@ class Campaign:
             "series": self.series,
             "findings": [finding.jsonable() for finding in self.findings],
             "solver": dict(self.bridge.stats),
+            "infeasible": [list(key) for key in sorted(self._infeasible)],
             "crossovers": list(self.engine.crossover_log),
         }
 

@@ -116,16 +116,19 @@ class DetectorSuite:
         return fresh
 
     def _detect(self, view: _InputView, views: list[_InputView]):
+        calls = bool(view.report.calls)  # seven rules only walk the calls
         yield from self._assertion_failures(view)
         yield from self._overflows_into_state(view)
-        yield from self._reentrant_calls(view)
-        yield from self._block_dependent_transfers(view)
-        yield from self._order_dependent_transfers(view, views)
-        yield from self._unchecked_calls(view)
-        yield from self._attacker_delegatecalls(view, views)
-        yield from self._ether_leaks(view, views)
+        if calls:
+            yield from self._reentrant_calls(view)
+            yield from self._block_dependent_transfers(view)
+            yield from self._order_dependent_transfers(view, views)
+            yield from self._unchecked_calls(view)
+            yield from self._attacker_delegatecalls(view, views)
+            yield from self._ether_leaks(view, views)
         yield from self._locked_ether(view)
-        yield from self._open_selfdestructs(view)
+        if calls:
+            yield from self._open_selfdestructs(view)
 
     # -- per-detector rules ---------------------------------------------
 

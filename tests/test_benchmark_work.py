@@ -20,7 +20,7 @@ import run  # noqa: E402
 PASS_DIGESTS = {
     "fixtures": "4c0d27ec961e",
     "storage": "2f6c71bcf8ad",
-    "guards": "c4e0ba52ad22",
+    "guards": "eb1d12e48691",
 }
 
 

@@ -16,6 +16,7 @@ from evmfuzz.campaign import (
     write_report,
 )
 from evmfuzz.evm import interpreter as interpreter_module
+from evmfuzz.evm.opcodes import disassemble
 from evmfuzz.ga import Individual, Input
 from evmfuzz.keccak import keccak256
 
@@ -206,6 +207,47 @@ def test_storage_gate_needs_preset_state():
     )
 
 
+def _guard(flag_ops: str, prefix: str = "") -> tuple[bytes, int]:
+    """A contract that stores only past one guard on ``set``'s argument:
+    ``flag_ops`` turns the argument into the JUMPI flag.  Returns the code
+    and the guard's JUMPI pc."""
+    code = assemble(
+        f"{prefix}PUSH1 0x04\nCALLDATALOAD\n{flag_ops}PUSH @win\nJUMPI\nSTOP\n"
+        "win:\nJUMPDEST\nPUSH1 0x01\nPUSH1 0x00\nSSTORE\nSTOP\n"
+    )
+    return code, max(pc for pc, name, _ in disassemble(code) if name == "JUMPI")
+
+
+def test_an_unsatisfiable_guard_is_asked_once():
+    # an even product is never odd: the first stagnating generation proves
+    # it, and no later one asks again
+    code, guard_pc = _guard("PUSH1 0x06\nMUL\nPUSH2 0x1235\nEQ\n")
+    report = run_campaign(MAGIC_ABI, code, config=quick_config(generations=15))
+    assert report["generations"] >= 12
+    assert report["solver"]["attempts"] == report["solver"]["unsat"] == 1
+    assert report["infeasible"] == [[guard_pc, True]]
+    assert report["coverage"]["percent"] < 100.0
+
+    code, _ = _guard("PUSH1 0x07\nMUL\nPUSH2 0x1235\nEQ\n")
+    report = run_campaign(MAGIC_ABI, code, config=quick_config(generations=15))
+    assert report["coverage"]["percent"] == 100.0
+    assert report["solver"]["sat"] >= 1
+    assert report["infeasible"] == []
+
+
+def test_a_variable_free_branch_costs_no_solver_budget(monkeypatch):
+    # the storage branch comes first and has no fuzzable variable; with a
+    # budget of one call it must not keep the magic guard from being solved
+    monkeypatch.setattr(campaign_module, "MAX_SOLVER_CALLS", 1)
+    code, _ = _guard(
+        "PUSH8 0xdeadbeef12345678\nEQ\n",
+        prefix="PUSH1 0x05\nSLOAD\nPUSH @skip\nJUMPI\nskip:\nJUMPDEST\n",
+    )
+    report = run_campaign(MAGIC_ABI, code, config=quick_config(generations=15))
+    assert report["solver"]["attempts"] >= 1
+    assert report["solver"]["sat"] >= 1
+
+
 def test_series_is_monotonic():
     report = run_campaign(MAGIC_ABI, MAGIC_GUARD, config=quick_config())
     elapsed = [point[0] for point in report["series"]]
@@ -293,6 +335,7 @@ def test_report_keys_are_pinned():
         "series",
         "findings",
         "solver",
+        "infeasible",
         "crossovers",
     }
     assert report["seed"] == report["config"]["seed"]

@@ -755,3 +755,52 @@ def test_every_kind_is_representable():
     assert set(ALL_KINDS) == {"AF", "IO", "RE", "BD", "TD", "UE", "UD", "LE", "LO", "US"}
     finding = Finding("AF", 3, 0, "abc123", {"terminal": "INVALID"})
     assert finding.jsonable()["kind"] == "AF"
+
+
+# an argument of 1 reaches INVALID (AF); any other is doubled into slot 0,
+# which wraps for large ones (IO), and the code cannot send, so accepted
+# value is locked (LO)
+CALL_FREE = assemble(
+    """
+    PUSH1 0x04
+    CALLDATALOAD
+    PUSH1 0x01
+    EQ
+    PUSH @boom
+    JUMPI
+    PUSH1 0x04
+    CALLDATALOAD
+    DUP1
+    ADD
+    PUSH1 0x00
+    SSTORE
+    STOP
+boom:
+    JUMPDEST
+    INVALID
+"""
+)
+
+_CALL_RULES = (
+    "_reentrant_calls", "_block_dependent_transfers", "_order_dependent_transfers",
+    "_unchecked_calls", "_attacker_delegatecalls", "_ether_leaks", "_open_selfdestructs",
+)
+
+
+def test_call_free_inputs_skip_the_call_detectors(monkeypatch):
+    inputs = [
+        Input(fn=None, sender=BENIGN, value=5, raw_calldata=_arg_calldata(1 << 255)),
+        Input(fn=None, sender=BENIGN, raw_calldata=_arg_calldata(1)),
+    ]
+    expected, _ = run_inputs(CALL_FREE, inputs)
+
+    def entered(self, *args):
+        raise AssertionError("a call detector ran over a call-free input")
+
+    for name in _CALL_RULES:
+        monkeypatch.setattr(DetectorSuite, name, entered)
+    findings, _ = run_inputs(CALL_FREE, inputs)
+    assert [(f.kind, f.pc, f.input_index) for f in findings] == [
+        (f.kind, f.pc, f.input_index) for f in expected
+    ]
+    assert [f.kind for f in findings] == ["IO", "LO", "AF"]

@@ -15,12 +15,14 @@ from evmfuzz.analysis.solver import (
     SmtLibWriter,
     SolverBridge,
     _INVERSES,
+    _RELATIONS,
     branch_script,
     bv,
     free_variables,
     parse_model,
 )
 from evmfuzz.analysis.taint import PathConstraint
+from evmfuzz.evm.opcodes import signed
 
 from oracles import smt_eval
 
@@ -523,7 +525,7 @@ _INVERSE_CASES = {
 
 def test_the_inverse_cases_cover_the_table():
     assert set(_INVERSE_CASES) == {
-        (op, position) for op, entries in _INVERSES.items() for position, _ in entries
+        (op, position) for op, (_, inverses) in _INVERSES.items() for position, _ in inverses
     }
 
 
@@ -603,6 +605,166 @@ def test_candidate_order_is_pinned():
                 digest.update(repr(sorted(candidate.items())).encode())
             digest.update(b"|")
     assert digest.hexdigest()[:16] == "cd2c5d8308f5de74"
+
+
+# ---------------------------------------------------------------------------
+# unsat proofs
+
+_WORDS = st.integers(min_value=0, max_value=MASK)
+_ARG = var("arg_0_0")
+
+
+def _eq(left, right, swap):
+    return apply("eq", right, left) if swap else apply("eq", left, right)
+
+
+# the unsatisfiable guard forms: no argument makes the condition true,
+# whatever the constants drawn
+_UNSAT_FORMS = {
+    "mul": lambda w, s, swap: _eq(apply("mul", const((w >> 1 << 1) or 2), _ARG), const(s | 1), swap),
+    "and": lambda w, s, swap: _eq(apply("and", const(w & ~1), _ARG), const(s | 1), swap),
+    "or": lambda w, s, swap: _eq(apply("or", const(w | 1), _ARG), const(s & ~1), swap),
+    "shr": lambda w, s, swap: _eq(
+        apply("shr", const(w % 128 + 1), _ARG), const((1 << (256 - w % 128 - 1)) + 1), swap
+    ),
+    "lt": lambda w, s, swap: apply("lt", _ARG, const(0)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_UNSAT_FORMS))
+@settings(max_examples=50, deadline=None)
+@given(w=_WORDS, s=_WORDS, swap=st.booleans(), observed=_WORDS)
+def test_unsatisfiable_guard_forms_are_proven(form, w, s, swap, observed):
+    cond = _UNSAT_FORMS[form](w, s, swap)
+    result = InternalSolver().solve([_constraint(cond, taken=False)], 0, {"arg_0_0": observed})
+    assert result.status == "unsat"
+    assert result.route == "internal"
+
+
+# the satisfiable guard forms, built around a witness x the way the guard
+# contracts build them; each must still flip to taken
+_SAT_FORMS = {
+    "eq": lambda x, w: apply("eq", const(x), _ARG),
+    "add": lambda x, w: apply("eq", const(x + w), apply("add", const(w), _ARG)),
+    "sub": lambda x, w: apply("eq", const(x - w), apply("sub", _ARG, const(w))),
+    "mul": lambda x, w: apply("eq", const(x * (w | 1)), apply("mul", const(w | 1), _ARG)),
+    "xor": lambda x, w: apply("eq", const(x ^ w), apply("xor", const(w), _ARG)),
+    "and": lambda x, w: apply("eq", const(x & w & ~1), apply("and", const(w & ~1), _ARG)),
+    "or": lambda x, w: apply("eq", const(x | w | 1), apply("or", const(w | 1), _ARG)),
+    "shr": lambda x, w: apply("eq", const(x >> (w % 128 + 1)), apply("shr", const(w % 128 + 1), _ARG)),
+    "lt": lambda x, w: apply("lt", _ARG, const(w | 1)),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_SAT_FORMS))
+@settings(max_examples=50, deadline=None)
+@given(x=_WORDS, w=_WORDS, observed=_WORDS)
+def test_satisfiable_guard_forms_still_solve(form, x, w, observed):
+    cond = _SAT_FORMS[form](x, w)
+    if evaluate(cond, {"arg_0_0": observed}):
+        return  # the observed argument already passes: no open branch
+    result = _flip([_constraint(cond, taken=False)], 0, {"arg_0_0": observed})
+    assert result.status == "sat"
+
+
+# words near the edges the rules reason about: small shift amounts and
+# divisors, powers of two, low masks, the sign bit and the top
+_EDGE_WORDS = st.one_of(
+    st.integers(min_value=0, max_value=260),
+    st.integers(min_value=0, max_value=256).map(lambda k: (1 << k) & MASK),
+    st.integers(min_value=0, max_value=256).map(lambda k: (1 << k) - 1),
+    st.sampled_from((0, 1 << 255, (1 << 255) - 1, MASK - 1, MASK)),
+    _WORDS,
+)
+_edge_terms = st.recursive(
+    st.one_of(_EDGE_WORDS.map(const), st.sampled_from(_VAR_NAMES).map(var)),
+    _extend,
+    max_leaves=8,
+)
+_edge_conditions = st.recursive(
+    st.one_of(
+        _edge_terms,
+        st.tuples(st.sampled_from(("eq", "lt", "gt", "slt", "sgt")), _edge_terms, _edge_terms)
+        .map(lambda t: apply(*t)),
+    ),
+    lambda children: st.one_of(
+        children.map(lambda c: apply("iszero", c)),
+        st.tuples(st.sampled_from(("and", "or")), children, children).map(lambda t: apply(*t)),
+    ),
+    max_leaves=4,
+)
+
+
+def _subterms(term):
+    yield term
+    for arg in term.args:
+        yield from _subterms(arg)
+
+
+@settings(max_examples=500, deadline=None)
+@given(cond=_edge_conditions, values=st.tuples(*[_EDGE_WORDS] * len(_VAR_NAMES)))
+def test_the_abstract_rules_hold_every_concrete_value(cond, values):
+    # every subterm's abstract word holds its value under any assignment,
+    # every relation that holds is judged possible, and so is the truth
+    # value the whole condition takes
+    env = dict(zip(_VAR_NAMES, values))
+    solver = InternalSolver()
+    for term in _subterms(cond):
+        value = evaluate(term, env)
+        known, bits, lo, hi = solver._abstract(term, {}, 0)
+        assert value & known == bits and lo <= value <= hi, term
+        if len(term.args) == 2:
+            a, b = (evaluate(arg, env) for arg in term.args)
+            words = [solver._abstract(arg, {}, 0) for arg in term.args]
+            sa, sb = signed(a), signed(b)
+            for relation, test in (("eq", a == b), ("ne", a != b), ("lt", a < b),
+                                   ("gt", a > b), ("ge", a >= b), ("le", a <= b),
+                                   ("slt", sa < sb), ("sgt", sa > sb),
+                                   ("sge", sa >= sb), ("sle", sa <= sb)):
+                assert _RELATIONS[relation][4](*words) or not test, (relation, term)
+    assert solver._can_be(cond, bool(evaluate(cond, env)), {}, 0)
+
+
+def _smt_truth(cond, env) -> bool:
+    """cond's truth under env, through the SMT-LIB emitter and the
+    independent evaluator; the fresh stand-ins of opaque terms and of
+    SIGNEXTEND by a symbolic index take the values the terms evaluate to."""
+    writer = SmtLibWriter()
+    body = writer.wrap_lets(writer.convert(cond))
+    env = {**env, **{name: evaluate(term, env) for term, name in writer._opaque_names.items()}}
+    smt_env = {name: (env.get(name, 0) & MASK, 256) for name in writer.declared}
+    value, _ = smt_eval.evaluate(smt_eval.parse_all(body)[0], smt_env)
+    return value != 0
+
+
+_PLANTED = st.one_of(
+    st.sampled_from((0, 1, 2, 3, 8, 0xFF, 256, 1 << 255, (1 << 255) - 1, MASK)), _WORDS
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    planted=st.tuples(*[_PLANTED] * len(_RANDOM_FREE + _RANDOM_FIXED)),
+)
+def test_a_planted_witness_is_never_answered_unsat(seed, planted):
+    # both conditions take, under the planted assignment, the outcomes the
+    # query asks for, so the query is satisfiable and unsat would be a lie
+    rng = Random(seed)
+    env = dict(zip(_RANDOM_FREE + _RANDOM_FIXED, planted))
+    prefix, target = _random_condition(rng), _random_condition(rng)
+    constraints = [
+        _constraint(prefix, taken=bool(evaluate(prefix, env)), pc=10),
+        _constraint(target, taken=not evaluate(target, env), pc=20),
+    ]
+    observed = {name: value for name, value in env.items() if rng.random() < 0.5}
+    observed.update((name, env[name]) for name in _RANDOM_FIXED)
+    result = InternalSolver().solve(constraints, 1, observed)
+    assert result.status != "unsat"
+    if result.status == "sat":
+        model_env = {**observed, **result.model}
+        assert _smt_truth(prefix, model_env) == constraints[0].taken
+        assert _smt_truth(target, model_env) != constraints[1].taken
 
 
 # ---------------------------------------------------------------------------

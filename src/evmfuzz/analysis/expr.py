@@ -94,10 +94,15 @@ def variables(term: Term) -> frozenset[str]:
     return term.names
 
 
-def contains(term: Term, needle: Term) -> bool:
+def contains(term: Term, needle: Term, searched: set[int] | None = None) -> bool:
+    """Whether needle occurs in term; ``searched`` keeps the ids of the
+    subterms searched in vain, so a subterm that taint shares (``DUP1 ADD``
+    makes ``add(t, t)``) is searched once, not once per path to it."""
     if term == needle:
         return True
-    return any(contains(arg, needle) for arg in term.args)
+    searched = set() if searched is None else searched
+    searched.add(id(term))
+    return any(id(arg) not in searched and contains(arg, needle, searched) for arg in term.args)
 
 
 # The word semantics of the EVM opcodes, named in lower case.
@@ -108,17 +113,21 @@ class EvalError(KeyError):
     pass
 
 
-def evaluate(term: Term, env: dict[str, int]) -> int:
-    if term.op == "const":
+def evaluate(term: Term, env: dict[str, int], values: dict[int, int] | None = None) -> int:
+    """``values`` keeps each compound subterm's value by identity, so a
+    shared subterm is evaluated once."""
+    op = term.op
+    if op == "const" or op in OPAQUE_OPS:
         return term.value
-    if term.op == "var":
+    if op == "var":
         try:
             return env[term.name] & MASK
         except KeyError:
             raise EvalError(term.name) from None
-    if term.op in OPAQUE_OPS:
-        return term.value
-    func = OPS.get(term.op)
-    if func is None:
-        raise EvalError(f"no semantics for op {term.op!r}")
-    return func(*(evaluate(arg, env) for arg in term.args)) & MASK
+    values = {} if values is None else values
+    if id(term) not in values:
+        func = OPS.get(op)
+        if func is None:
+            raise EvalError(f"no semantics for op {op!r}")
+        values[id(term)] = func(*(evaluate(arg, env, values) for arg in term.args)) & MASK
+    return values[id(term)]

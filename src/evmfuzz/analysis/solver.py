@@ -74,6 +74,7 @@ class SmtLibWriter:
         self._opaque_names: dict[Term, str] = {}
         self._lets: list[tuple[str, str]] = []
         self._counter = 0
+        self._bound: dict[int, str] = {}  # shared subterm id -> let name, until wrap_lets
 
     def _declare(self, name: str) -> str:
         self.declared.add(name)
@@ -95,6 +96,12 @@ class SmtLibWriter:
         return name
 
     def convert(self, term: Term) -> str:
+        """The SMT-LIB text of ``term``.  A compound subterm it reaches more
+        than once is written once, bound by a let."""
+        self._shared = _shared_subterms(term, set(), set())
+        return self._convert(term)
+
+    def _convert(self, term: Term) -> str:
         op = term.op
         if op == "const":
             return bv(term.value)
@@ -102,7 +109,13 @@ class SmtLibWriter:
             return self._declare(term.name)
         if op in expr.OPAQUE_OPS:
             return self._fresh(term, op)
-        args = [self.convert(arg) for arg in term.args]
+        if id(term) in self._bound:
+            return self._bound[id(term)]
+        if id(term) in self._shared:  # the first visit binds it; later ones take the name
+            self._shared.discard(id(term))
+            self._bound[id(term)] = self._let(self._convert(term))
+            return self._bound[id(term)]
+        args = [self._convert(arg) for arg in term.args]
         if op in _BV_OPS:
             return f"({_BV_OPS[op]} {' '.join(args)})"
         if op in _PREDICATES:
@@ -175,7 +188,20 @@ class SmtLibWriter:
         for name, smt in reversed(self._lets):
             body = f"(let (({name} {smt})) {body})"
         self._lets = []
+        self._bound = {}
         return body
+
+
+def _shared_subterms(term: Term, seen: set[int], shared: set[int]) -> set[int]:
+    """The ids of the compound subterms ``SmtLibWriter`` reaches more than
+    once in ``term``: none below an opaque op, whose operands it never writes."""
+    for arg in () if term.op in expr.OPAQUE_OPS else term.args:
+        if arg.args and id(arg) in seen:
+            shared.add(id(arg))
+        elif arg.args:
+            seen.add(id(arg))
+            _shared_subterms(arg, seen, shared)
+    return shared
 
 
 def condition_assertion(writer: SmtLibWriter, cond: Term, want_taken: bool) -> str:
@@ -548,15 +574,17 @@ class InternalSolver:
             for value in interesting:
                 yield {name: value & MASK}
 
-    def _constants(self, term: Term) -> list[int]:
+    def _constants(self, term: Term, lists: dict | None = None) -> list[int]:
+        """The constants in term, depth first, at most 32 from any subterm;
+        ``lists`` keeps each compound subterm's by identity."""
         if term.op == "const":
             return [term.value]
         if term.op == "var":
             return []
-        out = []
-        for arg in term.args:
-            out.extend(self._constants(arg))
-        return out[:32]
+        lists = {} if lists is None else lists
+        if id(term) not in lists:
+            lists[id(term)] = [c for arg in term.args for c in self._constants(arg, lists)][:32]
+        return lists[id(term)]
 
     def _ground(self, term: Term, free: frozenset[str]) -> bool:
         return not (variables(term) & free)
@@ -569,7 +597,7 @@ class InternalSolver:
 
     def _solve_bool(self, cond, want, env, free, depth):
         """Assignments aiming to make cond truthy (want) or zero (not want)."""
-        if depth > 24:
+        if depth > self.MAX_DEPTH:
             return
         op = cond.op
         if op == "iszero":
@@ -611,7 +639,7 @@ class InternalSolver:
         """Assignments that could make term evaluate to target: a free
         variable takes it, and an op in ``_INVERSES`` hands each operand it
         can solve for the values that operand must take."""
-        if depth > 24:
+        if depth > self.MAX_DEPTH:
             return
         target &= MASK
         if term.op == "var":

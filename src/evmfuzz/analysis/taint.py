@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 
 from ..evm import CallEvent, ExecutionTrace
 from ..evm.opcodes import CALL_OPS, MASK, TABLE, WORD_OPS
-from ..memo import TraceMemo
 from .expr import Term, apply, const, opaque, var
 
 # Variable kind -> (mutation pool, block value).  A kind with a pool is
@@ -133,9 +132,9 @@ class StoreAnnotation:
 
 @dataclass
 class TaintReport:
-    """What the walk of one input found.  A report is shared: the taint memo
-    hands it to every walk it repeats, so nothing may change a report once
-    ``run_input`` returns it."""
+    """What the walk of one input found.  A report is shared: it is kept
+    on the walked trace and handed to every repeat of that walk, so nothing
+    may change a report once ``run_input`` returns it."""
 
     constraints: list[PathConstraint] = field(default_factory=list)
     overflows: list[OverflowEvent] = field(default_factory=list)
@@ -212,11 +211,6 @@ _NEVER = -1
 PLAN_CACHE_ENTRIES = 1024
 PLAN_CACHE_STEPS = 1 << 17  # the total length of the cached keys
 
-# Walk memo bounds: at most this many walks per campaign, of traces holding
-# at most this many steps in all.
-WALK_MEMO_ENTRIES = 128
-WALK_MEMO_STEPS = 1 << 16
-
 
 def _plan(walked: tuple[str, ...], stacks) -> tuple[list[tuple], int]:
     """The steps of one walked ops sequence that can carry taint, and how
@@ -260,20 +254,9 @@ def _plan(walked: tuple[str, ...], stacks) -> tuple[list[tuple], int]:
 class TaintPlans(dict):
     """The taint plans of one campaign by walked ops sequence.  Every op has
     a fixed stack effect and a transaction starts on an empty stack, so the
-    walked ops alone fix which step produced each operand.
-
-    ``walks`` memoizes whole walks: the report, the shadow storage after and
-    the realignment count of one walk, keyed by the input index, the trace
-    object and the shadow storage the walk starts from.  The interpreter
-    hands out the same trace for a repeated transaction, so a repeated
-    input reuses its walk.  It keeps at most ``WALK_MEMO_ENTRIES`` walks of
-    traces holding ``WALK_MEMO_STEPS`` steps, the oldest evicted first."""
+    walked ops alone fix which step produced each operand."""
 
     steps = 0  # the total length of the keys
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.walks = TraceMemo(WALK_MEMO_ENTRIES, WALK_MEMO_STEPS)
 
     def plan(self, walked: tuple[str, ...], stacks) -> tuple[list[tuple], int]:
         plan = self.get(walked)
@@ -297,12 +280,12 @@ class TaintTracker:
     def run_input(self, input_index: int, inp, trace: ExecutionTrace) -> TaintReport:
         """Walk the trace ``inp`` produced, naming its variables after
         ``input_index``; the walk reads the calldata and everything else it
-        needs from ``trace``, not from ``inp``."""
+        needs from ``trace``, not from ``inp``.  A repeated walk, which the
+        interpreter's shared traces make common, reuses the one kept on the
+        trace."""
         before = self._storage
-        key = (input_index, trace, tuple(before.items()))
-        digest = hash(key)
-        walks = self.plans.walks
-        walked = walks.find(digest, key)
+        key = (input_index, tuple(before.items()))
+        walked = trace.walks.get(key)
         if walked is None:
             report = TaintReport()
             # the walk writes to a copy: a stored shadow storage never changes
@@ -311,8 +294,7 @@ class TaintTracker:
             walker.walk()
             if not trace.state_delta_applied:
                 self._storage = before
-            walked = report, self._storage, walker.realignments
-            walks.store(digest, key, walked, len(trace.ops))
+            walked = trace.walks[key] = report, self._storage, walker.realignments
         report, self._storage, realignments = walked
         self.realignments += realignments
         return report

@@ -21,7 +21,6 @@ from random import Random
 from .abi import ContractAbi
 from .analysis import (
     CoverageStore,
-    PathConstraint,
     SolverBridge,
     TaintPlans,
     TaintReport,
@@ -328,13 +327,15 @@ class Campaign:
             return []
         injected: list[Individual] = []
         budget = MAX_SOLVER_CALLS
-        for branch in self.coverage.find_open_branches():
+        branches = self.coverage.find_open_branches()
+        index = _witness_index(witnesses) if branches else {}
+        for branch in branches:
             if budget <= 0:
                 break
             key = (branch.pc, branch.want_taken)
             if key in self._infeasible:
                 continue
-            witness = self._find_witness(witnesses, branch.pc, not branch.want_taken)
+            witness = index.get((branch.pc, not branch.want_taken))
             if witness is None:
                 continue
             individual, constraints, target_index, var_values = witness
@@ -349,34 +350,6 @@ class Campaign:
             elif result.status == "unsat":
                 self._infeasible.add(key)
         return injected
-
-    def _find_witness(
-        self,
-        witnesses: list[tuple[Individual, list[TaintReport]]],
-        pc: int,
-        observed_taken: bool,
-    ) -> tuple[Individual, list[PathConstraint], int, dict[str, int]] | None:
-        """Locate an individual whose path went through the branch in the
-        direction we already have, along with its constraint prefix."""
-        for individual, reports in witnesses:
-            merged: list[PathConstraint] = []
-            var_values: dict[str, int] = {}
-            target = -1
-            for report in reports:
-                for constraint in report.constraints:
-                    if (
-                        target < 0
-                        and constraint.pc == pc
-                        and constraint.taken == observed_taken
-                    ):
-                        target = len(merged)
-                    merged.append(constraint)
-                # later inputs observe post-write storage; last value wins,
-                # matching what the target input actually read
-                var_values.update(report.var_values)
-            if target >= 0:
-                return individual, merged, target, var_values
-        return None
 
     # ------------------------------------------------------------------
     # writing models back into test cases
@@ -462,6 +435,21 @@ class Campaign:
             "infeasible": [list(key) for key in sorted(self._infeasible)],
             "crossovers": list(self.engine.crossover_log),
         }
+
+
+def _witness_index(witnesses: list[tuple[Individual, list[TaintReport]]]) -> dict:
+    """Each observed branch side ``(pc, taken)`` -> the first individual
+    whose path went that way, its constraints over all its inputs, the index
+    of the first one at that side, and its variables' observed values."""
+    index = {}
+    for individual, reports in witnesses:
+        merged = [constraint for report in reports for constraint in report.constraints]
+        # later inputs observe post-write storage; last value wins,
+        # matching what the target input actually read
+        var_values = {k: v for report in reports for k, v in report.var_values.items()}
+        for target, c in enumerate(merged):
+            index.setdefault((c.pc, c.taken), (individual, merged, target, var_values))
+    return index
 
 
 def _coerce_word(abi_type, value: int):

@@ -183,8 +183,8 @@ class ExecutionTrace:
 
     A trace is shared: the interpreter hands the same object to every run
     that repeats a memoized transaction, so nothing may change a trace once
-    ``execute`` returns it (its ``facts`` memo aside).  It is equal and
-    hashed by identity, which lets the taint memo key on it.
+    ``execute`` returns it (its ``facts`` memo and the taint walks kept in
+    ``walks`` aside), and it is equal only to itself.
     """
 
     ops: list[str]
@@ -200,6 +200,7 @@ class ExecutionTrace:
     gas_used: int = 0
     # a plain memo: functools.cached_property takes a lock on every first read
     _facts: TraceFacts | None = field(default=None, init=False, repr=False)
+    walks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def records(self) -> TraceRecords:

@@ -5,7 +5,8 @@ import pytest
 
 from evmfuzz import campaign as campaign_module
 from evmfuzz.abi import AbiType, parse_abi
-from evmfuzz.analysis import taint as taint_module
+from evmfuzz.analysis import OpenBranch, PathConstraint, SolveResult, TaintReport
+from evmfuzz.analysis.expr import apply, const, var
 from evmfuzz.asm import assemble, creation_wrapper
 from evmfuzz.campaign import (
     INPUT_WALL_CAP,
@@ -246,6 +247,42 @@ def test_a_variable_free_branch_costs_no_solver_budget(monkeypatch):
     report = run_campaign(MAGIC_ABI, code, config=quick_config(generations=15))
     assert report["solver"]["attempts"] >= 1
     assert report["solver"]["sat"] >= 1
+
+
+def test_the_solver_is_asked_with_the_first_witness_of_a_branch(monkeypatch):
+    # the first individual never took the branch; the second took it in
+    # both of its inputs
+    guard = apply("eq", var("arg_0_1"), const(0x1235))
+    other = PathConstraint(0x30, apply("iszero", var("callvalue_0")), True)
+    first = (Individual([]), [TaintReport(constraints=[other], var_values={"callvalue_0": 0})])
+    second_reports = [
+        TaintReport(
+            constraints=[other],
+            var_values={"callvalue_0": 0, "timestamp_0": 5},
+        ),
+        TaintReport(
+            constraints=[PathConstraint(0x40, guard, False)] * 2,
+            var_values={"arg_0_1": 7, "timestamp_0": 9},
+        ),
+    ]
+    second = (Individual([]), second_reports)
+    campaign = Campaign(MAGIC_ABI, MAGIC_GUARD)
+    monkeypatch.setattr(
+        campaign.coverage, "find_open_branches", lambda: [OpenBranch(0x40, True)]
+    )
+    asked = []
+
+    def solve_branch(constraints, target_index, var_values):
+        asked.append((list(constraints), target_index, dict(var_values)))
+        return SolveResult("unknown")
+
+    monkeypatch.setattr(campaign.bridge, "solve_branch", solve_branch)
+    assert campaign._solve_open_branches([first, second]) == []
+    assert asked == [(
+        [other, PathConstraint(0x40, guard, False), PathConstraint(0x40, guard, False)],
+        1,
+        {"callvalue_0": 0, "timestamp_0": 9, "arg_0_1": 7},
+    )]
 
 
 def test_series_is_monotonic():
@@ -493,6 +530,25 @@ loop:
 ENDLESS_LOOP = assemble("loop: JUMPDEST PUSH @loop JUMP")
 
 
+# A guard over the first argument doubled 20 times, x * 2**20 == 0x1235,
+# which no x meets: its condition is a tree of a million leaves that taint
+# builds as a chain of 20 shared subterms.
+DOUBLING_GUARD = assemble(
+    "PUSH1 0x04 CALLDATALOAD"
+    + " DUP1 ADD" * 20
+    + " PUSH2 0x1235 EQ PUSH @win JUMPI STOP win: JUMPDEST STOP"
+)
+
+
+def test_a_doubling_chain_keeps_the_campaign_within_its_budget():
+    budget = 5.0
+    started = time.monotonic()
+    config = quick_config(timeout=budget, generations=None)
+    report = run_campaign(MAGIC_ABI, DOUBLING_GUARD, config=config)
+    assert time.monotonic() - started < budget + INPUT_WALL_CAP
+    assert report["solver"]["attempts"] > 0
+
+
 def test_the_budget_is_checked_between_individuals(monkeypatch):
     campaign = Campaign(SLOW_ABI, SLOW_LOOP, config=quick_config(timeout=0.05))
     started = time.monotonic()
@@ -637,5 +693,14 @@ def fixture_report(compiled) -> dict:
 def test_the_memos_change_no_report(monkeypatch):
     memoized = [fixture_report(compiled) for compiled in CORPUS]
     monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_ENTRIES", 0)
-    monkeypatch.setattr(taint_module, "WALK_MEMO_ENTRIES", 0)
+    walked = []
+
+    def keeping_traces(inputs, traces, plans):
+        walked.extend(traces)
+        return shipped_taint(inputs, traces, plans)
+
+    shipped_taint = campaign_module.taint_individual
+    monkeypatch.setattr(campaign_module, "taint_individual", keeping_traces)
     assert [fixture_report(compiled) for compiled in CORPUS] == memoized
+    # every run got a fresh trace, so no walk was repeated on one
+    assert walked and max(len(trace.walks) for trace in walked) == 1

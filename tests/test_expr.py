@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +40,23 @@ def test_missing_variable_raises():
 def test_compound_evaluation():
     term = apply("add", var("x_0"), apply("mul", const(3), var("y_0")))
     assert evaluate(term, {"x_0": 5, "y_0": 7}) == 26
+
+
+def test_evaluation_and_search_cost_a_terms_dag_not_its_tree():
+    # what 22 rounds of DUP1 ADD make: one shared subterm per round, a tree
+    # of 4 million leaves
+    x = var("arg_0_0")
+    term = x
+    for _ in range(22):
+        term = apply("add", term, term)
+    started = time.monotonic()
+    assert evaluate(term, {"arg_0_0": 3}) == 3 << 22
+    with pytest.raises(EvalError):
+        evaluate(term, {})
+    assert contains(term, apply("add", apply("add", x, x), apply("add", x, x)))
+    assert not contains(term, var("arg_1_0"))
+    assert not contains(term, const(0))
+    assert time.monotonic() - started < 1.0
 
 
 def test_addition_wraps():

@@ -107,6 +107,21 @@ inputs = st.builds(
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(code=programs(), batch=st.lists(inputs, min_size=1, max_size=3))
 def test_no_input_crashes_the_pipeline(code, batch):
+    run_pipeline(code, batch)
+
+
+def test_a_run_cut_before_its_first_step_goes_through_the_pipeline():
+    # a process stalled for the whole wall cap (a long garbage collection
+    # will do) ends a run in TIMEOUT before its first step, with no records
+    code = push(1) + push(0) + bytes([NAME_TO_CODE["SSTORE"]])
+    inp = Input(fn=None, sender=ACCOUNTS.all()[0], raw_calldata=b"")
+    [trace] = run_pipeline(code, [inp], deadline=time.monotonic())
+    assert trace.terminal == "TIMEOUT" and trace.ops == []
+
+
+def run_pipeline(code, batch, deadline=None):
+    """Run ``batch`` against ``code`` through every per-transaction stage,
+    checking what each must hold; returns the traces."""
     state = EmulatedState(AccountSet())
     state.code[CONTRACT] = code
     interpreter = Interpreter(wall_cap=WALL_CAP)
@@ -114,7 +129,9 @@ def test_no_input_crashes_the_pipeline(code, batch):
     for inp in batch:
         received.append(dict(state.received_from))
         started = time.monotonic()
-        traces.append(interpreter.execute(state, inp.transaction(CONTRACT), inp.env))
+        traces.append(
+            interpreter.execute(state, inp.transaction(CONTRACT), inp.env, deadline)
+        )
         assert time.monotonic() - started < WALL_CAP + SLACK
 
     tracker = TaintTracker(PLANS)  # taint_individual's loop, keeping the tracker to read
@@ -138,7 +155,12 @@ def test_no_input_crashes_the_pipeline(code, batch):
         assert [(r.op, r.pc, r.stack) for r in records] == list(
             zip(trace.ops, trace.pcs, trace.stacks)
         )
-        assert [r.error for r in records] == [False] * (len(records) - 1) + [trace.faulted]
+        # only the last record can be the synthetic fault step, if any is
+        last = len(records) - 1
+        assert [r.error for r in records] == [
+            trace.faulted and index == last for index in range(len(records))
+        ]
+    return traces
 
 
 def outcome(trace, state) -> tuple:

@@ -1,6 +1,7 @@
 import hashlib
 import os
 import stat
+import time
 from itertools import islice
 from random import Random
 
@@ -186,6 +187,76 @@ def test_emitted_smt_means_what_the_term_means(term, values):
     env = dict(zip(_VAR_NAMES, values))
     writer = SmtLibWriter()
     assert smt_value(writer, term, env) == evaluate(term, env)
+
+
+_DAG_OPS = ("add", "sub", "mul", "xor", "div", "mod", "lt", "eq", "shl", "addmod")
+_WORDS_OR_SMALL = st.one_of(st.integers(0, 300), st.integers(0, MASK))
+
+
+# Terms that share subterms, as taint builds them: each step applies an op to
+# earlier nodes, which it may pick more than once.
+@st.composite
+def _shared_terms(draw):
+    nodes = [var(name) for name in _VAR_NAMES] + [const(draw(_WORDS_OR_SMALL))]
+    for _ in range(draw(st.integers(1, 12))):
+        op = draw(st.sampled_from(_DAG_OPS))
+        arity = 3 if op == "addmod" else 2
+        picks = [draw(st.integers(0, len(nodes) - 1)) for _ in range(arity)]
+        nodes.append(apply(op, *(nodes[pick] for pick in picks)))
+    return nodes[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    term=_shared_terms(),
+    values=st.tuples(*[st.integers(min_value=0, max_value=MASK)] * len(_VAR_NAMES)),
+)
+def test_emitted_smt_of_shared_subterms_means_what_the_term_means(term, values):
+    env = dict(zip(_VAR_NAMES, values))
+    assert smt_value(SmtLibWriter(), term, env) == evaluate(term, env)
+
+
+def doubled(term, times):
+    """What ``times`` rounds of DUP1 ADD make of term: one shared subterm per
+    round, 2**times leaves as a tree."""
+    for _ in range(times):
+        term = apply("add", term, term)
+    return term
+
+
+def test_a_shared_subterm_is_written_once():
+    x, y = var("arg_0_0"), var("arg_1_0")
+    writer = SmtLibWriter()
+    assert writer.wrap_lets(writer.convert(doubled(x, 2))) == (
+        "(let ((t0 (bvadd arg_0_0 arg_0_0))) (bvadd t0 t0))"
+    )
+    # equal subterms built apart are not shared: the text stays as it was
+    apart = apply("add", apply("mul", x, y), apply("mul", x, y))
+    assert writer.convert(apart) == "(bvadd (bvmul arg_0_0 arg_1_0) (bvmul arg_0_0 arg_1_0))"
+    # a binding lives inside one assertion: the next one binds afresh
+    twice = doubled(x, 1)
+    pair = apply("add", twice, twice)
+    first = writer.wrap_lets(writer.convert(pair))
+    assert writer.wrap_lets(writer.convert(pair)) == first.replace("t1", "t2")
+
+
+def test_a_long_doubling_chain_costs_its_dag_not_its_tree():
+    # eq(0x1235, x * 2**22): a tree of 4 million leaves
+    x = var("arg_0_0")
+    cond = apply("eq", const(0x1235), doubled(x, 22))
+    solver = InternalSolver()
+    started = time.monotonic()
+    result = solver.solve([_constraint(cond, taken=False)], 0, {"arg_0_0": 3})
+    assert time.monotonic() - started < 1.0
+    assert result.status in ("unknown", "unsat")  # 0x1235 is odd: no model exists
+    started = time.monotonic()
+    assert solver._constants(cond) == [0x1235]
+    assert time.monotonic() - started < 1.0
+    started = time.monotonic()
+    script, free = branch_script([_constraint(cond, taken=False)], 0, {"arg_0_0": 3})
+    assert time.monotonic() - started < 1.0
+    assert free == {"arg_0_0"} and len(script) < 10_000
+    assert smt_value(SmtLibWriter(), doubled(x, 22), {"arg_0_0": 3}) == 3 << 22
 
 
 # ---------------------------------------------------------------------------

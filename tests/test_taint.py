@@ -1,4 +1,5 @@
 import time
+import weakref
 
 import pytest
 
@@ -1188,23 +1189,6 @@ def test_a_full_plan_cache_keeps_its_bound(entries, steps, monkeypatch):
     assert_walkers_agree(inputs, traces, plans)
 
 
-@pytest.mark.parametrize("entries, steps", [(3, 1 << 16), (128, 80)])
-def test_a_full_walk_memo_keeps_its_bounds(entries, steps, monkeypatch):
-    monkeypatch.setattr(taint_module, "WALK_MEMO_ENTRIES", entries)
-    monkeypatch.setattr(taint_module, "WALK_MEMO_STEPS", steps)
-    inputs = [
-        benign_input(value=7, raw_calldata=bytes(4) + count.to_bytes(32, "big"))
-        for count in range(8)
-    ]
-    traces, _ = execute(COUNTED_LOOP, inputs)
-    plans = TaintPlans()
-    for _ in range(2):
-        for inp, trace in zip(inputs, traces):
-            assert_walkers_agree([inp], [trace], plans)
-            assert len(plans.walks._items) <= entries and plans.walks.held <= steps
-    assert 0 < len(plans.walks._items) < 8
-
-
 def test_a_repeated_walk_reuses_its_report():
     writer = benign_input(value=7)
     traces, _ = execute(assemble("CALLVALUE PUSH1 0x00 SSTORE STOP"), [writer])
@@ -1217,6 +1201,26 @@ def test_a_repeated_walk_reuses_its_report():
     tracker = TaintTracker(plans)
     tracker.run_input(0, writer, traces[0])
     assert tracker.run_input(0, writer, traces[0]) is not first
+
+
+def test_a_walk_lives_on_its_trace():
+    writer = benign_input(value=7)
+    traces, _ = execute(assemble("CALLVALUE PUSH1 0x00 SSTORE STOP"), [writer])
+    trace = traces.pop()
+    first = TaintTracker(TaintPlans()).run_input(0, writer, trace)
+    assert list(trace.walks) == [(0, ())]
+    # a tracker on another plan cache finds the walk on the trace
+    assert TaintTracker(TaintPlans()).run_input(0, writer, trace) is first
+    # another input index or another shadow storage walks again
+    assert TaintTracker().run_input(1, writer, trace) is not first
+    tracker = TaintTracker()
+    tracker.run_input(0, writer, trace)
+    assert tracker.run_input(0, writer, trace) is not first
+    assert len(trace.walks) == 3
+    # the walks die with the trace: none refers back to it
+    dead = weakref.ref(trace)
+    del trace
+    assert dead() is None
 
 
 TAINT_FIXTURES = [TOKEN_SALE, SAFE_ASSERT, GUARDED_ADD, OWNED_PROXY, *MINI_CORPUS.values()]

@@ -1,11 +1,12 @@
 """Symbolic expression terms for taint tracking and constraint solving.
 
-A Term is an immutable tree: concrete constants, named variables (fuzzer-
+A Term is an immutable DAG: concrete constants, named variables (fuzzer-
 controllable sources like callvalue_0 or opaque ones like storage_…), and
-compound applications of 256-bit word operations.  Opaque operations (sha3,
-mix) remember the concrete value observed at execution time and evaluate to
-it; everything else evaluates structurally through ``OPS``, the lower-cased
-view of the opcode table's word semantics (``evm.opcodes.WORD_OPS``).
+compound applications of 256-bit word operations, which share subterms
+(``DUP1 ADD`` makes ``add(t, t)``) and are walked by loops, most over ``dag``.
+Opaque operations (sha3, mix) remember the concrete value observed at
+execution time and evaluate to it; everything else evaluates structurally
+through ``OPS``, the lower-cased ``evm.opcodes.WORD_OPS``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ OPAQUE_OPS = ("sha3", "mix")
 
 
 class Term:
-    """One immutable node of a term tree, equal and hashed by value.
+    """One immutable node of a term DAG, equal and hashed by value.
 
     Every term knows, from the moment it is built, the names of the
     variables in it (``names``) and their kinds (``kinds``, each name's
     prefix before its first ``_``), gathered from its arguments' sets.  Its
-    hash is computed on first use, kept, and equals ``hash((op, args,
-    value, name))``, so nothing may assign to a term once it is built.
+    hash is computed on first use, after its arguments', kept, and equals
+    ``hash((op, args, value, name))``, so nothing may assign to a term once
+    built.  Equality compares hashes, then heads, each pair of subterms once.
     """
 
     __slots__ = ("op", "args", "value", "name", "names", "kinds", "_hash")
@@ -47,23 +49,36 @@ class Term:
         self._hash = None  # most terms are never hashed
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.op, self.args, self.value, self.name))
+        if self._hash is None:  # unhashed arguments first, on a stack of its own
+            stack = [(self, iter(self.args))]
+            while stack:
+                node, args = stack[-1]
+                for arg in args:
+                    if arg._hash is None:
+                        stack.append((arg, iter(arg.args)))
+                        break
+                else:
+                    stack.pop()
+                    node._hash = hash((node.op, node.args, node.value, node.name))
         return self._hash
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if other.__class__ is not Term:
             return NotImplemented
-        return (
-            self.op == other.op
-            and self.value == other.value
-            and self.name == other.name
-            and self.args == other.args
-        )
+        if hash(self) != hash(other):
+            return False
+        pairs, compared = [(self, other)], set()
+        while pairs:  # heads pair by pair, each pair of subterms once
+            a, b = pairs.pop()
+            if a is b or (id(a), id(b)) in compared:
+                continue
+            if (a.op, a.value, a.name, len(a.args)) != (b.op, b.value, b.name, len(b.args)):
+                return False
+            compared.add((id(a), id(b)))
+            pairs += zip(a.args, b.args)
+        return True
 
-    def __repr__(self) -> str:  # compact, debugging only
+    def __repr__(self) -> str:  # compact, debugging only: recursive, as long as the tree
         if self.op == "const":
             return f"{self.value:#x}" if self.value > 9 else str(self.value)
         if self.op == "var":
@@ -94,15 +109,25 @@ def variables(term: Term) -> frozenset[str]:
     return term.names
 
 
-def contains(term: Term, needle: Term, searched: set[int] | None = None) -> bool:
-    """Whether needle occurs in term; ``searched`` keeps the ids of the
-    subterms searched in vain, so a subterm that taint shares (``DUP1 ADD``
-    makes ``add(t, t)``) is searched once, not once per path to it."""
-    if term == needle:
-        return True
-    searched = set() if searched is None else searched
-    searched.add(id(term))
-    return any(id(arg) not in searched and contains(arg, needle, searched) for arg in term.args)
+def dag(term: Term, into_opaque: bool = True) -> list[Term]:
+    """Each distinct subterm of ``term`` once, by identity, in the order a
+    recursive left-to-right walk finishes them: arguments first, ``term``
+    last; an opaque op's arguments only when ``into_opaque`` is set."""
+    done, stack = {}, [(term, iter(term.args))]
+    while stack:  # the stack is a path, so an argument not done is not on it
+        node, args = stack[-1]
+        for arg in args if into_opaque or node.op not in OPAQUE_OPS else ():
+            if id(arg) not in done:
+                stack.append((arg, iter(arg.args)))
+                break
+        else:
+            done[id(stack.pop()[0])] = node
+    return list(done.values())
+
+
+def contains(term: Term, needle: Term) -> bool:
+    """Whether needle occurs in term, opaque operands included."""
+    return any(node == needle for node in dag(term))
 
 
 # The word semantics of the EVM opcodes, named in lower case.
@@ -113,21 +138,20 @@ class EvalError(KeyError):
     pass
 
 
-def evaluate(term: Term, env: dict[str, int], values: dict[int, int] | None = None) -> int:
-    """``values`` keeps each compound subterm's value by identity, so a
-    shared subterm is evaluated once."""
-    op = term.op
-    if op == "const" or op in OPAQUE_OPS:
-        return term.value
-    if op == "var":
-        try:
-            return env[term.name] & MASK
-        except KeyError:
-            raise EvalError(term.name) from None
-    values = {} if values is None else values
-    if id(term) not in values:
-        func = OPS.get(op)
-        if func is None:
+def evaluate(term: Term, env: dict[str, int]) -> int:
+    """The word term takes under env, a shared subterm evaluated once; an
+    opaque term is its observed value, and a variable env lacks raises EvalError."""
+    values = {}
+    for node in dag(term, into_opaque=False):
+        op = node.op
+        if op == "const" or op in OPAQUE_OPS:
+            values[id(node)] = node.value
+        elif op == "var":
+            if node.name not in env:
+                raise EvalError(node.name)
+            values[id(node)] = env[node.name] & MASK
+        elif op in OPS:
+            values[id(node)] = OPS[op](*(values[id(arg)] for arg in node.args)) & MASK
+        else:
             raise EvalError(f"no semantics for op {op!r}")
-        values[id(term)] = func(*(evaluate(arg, env, values) for arg in term.args)) & MASK
     return values[id(term)]

@@ -23,6 +23,8 @@ import operator
 import re
 import shutil
 import subprocess
+import time
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
@@ -74,7 +76,6 @@ class SmtLibWriter:
         self._opaque_names: dict[Term, str] = {}
         self._lets: list[tuple[str, str]] = []
         self._counter = 0
-        self._bound: dict[int, str] = {}  # shared subterm id -> let name, until wrap_lets
 
     def _declare(self, name: str) -> str:
         self.declared.add(name)
@@ -96,26 +97,26 @@ class SmtLibWriter:
         return name
 
     def convert(self, term: Term) -> str:
-        """The SMT-LIB text of ``term``.  A compound subterm it reaches more
-        than once is written once, bound by a let."""
-        self._shared = _shared_subterms(term, set(), set())
-        return self._convert(term)
+        """The SMT-LIB text of ``term``, each node's built from its arguments'
+        texts; a compound subterm used more than once is bound by a let."""
+        nodes = expr.dag(term, into_opaque=False)
+        uses = Counter(id(arg) for node in nodes if node.op not in expr.OPAQUE_OPS
+                       for arg in node.args)
+        texts: dict[int, str] = {}
+        for node in nodes:
+            if node.op in expr.OPAQUE_OPS:
+                texts[id(node)] = self._fresh(node, node.op)
+                continue
+            smt = self._write(node, [texts[id(arg)] for arg in node.args])
+            texts[id(node)] = self._let(smt) if node.args and uses[id(node)] > 1 else smt
+        return texts[id(term)]
 
-    def _convert(self, term: Term) -> str:
+    def _write(self, term: Term, args: list[str]) -> str:
         op = term.op
         if op == "const":
             return bv(term.value)
         if op == "var":
             return self._declare(term.name)
-        if op in expr.OPAQUE_OPS:
-            return self._fresh(term, op)
-        if id(term) in self._bound:
-            return self._bound[id(term)]
-        if id(term) in self._shared:  # the first visit binds it; later ones take the name
-            self._shared.discard(id(term))
-            self._bound[id(term)] = self._let(self._convert(term))
-            return self._bound[id(term)]
-        args = [self._convert(arg) for arg in term.args]
         if op in _BV_OPS:
             return f"({_BV_OPS[op]} {' '.join(args)})"
         if op in _PREDICATES:
@@ -188,20 +189,7 @@ class SmtLibWriter:
         for name, smt in reversed(self._lets):
             body = f"(let (({name} {smt})) {body})"
         self._lets = []
-        self._bound = {}
         return body
-
-
-def _shared_subterms(term: Term, seen: set[int], shared: set[int]) -> set[int]:
-    """The ids of the compound subterms ``SmtLibWriter`` reaches more than
-    once in ``term``: none below an opaque op, whose operands it never writes."""
-    for arg in () if term.op in expr.OPAQUE_OPS else term.args:
-        if arg.args and id(arg) in seen:
-            shared.add(id(arg))
-        elif arg.args:
-            seen.add(id(arg))
-            _shared_subterms(arg, seen, shared)
-    return shared
 
 
 def condition_assertion(writer: SmtLibWriter, cond: Term, want_taken: bool) -> str:
@@ -487,14 +475,18 @@ class InternalSolver:
     """
 
     MAX_CANDIDATES = 256
-    MAX_DEPTH = 24  # deeper subterms are top, deeper conditions unjudged
+    MAX_DEPTH = 24  # how deep the searches go: _TRUTHS, _solve_bool and _unify
 
     def solve(
         self,
         constraints: list[PathConstraint],
         target_index: int,
         var_values: dict[str, int],
+        deadline: float | None = None,
     ) -> SolveResult:
+        """Negate constraints[target_index]; ``deadline``, a
+        ``time.monotonic()`` value, ends the candidate search with a
+        "timeout"."""
         target = constraints[target_index]
         free = free_variables(target.cond)
         if not free:
@@ -506,6 +498,8 @@ class InternalSolver:
         candidates = self._candidates(target.cond, want, env, free)
         seen = set()
         for candidate in islice(candidates, self.MAX_CANDIDATES):
+            if deadline is not None and time.monotonic() >= deadline:
+                return SolveResult("timeout", route="internal")
             key = tuple(sorted(candidate.items()))
             if key in seen:
                 continue
@@ -523,30 +517,25 @@ class InternalSolver:
         op = cond.op
         if op in _RELATIONS:
             may_hold = _RELATIONS[op if want else _RELATIONS[op][0]][4]
-            return may_hold(*(self._abstract(arg, words, depth + 1) for arg in cond.args))
+            return may_hold(*(self._abstract(arg, words) for arg in cond.args))
         truth = _TRUTHS.get(op)
         if truth is not None and depth < self.MAX_DEPTH:
             can = partial(self._can_be, words=words, depth=depth + 1)
             if not truth(can, cond.args, want):
                 return False
-        _, _, lo, hi = self._abstract(cond, words, depth)
+        _, _, lo, hi = self._abstract(cond, words)
         return hi > 0 if want else lo == 0
 
-    def _abstract(self, term: Term, words: dict, depth: int) -> tuple[int, int, int, int]:
+    def _abstract(self, term: Term, words: dict) -> tuple[int, int, int, int]:
         """The abstract word of term over every assignment; ``words`` keeps
-        each subterm's by identity, so shared subterms are visited once."""
-        if term.op == "const":
-            return _word(MASK, term.value)
-        word = words.get(id(term))
-        if word is None:
-            entry = _INVERSES.get(term.op)
-            rule = entry[0] if entry else _WORD_RULES.get(term.op, _top)
-            if rule is _top or depth >= self.MAX_DEPTH:
-                word = _TOP
-            else:
-                word = rule(*(self._abstract(arg, words, depth + 1) for arg in term.args))
-            words[id(term)] = word
-        return word
+        each subterm's by identity for the calls of one query."""
+        for node in expr.dag(term, into_opaque=False):
+            if id(node) not in words:
+                entry = _INVERSES.get(node.op)
+                rule = entry[0] if entry else _WORD_RULES.get(node.op, _top)
+                words[id(node)] = (_word(MASK, node.value) if node.op == "const" else _TOP
+                                   if rule is _top else rule(*(words[id(a)] for a in node.args)))
+        return words[id(term)]
 
     # -- candidate generation -------------------------------------------
 
@@ -558,8 +547,10 @@ class InternalSolver:
         free: frozenset[str],
     ) -> Iterator[dict[str, int]]:
         """Candidate assignments, drawn lazily: an ``and``/``or`` tree makes
-        the product of its branches' candidates, 2**leaves of them."""
-        yield from self._solve_bool(cond, want, env, free, depth=0)
+        the product of its branches' candidates, 2**leaves of them.  The
+        ``dead`` set handed down keeps the ``(id(term), target, depth)`` keys
+        whose ``_unify`` yielded nothing, so a dead end is searched once."""
+        yield from self._solve_bool(cond, want, env, free, 0, set())
         # concrete-first heuristics: nudge each free variable around the
         # values and constants the condition already mentions
         interesting: list[int] = [0, 1, 2]
@@ -574,20 +565,13 @@ class InternalSolver:
             for value in interesting:
                 yield {name: value & MASK}
 
-    def _constants(self, term: Term, lists: dict | None = None) -> list[int]:
-        """The constants in term, depth first, at most 32 from any subterm;
-        ``lists`` keeps each compound subterm's by identity."""
-        if term.op == "const":
-            return [term.value]
-        if term.op == "var":
-            return []
-        lists = {} if lists is None else lists
-        if id(term) not in lists:
-            lists[id(term)] = [c for arg in term.args for c in self._constants(arg, lists)][:32]
+    def _constants(self, term: Term) -> list[int]:
+        """The constants in term, depth first, at most 32 from any subterm."""
+        lists: dict[int, list[int]] = {}
+        for node in expr.dag(term):
+            lists[id(node)] = ([node.value] if node.op == "const"
+                               else [c for arg in node.args for c in lists[id(arg)]][:32])
         return lists[id(term)]
-
-    def _ground(self, term: Term, free: frozenset[str]) -> bool:
-        return not (variables(term) & free)
 
     def _eval(self, term: Term, env: dict[str, int]) -> int | None:
         try:
@@ -595,18 +579,19 @@ class InternalSolver:
         except expr.EvalError:
             return None
 
-    def _solve_bool(self, cond, want, env, free, depth):
+    def _solve_bool(self, cond, want, env, free, depth, dead):
         """Assignments aiming to make cond truthy (want) or zero (not want)."""
         if depth > self.MAX_DEPTH:
             return
         op = cond.op
         if op == "iszero":
-            yield from self._solve_bool(cond.args[0], not want, env, free, depth + 1)
+            yield from self._solve_bool(cond.args[0], not want, env, free, depth + 1, dead)
         elif op in _RELATIONS:
-            yield from self._solve_compare(cond, want, env, free, depth)
+            yield from self._solve_compare(cond, want, env, free, depth, dead)
         elif op in ("and", "or"):
             first, second = (
-                partial(self._solve_bool, arg, want, env, free, depth + 1) for arg in cond.args
+                partial(self._solve_bool, arg, want, env, free, depth + 1, dead)
+                for arg in cond.args
             )
             if want != (op == "and"):  # a truthy or, a zero and: either side will do
                 yield from first()
@@ -620,42 +605,48 @@ class InternalSolver:
                 if op == "and":
                     yield left  # the right side may be truthy already
         else:  # an arbitrary word used as a condition
-            yield from self._unify(cond, int(want), env, free, depth)
+            yield from self._unify(cond, int(want), env, free, depth, dead)
 
-    def _solve_compare(self, cond, want, env, free, depth):
+    def _solve_compare(self, cond, want, env, free, depth, dead):
         relation = cond.op if want else _RELATIONS[cond.op][0]
         a, b = cond.args
         for side, other, held in ((a, b, relation), (b, a, _RELATIONS[relation][1])):
-            if self._ground(side, free):
+            if not side.names & free:
                 continue
             value = self._eval(other, env)
             if value is None:
                 continue
             offsets, bounds = _RELATIONS[held][2:4]
             for target in (*(value + offset for offset in offsets), *bounds):
-                yield from self._unify(side, target, env, free, depth)
+                yield from self._unify(side, target, env, free, depth, dead)
 
-    def _unify(self, term, target, env, free, depth):
+    def _unify(self, term, target, env, free, depth, dead):
         """Assignments that could make term evaluate to target: a free
         variable takes it, and an op in ``_INVERSES`` hands each operand it
         can solve for the values that operand must take."""
         if depth > self.MAX_DEPTH:
             return
         target &= MASK
-        if term.op == "var":
-            if term.name in free:
-                yield {term.name: target}
+        key = (id(term), target, depth)
+        if key in dead:
             return
-        args = term.args
+        if term.op == "var" and term.name in free:
+            yield {term.name: target}
+            return
+        args, found = term.args, False
         for position, inverse in _INVERSES.get(term.op, (None, ()))[1]:
             side = args[position]
-            if self._ground(side, free):
+            if not side.names & free:
                 continue
             other = self._eval(args[1 - position], env) if len(args) == 2 else 0
             if other is None:
                 continue
             for value in inverse(target, other, partial(self._eval, side, env)):
-                yield from self._unify(side, value, env, free, depth + 1)
+                for candidate in self._unify(side, value, env, free, depth + 1, dead):
+                    found = True
+                    yield candidate
+        if not found:
+            dead.add(key)
 
     def _merge(self, left: dict, right: dict) -> dict | None:
         merged = dict(left)
@@ -702,7 +693,10 @@ class SolverBridge:
         constraints: list[PathConstraint],
         target_index: int,
         var_values: dict[str, int],
+        deadline: float | None = None,
     ) -> SolveResult:
+        """Negate constraints[target_index]; the internal solver stops at
+        ``deadline``, a ``time.monotonic()`` value."""
         free = free_variables(constraints[target_index].cond)
         if not free:
             return SolveResult("unknown")
@@ -717,7 +711,7 @@ class SolverBridge:
             if result.status in ("timeout", "error"):
                 self.stats[result.status] += 1
         if result is None or result.status not in ("sat", "unsat"):
-            result = self.internal.solve(constraints, target_index, var_values)
+            result = self.internal.solve(constraints, target_index, var_values, deadline)
             self.stats["internal"] += 1
         self.stats[result.status] = self.stats.get(result.status, 0) + 1
         return result

@@ -300,7 +300,7 @@ class Campaign:
                 stagnation = 0
             else:
                 stagnation += 1
-                injected = self._solve_open_branches(witnesses)
+                injected = self._solve_open_branches(witnesses, deadline)
 
             cap = self.config.generations
             if cap is not None and self.generations >= cap:
@@ -319,10 +319,13 @@ class Campaign:
     # solver activation
 
     def _solve_open_branches(
-        self, witnesses: list[tuple[Individual, list[TaintReport]]]
+        self,
+        witnesses: list[tuple[Individual, list[TaintReport]]],
+        deadline: float | None = None,
     ) -> list[Individual]:
         """Negate never-taken sides of observed branches; returns patched
-        copies of the witnessing individuals for every model found."""
+        copies of the witnessing individuals for every model found.  The
+        solver stops at ``deadline``, as every transaction does."""
         if not self.config.solver_enabled:
             return []
         injected: list[Individual] = []
@@ -342,7 +345,7 @@ class Campaign:
             if not free_variables(constraints[target_index].cond):
                 continue  # nothing to solve for: no call, no budget spent
             budget -= 1
-            result = self.bridge.solve_branch(constraints, target_index, var_values)
+            result = self.bridge.solve_branch(constraints, target_index, var_values, deadline)
             if result.status == "sat" and result.model:
                 # a branch that stays open despite a model (replay drifted,
                 # value got purged) is solved again from a fresh witness

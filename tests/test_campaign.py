@@ -170,6 +170,20 @@ def test_solver_flips_magic_guard():
     assert report["solver"]["internal"] >= 1
 
 
+def test_the_solver_is_asked_with_the_campaign_deadline(monkeypatch):
+    campaign = Campaign(MAGIC_ABI, MAGIC_GUARD, config=quick_config(generations=40))
+    solve_branch, deadlines = campaign.bridge.solve_branch, []
+
+    def recording(constraints, target_index, var_values, deadline=None):
+        deadlines.append(deadline)
+        return solve_branch(constraints, target_index, var_values, deadline)
+
+    monkeypatch.setattr(campaign.bridge, "solve_branch", recording)
+    started = time.monotonic()
+    campaign.run()
+    assert deadlines and all(started < d <= time.monotonic() + 20.0 for d in deadlines)
+
+
 def test_without_solver_magic_guard_stays_closed():
     report = run_campaign(
         MAGIC_ABI, MAGIC_GUARD, config=quick_config(generations=40, solver_enabled=False)
@@ -272,7 +286,7 @@ def test_the_solver_is_asked_with_the_first_witness_of_a_branch(monkeypatch):
     )
     asked = []
 
-    def solve_branch(constraints, target_index, var_values):
+    def solve_branch(constraints, target_index, var_values, deadline=None):
         asked.append((list(constraints), target_index, dict(var_values)))
         return SolveResult("unknown")
 
@@ -530,21 +544,44 @@ loop:
 ENDLESS_LOOP = assemble("loop: JUMPDEST PUSH @loop JUMP")
 
 
-# A guard over the first argument doubled 20 times, x * 2**20 == 0x1235,
-# which no x meets: its condition is a tree of a million leaves that taint
-# builds as a chain of 20 shared subterms.
-DOUBLING_GUARD = assemble(
-    "PUSH1 0x04 CALLDATALOAD"
-    + " DUP1 ADD" * 20
-    + " PUSH2 0x1235 EQ PUSH @win JUMPI STOP win: JUMPDEST STOP"
-)
+# A guard over the first argument doubled n times, x * 2**n == 0x1235, which
+# no x meets: its condition is a tree of 2**n leaves that taint builds as a
+# chain of n shared subterms.
+def doubling_guard(rounds):
+    return assemble(
+        "PUSH1 0x04 CALLDATALOAD"
+        + " DUP1 ADD" * rounds
+        + " PUSH2 0x1235 EQ PUSH @win JUMPI STOP win: JUMPDEST STOP"
+    )
 
 
 def test_a_doubling_chain_keeps_the_campaign_within_its_budget():
+    # past the solver's search depth of 24, every way down is a dead end
     budget = 5.0
+    for rounds in (26, 40):
+        started = time.monotonic()
+        config = quick_config(timeout=budget, generations=None)
+        report = run_campaign(MAGIC_ABI, doubling_guard(rounds), config=config)
+        assert time.monotonic() - started < budget + INPUT_WALL_CAP, rounds
+        assert report["solver"]["attempts"] > 0
+
+
+# adds 1 to a calldata word in a loop of 1 200 rounds, then guards on it: a
+# condition deeper than the interpreter's recursion limit
+LONG_LOOP = assemble(
+    """
+    PUSH1 4 CALLDATALOAD PUSH 0
+    loop: JUMPDEST SWAP1 PUSH1 1 ADD SWAP1 PUSH1 1 ADD DUP1 PUSH 1200 GT PUSH @loop JUMPI
+    POP PUSH 0x1235 EQ PUSH @win JUMPI STOP win: JUMPDEST INVALID
+    """
+)
+
+
+def test_a_long_loop_keeps_the_campaign_within_its_budget():
+    budget = 3.0
     started = time.monotonic()
     config = quick_config(timeout=budget, generations=None)
-    report = run_campaign(MAGIC_ABI, DOUBLING_GUARD, config=config)
+    report = run_campaign(MAGIC_ABI, LONG_LOOP, config=config)
     assert time.monotonic() - started < budget + INPUT_WALL_CAP
     assert report["solver"]["attempts"] > 0
 

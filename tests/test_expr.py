@@ -98,6 +98,33 @@ def test_shifts():
     assert evaluate(apply("shl", const(256), const(1)), {}) == 0
 
 
+def _chain(depth, leaf=None):
+    """What a loop that adds 1 to a word ``depth`` times makes of it."""
+    term = var("arg_0_0") if leaf is None else leaf
+    for _ in range(depth):
+        term = apply("add", term, const(1))
+    return term
+
+
+def test_no_walk_over_a_deep_term_uses_the_stack():
+    # far deeper than the interpreter's recursion limit
+    term, twin = _chain(5000), _chain(5000)
+    assert hash(term) == hash(twin)
+    assert term == twin and term != _chain(4999) and term != _chain(5000, const(0))
+    assert evaluate(term, {"arg_0_0": 3}) == 5003
+    assert contains(term, _chain(4000)) and not contains(term, var("arg_1_0"))
+
+
+def test_twin_doubling_chains_compare_in_their_dag():
+    # 60 rounds of DUP1 ADD built twice: 2**60 leaves each as trees
+    term = twin = var("arg_0_0")
+    for _ in range(60):
+        term, twin = apply("add", term, term), apply("add", twin, twin)
+    started = time.monotonic()
+    assert term == twin and hash(term) == hash(twin)
+    assert time.monotonic() - started < 0.05
+
+
 def test_opaque_returns_observed_value():
     term = opaque("sha3", 0xDEADBEEF, var("x_0"))
     assert evaluate(term, {}) == 0xDEADBEEF  # no need for x_0
@@ -186,6 +213,10 @@ def _rebuilt(term):
     return Term(term.op, tuple(_rebuilt(arg) for arg in term.args), term.value, term.name)
 
 
+def _tree(term):
+    return (term.op, term.value, term.name, tuple(_tree(arg) for arg in term.args))
+
+
 @settings(max_examples=300, deadline=None)
 @given(term=_TERMS)
 def test_cached_sets_and_hash_agree_with_the_tree(term):
@@ -197,3 +228,29 @@ def test_cached_sets_and_hash_agree_with_the_tree(term):
     assert copy == term
     assert hash(copy) == hash(term)
     assert variables(copy) == variables(term)
+
+
+def _finish_order(term, into_opaque, seen):
+    """The distinct subterms in the order a recursive walk finishes them."""
+    if id(term) in seen:
+        return []
+    seen.add(id(term))
+    below = term.args if into_opaque or term.op not in expr.OPAQUE_OPS else ()
+    return [node for arg in below for node in _finish_order(arg, into_opaque, seen)] + [term]
+
+
+@settings(max_examples=300, deadline=None)
+@given(term=_TERMS, into_opaque=st.booleans())
+def test_dag_is_the_finish_order_of_a_recursive_walk(term, into_opaque):
+    for whole in (term, apply("add", term, term), opaque("sha3", 1, term, term)):
+        order = expr.dag(whole, into_opaque)
+        assert [id(node) for node in order] == [
+            id(node) for node in _finish_order(whole, into_opaque, set())
+        ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_TERMS, b=_TERMS)
+def test_equality_is_equality_of_the_trees(a, b):
+    assert (a == b) == (_tree(a) == _tree(b))
+    assert (apply("add", a, a) == apply("add", _rebuilt(a), b)) == (_tree(a) == _tree(b))

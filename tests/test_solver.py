@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmfuzz.analysis.expr import MASK, apply, const, evaluate, opaque, var
+from evmfuzz.analysis.expr import MASK, apply, const, dag, evaluate, opaque, var
 from evmfuzz.analysis.solver import (
     ExternalSolver,
     InternalSolver,
@@ -206,9 +206,25 @@ def _shared_terms(draw):
     return nodes[-1]
 
 
+# Deep terms that share, as a loop over DUP1 and one word op builds them: a
+# leaf taken through 20-60 rounds of a binary op, applied either to the last
+# term twice or to it and a constant.  Deeper than the searches' MAX_DEPTH.
+@st.composite
+def _deep_shared_terms(draw):
+    term = draw(st.one_of(st.sampled_from(_VAR_NAMES).map(var), _WORDS_OR_SMALL.map(const)))
+    for _ in range(draw(st.integers(20, 60))):
+        op = draw(st.sampled_from([op for op in _DAG_OPS if op != "addmod"]))
+        if draw(st.booleans()):
+            term = apply(op, term, term)
+        else:
+            other = const(draw(_WORDS_OR_SMALL))
+            term = apply(op, *((term, other) if draw(st.booleans()) else (other, term)))
+    return term
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    term=_shared_terms(),
+    term=st.one_of(_shared_terms(), _deep_shared_terms()),
     values=st.tuples(*[st.integers(min_value=0, max_value=MASK)] * len(_VAR_NAMES)),
 )
 def test_emitted_smt_of_shared_subterms_means_what_the_term_means(term, values):
@@ -240,6 +256,22 @@ def test_a_shared_subterm_is_written_once():
     assert writer.wrap_lets(writer.convert(pair)) == first.replace("t1", "t2")
 
 
+def test_lets_and_stand_ins_are_numbered_in_walk_order():
+    x, y = var("arg_0_0"), var("callvalue_0")
+    a, b = apply("add", x, y), apply("mul", y, x)
+    first, second = opaque("sha3", 1, x), opaque("sha3", 2, a)
+    term = apply("xor", apply("sub", b, second),
+                 apply("add", apply("div", first, a), apply("mul", b, apply("exp", a, const(3)))))
+    writer = SmtLibWriter()
+    zero = bv(0)
+    assert writer.wrap_lets(writer.convert(term)) == (
+        "(let ((t0 (bvmul callvalue_0 arg_0_0))) (let ((t1 (bvadd arg_0_0 callvalue_0)))"
+        " (let ((t2 t1)) (let ((t3 t1)) (let ((t4 (bvmul t3 t3))) (let ((t5 (bvmul t3 t4)))"
+        f" (bvxor (bvsub t0 sha3_f0) (bvadd (ite (= t2 {zero}) {zero} (bvudiv sha3_f1 t2))"
+        " (bvmul t0 t5)))))))))"
+    )
+
+
 def test_a_long_doubling_chain_costs_its_dag_not_its_tree():
     # eq(0x1235, x * 2**22): a tree of 4 million leaves
     x = var("arg_0_0")
@@ -257,6 +289,31 @@ def test_a_long_doubling_chain_costs_its_dag_not_its_tree():
     assert time.monotonic() - started < 1.0
     assert free == {"arg_0_0"} and len(script) < 10_000
     assert smt_value(SmtLibWriter(), doubled(x, 22), {"arg_0_0": 3}) == 3 << 22
+    # past the searches' depth, where every way down the tree is a dead end
+    cond = apply("eq", const(0x1235), doubled(x, 64))
+    started = time.monotonic()
+    result = solver.solve([_constraint(cond, taken=False)], 0, {"arg_0_0": 3})
+    assert time.monotonic() - started < 1.0
+    assert result.status in ("unknown", "unsat")
+
+
+def test_the_solver_and_the_writer_walk_a_deep_chain_without_the_stack():
+    # a loop that adds 1 to a word 5 000 times, far deeper than the
+    # interpreter's recursion limit
+    chain = var("arg_0_0")
+    for depth in range(1, 5001):
+        chain = apply("add", chain, const(1))
+        if depth == 200:
+            shallow = chain
+    solver = InternalSolver()
+    assert solver._constants(apply("eq", chain, const(0x1235))) == [1] * 32
+    exact = const(7)
+    for _ in range(5000):
+        exact = apply("add", exact, const(1))
+    assert solver._abstract(exact, {}) == (MASK, 5007, 5007, 5007)
+    writer = SmtLibWriter()
+    assert len(writer.wrap_lets(writer.convert(chain))) > 5000 * len(bv(1))
+    assert smt_value(SmtLibWriter(), shallow, {"arg_0_0": 3}) == 203
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +617,8 @@ def test_candidates_are_drawn_lazily(monkeypatch):
     drawn = []
     solve_bool = InternalSolver._solve_bool
 
-    def counting(self, cond, want, env, free, depth):
-        for candidate in solve_bool(self, cond, want, env, free, depth):
+    def counting(self, cond, want, env, free, depth, dead):
+        for candidate in solve_bool(self, cond, want, env, free, depth, dead):
             if depth == 0:
                 drawn.append(candidate)
             yield candidate
@@ -766,27 +823,24 @@ _edge_conditions = st.recursive(
 )
 
 
-def _subterms(term):
-    yield term
-    for arg in term.args:
-        yield from _subterms(arg)
-
-
 @settings(max_examples=500, deadline=None)
-@given(cond=_edge_conditions, values=st.tuples(*[_EDGE_WORDS] * len(_VAR_NAMES)))
+@given(
+    cond=st.one_of(_edge_conditions, _deep_shared_terms()),
+    values=st.tuples(*[_EDGE_WORDS] * len(_VAR_NAMES)),
+)
 def test_the_abstract_rules_hold_every_concrete_value(cond, values):
     # every subterm's abstract word holds its value under any assignment,
     # every relation that holds is judged possible, and so is the truth
     # value the whole condition takes
     env = dict(zip(_VAR_NAMES, values))
     solver = InternalSolver()
-    for term in _subterms(cond):
+    for term in dag(cond):
         value = evaluate(term, env)
-        known, bits, lo, hi = solver._abstract(term, {}, 0)
+        known, bits, lo, hi = solver._abstract(term, {})
         assert value & known == bits and lo <= value <= hi, term
         if len(term.args) == 2:
             a, b = (evaluate(arg, env) for arg in term.args)
-            words = [solver._abstract(arg, {}, 0) for arg in term.args]
+            words = [solver._abstract(arg, {}) for arg in term.args]
             sa, sb = signed(a), signed(b)
             for relation, test in (("eq", a == b), ("ne", a != b), ("lt", a < b),
                                    ("gt", a > b), ("ge", a >= b), ("le", a <= b),
@@ -852,6 +906,15 @@ def test_bridge_uses_internal_when_no_binary_exists():
     assert bridge.stats["sat"] == 1
     assert bridge.stats["internal"] == 1
     assert bridge.stats["external"] == 0
+
+
+def test_a_passed_deadline_answers_timeout():
+    c = _constraint(apply("eq", var("callvalue_0"), const(42)), taken=False)
+    passed = time.monotonic() - 1.0
+    assert InternalSolver().solve([c], 0, {"callvalue_0": 7}, passed).status == "timeout"
+    bridge = SolverBridge(external_argv=None)
+    assert bridge.solve_branch([c], 0, {"callvalue_0": 7}, passed).status == "timeout"
+    assert bridge.stats["timeout"] == 1 and bridge.stats["internal"] == 1
 
 
 def test_bridge_skips_unfuzzable_targets():

@@ -514,6 +514,8 @@ class InternalSolver:
 
     def _can_be(self, cond: Term, want: bool, words: dict, depth: int) -> bool:
         """False only if no assignment gives cond the truth value want."""
+        while cond.op in ("and", "or") and cond.args[0] is cond.args[1]:
+            cond = cond.args[0]  # DUP1 AND, DUP1 OR: as a word, and(t, t) is t
         op = cond.op
         if op in _RELATIONS:
             may_hold = _RELATIONS[op if want else _RELATIONS[op][0]][4]
@@ -583,6 +585,8 @@ class InternalSolver:
         """Assignments aiming to make cond truthy (want) or zero (not want)."""
         if depth > self.MAX_DEPTH:
             return
+        while cond.op in ("and", "or") and cond.args[0] is cond.args[1]:
+            cond = cond.args[0]  # as in _can_be
         op = cond.op
         if op == "iszero":
             yield from self._solve_bool(cond.args[0], not want, env, free, depth + 1, dead)

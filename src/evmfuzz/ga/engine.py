@@ -73,11 +73,11 @@ def ranking_order(fitnesses: list[float]) -> list[int]:
     return sorted(range(len(fitnesses)), key=lambda i: fitnesses[i])
 
 
-def select_ranked(rng: random.Random, fitnesses: list[float]) -> int:
-    """Linear ranking selection: rank r is chosen with P = 2r / (N(N+1))."""
-    order = ranking_order(fitnesses)
-    ranks = range(1, len(order) + 1)
-    return rng.choices(order, weights=ranks)[0]
+def select_ranked(rng: random.Random, ranking: tuple[list[int], list[int]]) -> int:
+    """Linear ranking selection over ``(ranking_order, cumulative rank
+    weights)``: rank r is chosen with P = 2r / (N(N+1))."""
+    order, cum_weights = ranking
+    return rng.choices(order, cum_weights=cum_weights)[0]
 
 
 class GeneticEngine:
@@ -139,16 +139,8 @@ class GeneticEngine:
     # ------------------------------------------------------------------
     # selection
 
-    def select_parents(
-        self, population: list[Individual], evals: list[Evaluation]
-    ) -> tuple[int, int]:
-        fitnesses = [e.fitness for e in evals]
-        first = select_ranked(self.rng, fitnesses)
-        second = self._partner_for(first, evals, fitnesses)
-        return first, second
-
     def _partner_for(
-        self, first: int, evals: list[Evaluation], fitnesses: list[float]
+        self, first: int, evals: list[Evaluation], ranking: tuple[list[int], list[int]]
     ) -> int:
         mine = evals[first]
         candidates = [
@@ -164,7 +156,7 @@ class GeneticEngine:
             partner = candidates[self._partner_cursor % len(candidates)]
             self._partner_cursor += 1
             return partner
-        return select_ranked(self.rng, fitnesses)
+        return select_ranked(self.rng, ranking)
 
     # ------------------------------------------------------------------
     # variation
@@ -185,12 +177,12 @@ class GeneticEngine:
                 and not (eval_a.storage_writes & eval_b.storage_reads)
             ):
                 # only the reverse direction is data-linked: writer goes first
-                child = Individual([i.copy() for i in b.inputs + a.inputs])
+                child = Individual(b.inputs + a.inputs)
             else:
-                child = Individual([i.copy() for i in a.inputs + b.inputs])
+                child = Individual(a.inputs + b.inputs)
             self._log_crossover(a, b, child)
             return child
-        return a.copy()
+        return Individual(list(a.inputs))
 
     def _log_crossover(self, a: Individual, b: Individual, child: Individual) -> None:
         if len(self.crossover_log) >= CROSSOVER_LOG_CAP:
@@ -204,49 +196,54 @@ class GeneticEngine:
         )
 
     def mutate(self, individual: Individual) -> None:
-        for inp in individual.inputs:
-            self._mutate_input(inp)
+        individual.inputs = [self._mutate_input(inp) for inp in individual.inputs]
 
     def _chance(self) -> bool:
         return self.rng.random() < MUTATION_PROBABILITY
 
-    def _mutate_input(self, inp: Input) -> None:
+    def _mutate_input(self, inp: Input) -> Input:
+        """``inp`` itself when no field is drawn, else a copy with the drawn fields."""
         rng = self.rng
         selector = inp.selector
         payable = inp.fn.payable if inp.fn else self.abi.fallback_payable
-        tags = inp.pool_tags  # by the (pool kind, pool key) bucket drawn from
+        new = None  # the copy; its pool_tags key each drawn value by its pool bucket
 
         if self._chance():
             pooled = self.pools.pick("sender", selector)
             sender = pooled if pooled is not None else rng.choice(self.accounts.all())
-            inp.sender = tags["sender", selector] = sender
+            new = new or inp.copy()
+            new.sender = new.pool_tags["sender", selector] = sender
         if payable and self._chance():
-            inp.value = tags["amount", selector] = self.pools.pick_amount(selector)
+            new = new or inp.copy()
+            new.value = new.pool_tags["amount", selector] = self.pools.pick_amount(selector)
         if self._chance():
             pooled = self.pools.pick("gas_limit", selector)
             gas = pooled if pooled is not None else rng.randrange(MIN_GAS, MAX_GAS + 1)
-            inp.gas_limit = tags["gas_limit", selector] = gas
+            new = new or inp.copy()
+            new.gas_limit = new.pool_tags["gas_limit", selector] = gas
         if inp.fn is not None:
             for j, abi_type in enumerate(inp.fn.inputs):
                 if self._chance():
                     pooled = self.pools.pick("argument", (selector, j))
                     if pooled is None:
                         pooled = generate_argument(rng, abi_type, self._address_universe)
-                    inp.args[j] = tags["argument", (selector, j)] = pooled
-        else:
-            if self._chance():
-                inp.raw_calldata = rng.randbytes(rng.randrange(0, MAX_RAW_CALLDATA + 1))
+                    new = new or inp.copy()
+                    new.args[j] = new.pool_tags["argument", (selector, j)] = pooled
+        elif self._chance():
+            new = new or inp.copy()
+            new.raw_calldata = rng.randbytes(rng.randrange(0, MAX_RAW_CALLDATA + 1))
         if self._chance():
             pooled = self.pools.pick("calldata_size", selector)
+            new = new or inp.copy()
             if pooled is not None:
-                inp.calldata_size = tags["calldata_size", selector] = pooled
+                new.calldata_size = new.pool_tags["calldata_size", selector] = pooled
             elif rng.random() < 0.5:
-                inp.calldata_size = None
+                new.calldata_size = None
             else:
-                base = len(inp.calldata()) if inp.calldata_size is None else inp.calldata_size
-                inp.calldata_size = rng.randrange(0, max(base, 4) + 1)
+                base = len(new.calldata()) if new.calldata_size is None else new.calldata_size
+                new.calldata_size = rng.randrange(0, max(base, 4) + 1)
         if not self.env_fuzzing:
-            return
+            return new or inp
         # overrides must stay reversible: an input that can never get back to
         # the chain default would drift away from every replayable schedule
         if self._chance():
@@ -254,23 +251,23 @@ class GeneticEngine:
             ts = self.pools.pick("timestamp", selector) if roll < 0.6 else None
             if ts is None and roll >= 0.8:
                 ts = rng.randrange(DEPLOY_TIMESTAMP, DEPLOY_TIMESTAMP + TEN_YEARS)
+            new = new or inp.copy()
             if ts is None:
-                inp.env.timestamp = DEPLOY_TIMESTAMP
-                tags.pop(("timestamp", selector), None)
+                new.env.timestamp = DEPLOY_TIMESTAMP
+                new.pool_tags.pop(("timestamp", selector), None)
             else:
-                inp.env.timestamp = tags["timestamp", selector] = ts
+                new.env.timestamp = new.pool_tags["timestamp", selector] = ts
         if self._chance():
             roll = rng.random()
             number = self.pools.pick("block_number", selector) if roll < 0.6 else None
             if number is None and roll >= 0.8:
-                number = rng.randrange(
-                    DEPLOY_BLOCK_NUMBER, DEPLOY_BLOCK_NUMBER + BLOCK_RANGE
-                )
+                number = rng.randrange(DEPLOY_BLOCK_NUMBER, DEPLOY_BLOCK_NUMBER + BLOCK_RANGE)
+            new = new or inp.copy()
             if number is None:
-                inp.env.block_number = DEPLOY_BLOCK_NUMBER
-                tags.pop(("block_number", selector), None)
+                new.env.block_number = DEPLOY_BLOCK_NUMBER
+                new.pool_tags.pop(("block_number", selector), None)
             else:
-                inp.env.block_number = tags["block_number", selector] = number
+                new.env.block_number = new.pool_tags["block_number", selector] = number
         for callee in sorted(self.known_callees):
             if self._chance():
                 pooled = self.pools.pick("call_result", callee)
@@ -278,9 +275,11 @@ class GeneticEngine:
                     success = 1 if rng.random() < 0.75 else 0
                     ret = b"\x00" * 32 if rng.random() < 0.5 else rng.randbytes(32)
                     pooled = (success, ret)
-                inp.env.call_results[callee] = tags["call_result", callee] = pooled
+                new = new or inp.copy()
+                new.env.call_results[callee] = new.pool_tags["call_result", callee] = pooled
             if self._chance():
-                inp.env.returndata_sizes[callee] = rng.choice(
+                new = new or inp.copy()
+                new.env.returndata_sizes[callee] = rng.choice(
                     [0, 32, 64, rng.randrange(0, 1025)]
                 )
         for target in sorted(self.known_extcode_targets):
@@ -288,7 +287,9 @@ class GeneticEngine:
                 pooled = self.pools.pick("extcode_size", target)
                 if pooled is None:
                     pooled = rng.choice([0, 1, 100, 24_576, rng.randrange(0, 24_577)])
-                inp.env.extcode_sizes[target] = tags["extcode_size", target] = pooled
+                new = new or inp.copy()
+                new.env.extcode_sizes[target] = new.pool_tags["extcode_size", target] = pooled
+        return new or inp
 
     # ------------------------------------------------------------------
     # generation turnover
@@ -296,9 +297,12 @@ class GeneticEngine:
     def evolve(
         self, population: list[Individual], evals: list[Evaluation]
     ) -> list[Individual]:
+        order = ranking_order([e.fitness for e in evals])
+        ranking = order, [k * (k + 1) // 2 for k in range(1, len(order) + 1)]
         children = []
         for _ in range(len(population)):
-            first, second = self.select_parents(population, evals)
+            first = select_ranked(self.rng, ranking)
+            second = self._partner_for(first, evals, ranking)
             child = self.crossover(
                 population[first], population[second], evals[first], evals[second]
             )

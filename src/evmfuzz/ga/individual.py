@@ -22,7 +22,9 @@ class Input:
     fn is None for raw (fallback) calldata.  pool_tags remembers which field
     values were drawn from a mutation pool: the value by the (pool kind, pool
     key) bucket it came from, so failing constraints can evict exactly the
-    values that caused a revert.
+    values that caused a revert.  An input never changes once it has run:
+    individuals share it, it keeps the transaction it built, and mutation and
+    solved models write to copies only.
     """
 
     fn: FunctionSpec | None
@@ -34,6 +36,7 @@ class Input:
     calldata_size: int | None = None
     env: EnvOverrides = field(default_factory=EnvOverrides)
     pool_tags: dict[tuple[str, object], object] = field(default_factory=dict)
+    _tx: Transaction | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def selector(self) -> bytes:
@@ -52,13 +55,9 @@ class Input:
         return data
 
     def transaction(self, to: int) -> Transaction:
-        return Transaction(
-            sender=self.sender,
-            to=to,
-            value=self.value,
-            gas_limit=self.gas_limit,
-            data=self.calldata(),
-        )
+        if self._tx is None or self._tx.to != to:
+            self._tx = Transaction(self.sender, to, self.value, self.gas_limit, self.calldata())
+        return self._tx
 
     def copy(self) -> "Input":
         return Input(

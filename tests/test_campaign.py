@@ -16,6 +16,7 @@ from evmfuzz.campaign import (
     run_campaign,
     write_report,
 )
+from evmfuzz.evm import Transaction
 from evmfuzz.evm import interpreter as interpreter_module
 from evmfuzz.evm.opcodes import disassemble
 from evmfuzz.ga import Individual, Input
@@ -566,6 +567,23 @@ def test_a_doubling_chain_keeps_the_campaign_within_its_budget():
         assert report["solver"]["attempts"] > 0
 
 
+@pytest.mark.parametrize("op", ["AND", "OR"])
+def test_a_guard_behind_dup1_and_or_rounds_is_solved_within_the_budget(op):
+    # x == 0x1235 taken through 26 rounds of DUP1 AND (or OR): the same word,
+    # so the solver flips it as it flips the bare comparison
+    code = assemble(
+        "PUSH1 4 CALLDATALOAD PUSH2 0x1235 EQ"
+        + f" DUP1 {op}" * 26
+        + " PUSH @win JUMPI STOP win: JUMPDEST STOP"
+    )
+    budget = 5.0
+    started = time.monotonic()
+    report = run_campaign(MAGIC_ABI, code, config=quick_config(timeout=budget))
+    assert time.monotonic() - started < budget + INPUT_WALL_CAP
+    assert report["solver"].get("sat", 0) >= 1
+    assert report["coverage"]["percent"] == 100.0
+
+
 # adds 1 to a calldata word in a loop of 1 200 rounds, then guards on it: a
 # condition deeper than the interpreter's recursion limit
 LONG_LOOP = assemble(
@@ -741,3 +759,24 @@ def test_the_memos_change_no_report(monkeypatch):
     assert [fixture_report(compiled) for compiled in CORPUS] == memoized
     # every run got a fresh trace, so no walk was repeated on one
     assert walked and max(len(trace.walks) for trace in walked) == 1
+
+
+def test_every_input_run_keeps_the_transaction_its_fields_build(monkeypatch):
+    # an input keeps the transaction it built, so one written to after it
+    # ran would execute a stale transaction: each one a campaign ran must
+    # still equal, field by field, the one its input builds afresh
+    built = []
+    shipped = Input.transaction
+
+    def keeping(inp, to):
+        tx = shipped(inp, to)
+        built.append((inp, to, tx))
+        return tx
+
+    monkeypatch.setattr(Input, "transaction", keeping)
+    for compiled in CORPUS:
+        fixture_report(compiled)
+    for inp, to, tx in built:
+        assert tx == Transaction(inp.sender, to, inp.value, inp.gas_limit, inp.calldata())
+    # and shared inputs do reuse what they built
+    assert len({id(tx) for _, _, tx in built}) < len(built)

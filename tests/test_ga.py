@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -84,19 +86,36 @@ def test_ranking_order_is_stable_for_ties():
     assert ranking_order([3.0, 1.0, 2.0, 2.0]) == [1, 2, 3, 0]
 
 
+def ranking_of(fitnesses):
+    """(ranking_order, cumulative rank weights), as evolve hands them down."""
+    return ranking_order(fitnesses), list(accumulate(range(1, len(fitnesses) + 1)))
+
+
 def test_linear_ranking_distribution():
     fitnesses = [3.0, 1.0, 2.0, 2.0]
     n = len(fitnesses)
     draws = 100_000
     rng = random.Random(12345)
     counts = [0] * n
+    ranking = ranking_of(fitnesses)
     for _ in range(draws):
-        counts[select_ranked(rng, fitnesses)] += 1
+        counts[select_ranked(rng, ranking)] += 1
     # index -> rank: 1 has rank 1, 2 rank 2, 3 rank 3, 0 rank 4
     for index, rank in [(1, 1), (2, 2), (3, 3), (0, 4)]:
         p = 2 * rank / (n * (n + 1))
         sigma = math.sqrt(draws * p * (1 - p))
         assert abs(counts[index] - draws * p) < 3 * sigma, (index, counts)
+
+
+def test_a_ranked_draw_is_the_weighted_choice_of_its_ranks():
+    # cumulative weights take the same single random() as weights by rank
+    # and pick the same index, so seeded campaigns breed as they did
+    fitnesses = [3.0, 1.0, 2.0, 2.0, 0.5, 7.0]
+    order = ranking_order(fitnesses)
+    ours, theirs = random.Random(5), random.Random(5)
+    for _ in range(2000):
+        expected = theirs.choices(order, weights=range(1, len(order) + 1))[0]
+        assert select_ranked(ours, ranking_of(fitnesses)) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +290,15 @@ def test_partner_selection_round_robins_data_linked_individuals():
         eval_with(reads={5}, fitness=1.0),
         eval_with(fitness=1.0),
     ]
-    fitnesses = [e.fitness for e in evals]
-    partners = [engine._partner_for(0, evals, fitnesses) for _ in range(4)]
+    ranking = ranking_of([e.fitness for e in evals])
+    partners = [engine._partner_for(0, evals, ranking) for _ in range(4)]
     assert partners == [1, 2, 1, 2]
 
 
 def test_partner_falls_back_to_ranking_without_links():
     engine = make_engine()
     evals = [eval_with(fitness=1.0), eval_with(fitness=2.0), eval_with(fitness=3.0)]
-    partner = engine._partner_for(0, evals, [e.fitness for e in evals])
+    partner = engine._partner_for(0, evals, ranking_of([e.fitness for e in evals]))
     assert partner in (0, 1, 2)
 
 
@@ -339,6 +358,85 @@ def test_evolution_is_deterministic_per_seed():
 
     assert run(99) == run(99)
     assert run(99) != run(100)
+
+
+def test_an_input_keeps_its_transaction_per_address():
+    inp = make_engine().initial_population()[2].inputs[0]
+    tx = inp.transaction(CONTRACT)
+    assert inp.transaction(CONTRACT) is tx
+    assert inp.copy().transaction(CONTRACT) == tx and inp.copy().transaction(CONTRACT) is not tx
+    assert inp.transaction(0xBEEF).to == 0xBEEF
+
+
+EVOLVE_ABI_JSON = json.dumps([
+    {"type": "function", "name": "buy", "inputs": [], "payable": True},
+    {"type": "function", "name": "set", "inputs": [{"name": "x", "type": "uint256"}]},
+    {"type": "function", "name": "put",
+     "inputs": [{"name": "b", "type": "bytes"}, {"name": "xs", "type": "uint8[]"}]},
+    {"type": "fallback", "payable": True},
+])
+
+
+def evolving_engine(seed):
+    """An engine whose mutation reaches every field: a payable fallback,
+    dynamic arguments, pooled values, a known callee and code-size target."""
+    engine = GeneticEngine(random.Random(seed), parse_abi(EVOLVE_ABI_JSON), ACCOUNTS, CONTRACT)
+    engine.known_callees.add(0x1234)
+    engine.known_extcode_targets.add(0xAB)
+    selector = engine.abi.functions[1].selector
+    engine.pools.insert("argument", (selector, 0), 777)
+    engine.pools.insert("timestamp", selector, 1_600_000_000)
+    engine.pools.insert("calldata_size", b"", 3)
+    return engine
+
+
+def fixed_evals(population, generation):
+    """Evaluations that depend only on the index and the generation; every
+    third generation has no storage links, so partners come from ranking."""
+    return [
+        Evaluation(
+            float((index * 7 + generation) % 5),
+            frozenset({index % 3}) if generation % 3 else frozenset(),
+            frozenset({(index + generation) % 3}),
+        )
+        for index in range(len(population))
+    ]
+
+
+def test_evolution_draws_are_pinned():
+    # every parent, crossover and mutation draw of 20 generations feeds this
+    # digest of the populations bred, so a reordered draw moves it
+    engine = evolving_engine(18)
+    population = engine.initial_population()
+    digest = hashlib.sha256()
+    for generation in range(20):
+        population = engine.evolve(population, fixed_evals(population, generation))
+        digest.update(json.dumps([ind.describe() for ind in population], sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == "b80d349ad5040f0d"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    mutation=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+def test_evolve_shares_parent_inputs_and_never_writes_them(seed, mutation):
+    engine = evolving_engine(seed)
+    population = engine.initial_population()
+    with pytest.MonkeyPatch.context() as patch:  # a fixture would outlive one example
+        patch.setattr(engine_module, "MUTATION_PROBABILITY", mutation)
+        for generation in range(6):
+            before = [ind.describe() for ind in population]
+            held = {id(inp) for ind in population for inp in ind.inputs}
+            lists = {id(ind.inputs) for ind in population}
+            children = engine.evolve(population, fixed_evals(population, generation))
+            assert [ind.describe() for ind in population] == before
+            fresh = [id(inp) for ind in children for inp in ind.inputs if id(inp) not in held]
+            assert len(fresh) == len(set(fresh))  # a new input belongs to one child
+            assert not lists & {id(ind.inputs) for ind in children}
+            if mutation == 0.0:
+                assert not fresh
+            population = children
 
 
 def test_fingerprint_is_content_based():

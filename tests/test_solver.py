@@ -209,11 +209,13 @@ def _shared_terms(draw):
 # Deep terms that share, as a loop over DUP1 and one word op builds them: a
 # leaf taken through 20-60 rounds of a binary op, applied either to the last
 # term twice or to it and a constant.  Deeper than the searches' MAX_DEPTH.
+# and/or are drawn too: the truth searches take and(t, t) and or(t, t) as t,
+# so a chain of them costs its depth, not its 2**rounds tree.
 @st.composite
 def _deep_shared_terms(draw):
     term = draw(st.one_of(st.sampled_from(_VAR_NAMES).map(var), _WORDS_OR_SMALL.map(const)))
     for _ in range(draw(st.integers(20, 60))):
-        op = draw(st.sampled_from([op for op in _DAG_OPS if op != "addmod"]))
+        op = draw(st.sampled_from([op for op in _DAG_OPS if op != "addmod"] + ["and", "or"]))
         if draw(st.booleans()):
             term = apply(op, term, term)
         else:
@@ -232,11 +234,11 @@ def test_emitted_smt_of_shared_subterms_means_what_the_term_means(term, values):
     assert smt_value(SmtLibWriter(), term, env) == evaluate(term, env)
 
 
-def doubled(term, times):
-    """What ``times`` rounds of DUP1 ADD make of term: one shared subterm per
-    round, 2**times leaves as a tree."""
+def doubled(term, times, op="add"):
+    """What ``times`` rounds of DUP1 ADD (or DUP1 ``op``) make of term: one
+    shared subterm per round, 2**times leaves as a tree."""
     for _ in range(times):
-        term = apply("add", term, term)
+        term = apply(op, term, term)
     return term
 
 
@@ -295,6 +297,24 @@ def test_a_long_doubling_chain_costs_its_dag_not_its_tree():
     result = solver.solve([_constraint(cond, taken=False)], 0, {"arg_0_0": 3})
     assert time.monotonic() - started < 1.0
     assert result.status in ("unknown", "unsat")
+
+
+@pytest.mark.parametrize("op", ["and", "or"])
+def test_a_chain_of_and_or_over_one_operand_costs_its_depth(op):
+    # and(t, t) and or(t, t) are t: judged and solved as t, they answer at
+    # once where their 2**rounds tree ran past any budget
+    x = var("arg_0_0")
+    solver = InternalSolver()
+    for rounds in (20, 26, 200):
+        chain = doubled(x, rounds, op)
+        started = time.monotonic()
+        assert solver._can_be(chain, True, {}, 0) and solver._can_be(chain, False, {}, 0)
+        guard = doubled(apply("eq", x, const(0x1235)), rounds, op)
+        result = solver.solve([_constraint(guard, taken=False)], 0, {"arg_0_0": 3})
+        assert time.monotonic() - started < 1.0, rounds
+        assert result.status == "sat" and result.model == {"arg_0_0": 0x1235}
+        result = solver.solve([_constraint(guard, taken=True)], 0, {"arg_0_0": 0x1235})
+        assert result.status == "sat" and result.model["arg_0_0"] != 0x1235
 
 
 def test_the_solver_and_the_writer_walk_a_deep_chain_without_the_stack():

@@ -533,6 +533,10 @@ class InternalSolver:
         each subterm's by identity for the calls of one query."""
         for node in expr.dag(term, into_opaque=False):
             if id(node) not in words:
+                if node.op == "add" and node.args[0] is node.args[1]:
+                    # DUP1 ADD: t + t is t shifted left by 1
+                    words[id(node)] = _INVERSES["shl"][0](_word(MASK, 1), words[id(node.args[0])])
+                    continue
                 entry = _INVERSES.get(node.op)
                 rule = entry[0] if entry else _WORD_RULES.get(node.op, _top)
                 words[id(node)] = (_word(MASK, node.value) if node.op == "const" else _TOP

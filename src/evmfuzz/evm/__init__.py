@@ -9,7 +9,7 @@ from .interpreter import (
     DEPLOY_TIMESTAMP,
     DEPLOY_BLOCK_NUMBER,
 )
-from .state import AccountSet, EmulatedState, Snapshot, ETHER
+from .state import AccountSet, EmulatedState, ETHER
 from . import opcodes
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "EnvOverrides",
     "ExecutionTrace",
     "Interpreter",
-    "Snapshot",
     "TraceRecord",
     "Transaction",
     "opcodes",

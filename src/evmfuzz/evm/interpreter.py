@@ -2,24 +2,23 @@
 
 Executes one transaction against the emulated state and records every
 instruction as three parallel columns (opcode, pc, a pre-execution stack
-snapshot), plus one flag saying whether the run ended in a fault.  Outgoing
-calls never execute code: their results come from the injectable
-environment, which is what lets the fuzzer mutate block values and external
-call outcomes like any other input byte.
+snapshot), plus one flag saying whether the run ended in a fault and the
+facts its readers need (branches, storage keys, code-size targets), taken
+as each operand is popped.  Outgoing calls never execute code: their
+results come from the injectable environment, which is what lets the fuzzer
+mutate block values and external call outcomes like any other input byte.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import compress
 from typing import Iterator
 
 import json
 import time
 
 from ..keccak import DEADLINE_CHECK_BYTES, RATE_BYTES, keccak256
-from ..memo import TraceMemo
 from . import opcodes
 from .opcodes import CALL_OPS, MASK, WORD_OPS
 from .state import EmulatedState
@@ -116,14 +115,10 @@ class CallEvent:
     return_data: bytes | None = None
 
 
-# The ops whose steps the fact pass looks at.
-_FACT_OPS = frozenset(["JUMPI", "SSTORE", "SLOAD", "EXTCODESIZE"])
-
-
 @dataclass
 class TraceFacts:
     """What coverage, fitness, slot recovery, the GA registries and the
-    detectors read from a trace, gathered in one pass over its columns.
+    detectors read from a trace, recorded by the run as it pops each operand.
 
     ``identities`` starts empty.  ``analysis.slots`` fills it with the slot
     identity tuple of each raw key it resolves against the trace's
@@ -131,13 +126,13 @@ class TraceFacts:
     distinct key is resolved once per trace, whoever asks first.
     """
 
-    executed: frozenset[int]  # every pc visited, the fault step's included
-    jumpis: list[tuple[int, int, bool]]  # (pc, destination, taken) per JUMPI
-    sstores: int  # SSTORE steps
-    read_keys: set[int]  # raw SLOAD keys
-    write_keys: set[int]  # raw SSTORE keys
-    extcode_targets: set[int]  # EXTCODESIZE operands
-    invalid_pc: int | None  # a genuine INVALID (failed assertion), never a fault
+    executed: frozenset[int] = frozenset()  # every pc visited, the fault step's included
+    jumpis: list[tuple[int, int, bool]] = field(default_factory=list)  # (pc, destination, taken)
+    sstores: int = 0  # SSTOREs that executed
+    read_keys: set[int] = field(default_factory=set)  # raw SLOAD keys
+    write_keys: set[int] = field(default_factory=set)  # raw SSTORE keys
+    extcode_targets: set[int] = field(default_factory=set)  # EXTCODESIZE operands
+    invalid_pc: int | None = None  # a genuine INVALID (failed assertion), never a fault
     identities: dict[int, tuple] = field(default_factory=dict)
 
 
@@ -179,12 +174,13 @@ class ExecutionTrace:
     stack beforehand, top of stack last.  ``faulted`` says the run halted
     abnormally (stack misuse, bad jump, memory cap, unassigned opcode,
     unpayable transaction); its last step is then a synthetic ``INVALID``
-    that did not execute.  ``calldata`` is the data the run read.
+    that did not execute.  ``calldata`` is the data the run read, and
+    ``facts`` what the run recorded for the trace's readers.
 
     A trace is shared: the interpreter hands the same object to every run
     that repeats a memoized transaction, so nothing may change a trace once
-    ``execute`` returns it (its ``facts`` memo and the taint walks kept in
-    ``walks`` aside), and it is equal only to itself.
+    ``execute`` returns it (the slot identities its facts keep and the taint
+    walks kept in ``walks`` aside), and it is equal only to itself.
     """
 
     ops: list[str]
@@ -198,51 +194,12 @@ class ExecutionTrace:
     sha3_preimages: dict[int, bytes] = field(default_factory=dict)
     return_data: bytes = b""
     gas_used: int = 0
-    # a plain memo: functools.cached_property takes a lock on every first read
-    _facts: TraceFacts | None = field(default=None, init=False, repr=False)
+    facts: TraceFacts = field(default_factory=TraceFacts, repr=False)
     walks: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def records(self) -> TraceRecords:
         return TraceRecords(self)
-
-    @property
-    def facts(self) -> TraceFacts:
-        facts = self._facts
-        if facts is None:
-            facts = self._facts = self._gather_facts()
-        return facts
-
-    def _gather_facts(self) -> TraceFacts:
-        ops, pcs, stacks = self.ops, self.pcs, self.stacks
-        jumpis: list[tuple[int, int, bool]] = []
-        reads: set[int] = set()
-        writes: set[int] = set()
-        targets: set[int] = set()
-        sstores = 0
-        # the steps of interest, picked out without a Python-level loop
-        for index in compress(range(len(ops)), map(_FACT_OPS.__contains__, ops)):
-            op, stack = ops[index], stacks[index]
-            if op == "JUMPI":
-                if len(stack) >= 2:
-                    jumpis.append((pcs[index], stack[-1], stack[-2] != 0))
-            elif op == "SSTORE":
-                sstores += 1
-                if len(stack) >= 2:
-                    writes.add(stack[-1])
-            elif stack:  # SLOAD, EXTCODESIZE
-                (reads if op == "SLOAD" else targets).add(stack[-1])
-        # a genuine INVALID halts the run, so it can only be the last step
-        genuine = ops and ops[-1] == "INVALID" and not self.faulted
-        return TraceFacts(
-            executed=frozenset(pcs),
-            jumpis=jumpis,
-            sstores=sstores,
-            read_keys=reads,
-            write_keys=writes,
-            extcode_targets=targets,
-            invalid_pc=pcs[-1] if genuine else None,
-        )
 
     def jsonl(self) -> Iterator[str]:
         for record in self.records:
@@ -314,15 +271,18 @@ class Interpreter:
     An instance keeps three memos of pure functions that a campaign would
     otherwise recompute on nearly every transaction:
 
-    * the outcome of ``execute``, keyed by the pre-state's contents (the
+    * the outcome of ``execute``, keyed by the pre-state's snapshot (the
       items of its five maps), the transaction's fields and the
-      environment's: a repeat restores the stored post-state (a run that was
-      not applied stores none) and returns the stored trace, so several runs
-      share one trace object.  Two equal states that hold their items in
-      different orders only cost a miss.  A ``TIMEOUT`` trace depends on the
-      clock and is never stored.  At most ``OUTCOME_MEMO_ENTRIES`` outcomes
-      holding ``OUTCOME_MEMO_STEPS`` trace steps are kept, the oldest
-      evicted first;
+      environment's: a repeat restores the stored post-state snapshot (a run
+      that was not applied stores none) and returns the stored trace, so
+      several runs share one trace object.  Two equal states that hold their
+      items in different orders only cost a miss.  A ``TIMEOUT`` trace
+      depends on the clock and is never stored.  At most
+      ``OUTCOME_MEMO_ENTRIES`` outcomes holding ``OUTCOME_MEMO_STEPS`` trace
+      steps are kept, the oldest evicted first, and an outcome of more steps
+      than that is not stored.  Entries are filed under the key's hash,
+      computed once per call; the key is kept beside the outcome and
+      compared on lookup, so two keys with one hash only cost a miss;
     * the Keccak digests of ``SHA3`` and ``BLOCKHASH`` preimages, for
       preimages shorter than ``KECCAK_MEMO_BYTES`` and up to
       ``KECCAK_MEMO_ENTRIES`` of them (later or longer ones are hashed
@@ -342,7 +302,9 @@ class Interpreter:
         self.wall_cap = wall_cap  # seconds per transaction; None or 0 = unlimited
         self._digests: dict[bytes, int] = {}
         self._decoded: dict[bytes, tuple[frozenset[int], list]] = {}
-        self._outcomes = TraceMemo(OUTCOME_MEMO_ENTRIES, OUTCOME_MEMO_STEPS)
+        # key hash -> (key, trace, post-state or None, steps), oldest first
+        self._outcomes: dict[int, tuple] = {}
+        self._held = 0  # the steps of the stored outcomes
 
     def _keccak_word(self, blob: bytes, deadline: float | None = None) -> int:
         """Keccak-256 of ``blob`` as a word, through the bounded memo.
@@ -402,36 +364,47 @@ class Interpreter:
         ``deadline`` (a ``time.monotonic()`` value), at once if that has
         passed; a repeat of a memoized transaction does not run at all."""
         env = env or EnvOverrides()
+        pre = state.snapshot()
         key = (
-            tuple(state.balances.items()), tuple(state.code.items()),
-            tuple(state.storage.items()), tuple(state.received_from.items()),
-            tuple(state.nonces.items()),
-            tx.sender, tx.to, tx.value, tx.gas_limit, tx.data,
+            pre, tx.sender, tx.to, tx.value, tx.gas_limit, tx.data,
             env.timestamp, env.block_number, tuple(env.call_results.items()),
             tuple(env.returndata_sizes.items()), tuple(env.extcode_sizes.items()),
         )
         digest = hash(key)
-        outcome = self._outcomes.find(digest, key)
-        if outcome is not None:
-            trace, post = outcome
+        outcomes = self._outcomes
+        stored = outcomes.get(digest)
+        if stored is not None and stored[0] == key:
+            post = stored[2]
             if post is not None:  # else the run left the state as it found it
                 state.restore(post)
+            return stored[1]
+        trace = self._transact(state, tx, env, deadline, pre)
+        steps = len(trace.ops)
+        if trace.terminal == "TIMEOUT" or OUTCOME_MEMO_ENTRIES <= 0 or steps > OUTCOME_MEMO_STEPS:
             return trace
-        trace = self._transact(state, tx, env, deadline)
-        if trace.terminal != "TIMEOUT":
-            post = state.snapshot() if trace.state_delta_applied else None
-            self._outcomes.store(digest, key, (trace, post), len(trace.ops))
+        if stored is not None:  # another key with the same hash
+            del outcomes[digest]
+            self._held -= stored[3]
+        while outcomes and (len(outcomes) >= OUTCOME_MEMO_ENTRIES
+                            or self._held + steps > OUTCOME_MEMO_STEPS):
+            self._held -= outcomes.pop(next(iter(outcomes)))[3]
+        post = state.snapshot() if trace.state_delta_applied else None
+        outcomes[digest] = (key, trace, post, steps)
+        self._held += steps
         return trace
 
     def _transact(
-        self, state: EmulatedState, tx: Transaction, env: EnvOverrides, deadline: float | None
+        self, state: EmulatedState, tx: Transaction, env: EnvOverrides,
+        deadline: float | None, pre: tuple,
     ) -> ExecutionTrace:
+        """Run ``tx``, rolling ``state`` back to its snapshot ``pre`` unless
+        the run applied."""
         code = state.code.get(tx.to, b"")
-        snap = state.snapshot()
         if tx.value > state.balance_of(tx.sender):
             # Unpayable transaction: a synthetic fault step, nothing applied.
             return ExecutionTrace(
-                ["INVALID"], [0], [()], "INVALID", False, faulted=True, calldata=tx.data
+                ["INVALID"], [0], [()], "INVALID", False, faulted=True, calldata=tx.data,
+                facts=TraceFacts(executed=frozenset((0,))),
             )
         if tx.value:
             state.debit(tx.sender, tx.value)
@@ -451,7 +424,7 @@ class Interpreter:
             deadline=deadline,
         )
         if not trace.state_delta_applied:
-            state.restore(snap)
+            state.restore(pre)
         return trace
 
     # ------------------------------------------------------------------
@@ -473,6 +446,8 @@ class Interpreter:
         pcs: list[int] = []
         stacks: list[tuple[int, ...]] = []
         record_op, record_pc, record_stack = ops.append, pcs.append, stacks.append
+        facts = TraceFacts()
+        record_jumpi = facts.jumpis.append
         calls: list[CallEvent] = []
         preimages: dict[int, bytes] = {}
         stack: list[int] = []
@@ -582,6 +557,7 @@ class Interpreter:
                 # then the named ops, commonest first
                 elif name == "JUMPI":
                     dest, cond = pop(), pop()
+                    record_jumpi((pc, dest, cond != 0))  # a bad destination still counts
                     if cond:
                         if dest not in jumpdests:
                             raise _Fault("bad jump destination")
@@ -598,9 +574,13 @@ class Interpreter:
                     append(int.from_bytes(data[offset:offset + 32].ljust(32, b"\x00"), "big"))
                 elif name == "SSTORE":
                     slot, word = pop(), pop()
+                    facts.sstores += 1
+                    facts.write_keys.add(slot)
                     state.sstore(self_addr, slot, word)
                 elif name == "SLOAD":
-                    push(state.sload(self_addr, pop()))
+                    slot = pop()
+                    facts.read_keys.add(slot)
+                    push(state.sload(self_addr, slot))
                 elif name == "MSTORE":
                     offset, word = pop(), pop()
                     end = offset + 32
@@ -643,7 +623,9 @@ class Interpreter:
                 elif name == "GASPRICE":
                     push(GAS_PRICE)
                 elif name == "EXTCODESIZE":
-                    push(env.extcode_sizes.get(pop(), 0))
+                    target = pop()
+                    facts.extcode_targets.add(target)
+                    push(env.extcode_sizes.get(target, 0))
                 elif name == "RETURNDATASIZE":
                     if last_callee is not None and last_callee in env.returndata_sizes:
                         push(env.returndata_sizes[last_callee])
@@ -735,6 +717,7 @@ class Interpreter:
                     applied = False
                     break
                 elif name == "INVALID":
+                    facts.invalid_pc = pc  # a genuine INVALID, not a fault
                     terminal = "INVALID"
                     applied = False
                     break
@@ -769,6 +752,7 @@ class Interpreter:
             record_stack(tuple(stack))
             terminal = "INVALID"
             applied = False
+        facts.executed = frozenset(pcs)
 
         return ExecutionTrace(
             ops=ops,
@@ -782,6 +766,7 @@ class Interpreter:
             sha3_preimages=preimages,
             return_data=return_data,
             gas_used=used,
+            facts=facts,
         )
 
 

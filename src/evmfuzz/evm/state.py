@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # One ether in wei; accounts are funded generously so value fuzzing never
 # runs dry before an interesting transfer does.
@@ -28,15 +28,6 @@ class AccountSet:
 
     def is_attacker(self, address: int) -> bool:
         return address in self.attackers
-
-
-@dataclass
-class Snapshot:
-    balances: dict[int, int]
-    code: dict[int, bytes]
-    storage: dict[tuple[int, int], int]
-    received_from: dict[int, int]
-    nonces: dict[int, int]
 
 
 class EmulatedState:
@@ -75,20 +66,20 @@ class EmulatedState:
         else:
             self.storage[(address, slot)] = value
 
-    def snapshot(self) -> Snapshot:
-        # Values are immutable ints/bytes, so per-dict copies are fully
-        # independent.
-        return Snapshot(
-            balances=dict(self.balances),
-            code=dict(self.code),
-            storage=dict(self.storage),
-            received_from=dict(self.received_from),
-            nonces=dict(self.nonces),
+    def snapshot(self) -> tuple:
+        """The items of the five maps, in their order, as one hashable value:
+        ``(balances, code, storage, received_from, nonces)``.  Keys and values
+        are immutable, so the snapshot is independent of the state."""
+        return (
+            tuple(self.balances.items()), tuple(self.code.items()),
+            tuple(self.storage.items()), tuple(self.received_from.items()),
+            tuple(self.nonces.items()),
         )
 
-    def restore(self, snap: Snapshot) -> None:
-        self.balances = dict(snap.balances)
-        self.code = dict(snap.code)
-        self.storage = dict(snap.storage)
-        self.received_from = dict(snap.received_from)
-        self.nonces = dict(snap.nonces)
+    def restore(self, snap: tuple) -> None:
+        balances, code, storage, received_from, nonces = snap
+        self.balances = dict(balances)
+        self.code = dict(code)
+        self.storage = dict(storage)
+        self.received_from = dict(received_from)
+        self.nonces = dict(nonces)

@@ -557,7 +557,8 @@ def doubling_guard(rounds):
 
 
 def test_a_doubling_chain_keeps_the_campaign_within_its_budget():
-    # past the solver's search depth of 24, every way down is a dead end
+    # past the solver's search depth of 24, every way down is a dead end, but
+    # the abstract add(t, t) is even, so the guard is proven unsat and left
     budget = 5.0
     for rounds in (26, 40):
         started = time.monotonic()
@@ -565,6 +566,7 @@ def test_a_doubling_chain_keeps_the_campaign_within_its_budget():
         report = run_campaign(MAGIC_ABI, doubling_guard(rounds), config=config)
         assert time.monotonic() - started < budget + INPUT_WALL_CAP, rounds
         assert report["solver"]["attempts"] > 0
+        assert report["solver"]["unsat"] >= 1 and report["infeasible"], rounds
 
 
 @pytest.mark.parametrize("op", ["AND", "OR"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from evmfuzz.abi import parse_abi
 from evmfuzz.evm import ExecutionTrace
+from evmfuzz.evm.interpreter import TraceFacts
 from evmfuzz.evm.state import AccountSet
 from evmfuzz.ga import engine as engine_module
 from evmfuzz.ga import (
@@ -50,8 +51,10 @@ def always_mutate(monkeypatch):
     monkeypatch.setattr(engine_module, "MUTATION_PROBABILITY", 1.0)
 
 
-def trace_with(ops, pcs, stacks, applied=True):
-    return ExecutionTrace(ops, pcs, stacks, terminal="STOP", state_delta_applied=applied)
+def trace_with(ops, pcs, stacks, applied=True, **facts):
+    """A hand-built trace with the ``facts`` its run would have recorded."""
+    return ExecutionTrace(ops, pcs, stacks, terminal="STOP", state_delta_applied=applied,
+                          facts=TraceFacts(**facts))
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +63,8 @@ def trace_with(ops, pcs, stacks, applied=True):
 
 def test_fitness_counts_unseen_branch_destinations_per_occurrence():
     # dests 40 and 11, then the same site again
-    trace = trace_with(["JUMPI", "JUMPI"], [10, 10], [(1, 40), (0, 40)])
+    trace = trace_with(["JUMPI", "JUMPI"], [10, 10], [(1, 40), (0, 40)],
+                       jumpis=[(10, 40, True), (10, 40, False)])
     assert compute_fitness([trace], frozenset()) == 4.0
     assert compute_fitness([trace], frozenset({11})) == 2.0
     assert compute_fitness([trace], frozenset({11, 40})) == 0.0
@@ -68,13 +72,14 @@ def test_fitness_counts_unseen_branch_destinations_per_occurrence():
 
 def test_fitness_counts_applied_writes_only():
     write = (["SSTORE"], [5], [(7, 0)])
-    assert compute_fitness([trace_with(*write, applied=True)], frozenset()) == 1.0
-    assert compute_fitness([trace_with(*write, applied=False)], frozenset()) == 0.0
+    facts = {"sstores": 1, "write_keys": {0}}
+    assert compute_fitness([trace_with(*write, applied=True, **facts)], frozenset()) == 1.0
+    assert compute_fitness([trace_with(*write, applied=False, **facts)], frozenset()) == 0.0
 
 
 def test_fitness_sums_across_traces():
-    jumpi = trace_with(["JUMPI"], [3], [(1, 9)])
-    store = trace_with(["SSTORE"], [5], [(7, 0)])
+    jumpi = trace_with(["JUMPI"], [3], [(1, 9)], jumpis=[(3, 9, True)])
+    store = trace_with(["SSTORE"], [5], [(7, 0)], sstores=1, write_keys={0})
     assert compute_fitness([jumpi, store], frozenset()) == 3.0
 
 
@@ -340,6 +345,7 @@ def test_observe_trace_populates_registries():
         terminal="STOP",
         state_delta_applied=True,
         calls=[CallEvent(0, "CALL", 9, 0xCD, 2300, 0, 1, False)],
+        facts=TraceFacts(extcode_targets={0xAB}),
     )
     engine.observe_trace(trace)
     assert engine.known_callees == {0xCD}

@@ -835,6 +835,33 @@ def test_a_repeat_restores_the_post_state():
     assert state.storage == {(CONTRACT, 0): 5, (CONTRACT, 1): 1}
 
 
+def filled(order):
+    state = EmulatedState()
+    state.code[CONTRACT] = b"\x00"
+    for slot, word in order:
+        state.sstore(CONTRACT, slot, word)
+    return state
+
+
+def test_a_snapshot_is_a_hashable_key_that_restore_keeps_in_order():
+    state = filled([(2, 5), (1, 7)])
+    snap = state.snapshot()
+    assert hash(snap) == hash(filled([(2, 5), (1, 7)]).snapshot())
+    assert filled([(2, 5), (1, 7)]).snapshot() == snap
+    # equal contents held in another order make another key
+    assert filled([(1, 7), (2, 5)]).storage == state.storage
+    assert filled([(1, 7), (2, 5)]).snapshot() != snap
+    # later writes leave the snapshot alone; restoring it keeps its order
+    state.sstore(CONTRACT, 3, 1)
+    state.credit(CONTRACT, 4)
+    state.restore(snap)
+    assert state.snapshot() == snap
+    assert list(state.storage) == [(CONTRACT, 2), (CONTRACT, 1)]
+    fresh = EmulatedState(AccountSet(benign=OTHER))
+    fresh.restore(snap)
+    assert fresh.snapshot() == snap
+
+
 COUNTED_LOOP = """
     PUSH1 0x00 CALLDATALOAD
     loop: JUMPDEST DUP1 ISZERO PUSH @done JUMPI
@@ -853,11 +880,12 @@ def test_a_full_outcome_memo_keeps_its_bounds(entries, steps, monkeypatch):
     for count in [*range(12), *range(12)]:
         data = count.to_bytes(32, "big")
         trace, _ = run(COUNTED_LOOP, data=data, interpreter=interpreter)
-        assert len(memo._items) <= entries and memo.held <= steps
+        assert len(memo) <= entries and interpreter._held <= steps
+        assert interpreter._held == sum(item[3] for item in memo.values())
         fresh, _ = run(COUNTED_LOOP, data=data)
         assert (trace.ops, trace.stacks) == (fresh.ops, fresh.stacks)
         traces.setdefault(count, []).append(trace)
-    assert 0 < len(memo._items) < 12
+    assert 0 < len(memo) < 12
     # the oldest outcome was evicted and ran again; the newest is reused
     assert traces[0][1] is not traces[0][0]
     again, _ = run(COUNTED_LOOP, data=(11).to_bytes(32, "big"), interpreter=interpreter)

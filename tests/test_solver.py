@@ -299,6 +299,21 @@ def test_a_long_doubling_chain_costs_its_dag_not_its_tree():
     assert result.status in ("unknown", "unsat")
 
 
+@pytest.mark.parametrize("rounds", [1, 20, 24, 25, 26, 64])
+def test_a_doubling_chain_is_proven_unsat_at_once(rounds):
+    # add(t, t) is judged as shl(1, t): x * 2**rounds is even, 0x1235 is odd
+    x = var("arg_0_0")
+    chain = doubled(x, rounds)
+    solver = InternalSolver()
+    shifted = apply("shl", const(1), doubled(x, rounds - 1))
+    assert solver._abstract(chain, {}) == solver._abstract(shifted, {})
+    cond = apply("eq", const(0x1235), chain)
+    started = time.monotonic()
+    result = solver.solve([_constraint(cond, taken=False)], 0, {"arg_0_0": 3})
+    assert time.monotonic() - started < 0.1
+    assert result.status == "unsat"
+
+
 @pytest.mark.parametrize("op", ["and", "or"])
 def test_a_chain_of_and_or_over_one_operand_costs_its_depth(op):
     # and(t, t) and or(t, t) are t: judged and solved as t, they answer at

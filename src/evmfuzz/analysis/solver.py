@@ -339,10 +339,6 @@ def _word(known: int, bits: int, lo: int = 0, hi: int = MASK) -> tuple[int, int,
     return known | prefix, bits | (lo & prefix), lo, hi
 
 
-def _top(*operands) -> tuple[int, int, int, int]:
-    return _TOP
-
-
 def _low_known(a, b) -> int:
     """The low bits known in both words, up to the first bit either lacks."""
     both = a[0] & b[0]
@@ -380,38 +376,6 @@ def _and_rule(a, b):
     return _word((a[0] & b[0]) | zeros, a[1] & b[1])
 
 
-# Term op -> (abstract rule, inverses).  Each inverse is an (operand
-# position, inverse) pair for an operand the internal solver can solve for.
-# The inverse takes the target, the other operand's value (0 for a unary op)
-# and a thunk for the operand's own value, and returns the values the
-# operand must take for the op to yield the target; the solver masks them to
-# words.  Shift amounts and SIGNEXTEND's byte index are the first operand,
-# as on the stack.
-_INVERSES = {
-    "add": (lambda a, b: _word(_low_known(a, b), a[1] + b[1]),
-            ((0, lambda t, o, own: (t - o,)), (1, lambda t, o, own: (t - o,)))),
-    "sub": (lambda a, b: _word(_low_known(a, b), a[1] - b[1]),
-            ((0, lambda t, o, own: (t + o,)), (1, lambda t, o, own: (o - t,)))),
-    "xor": (lambda a, b: _word(a[0] & b[0], a[1] ^ b[1]),
-            ((0, lambda t, o, own: (t ^ o,)), (1, lambda t, o, own: (t ^ o,)))),
-    "not": (lambda a: _word(a[0], ~a[1]), ((0, lambda t, o, own: (MASK ^ t,)),)),
-    "mul": (lambda a, b: _word((1 << min(256, _trailing_zeros(a) + _trailing_zeros(b))) - 1, 0),
-            ((0, _mul_inverse), (1, _mul_inverse))),
-    "div": (_div_rule, ((0, lambda t, o, own: (t * o,) if o else ()),)),
-    "shl": (_shift_rule(True), ((1, lambda t, o, own: (t >> o,) if o < 256 else ()),)),
-    "shr": (_shift_rule(False), ((1, lambda t, o, own: (t << o,) if o < 256 else ()),)),
-    "and": (_and_rule, ((0, _and_inverse), (1, _and_inverse))),
-    "signextend": (_top, ((1, lambda t, o, own: (t,)),)),
-}
-
-# The abstract rules of the term ops _INVERSES lacks; any op in neither
-# table (variables, sha3, mix and the rest) is top.
-_WORD_RULES = {
-    "or": lambda a, b: _word((a[0] & b[0]) | a[1] | b[1], a[1] | b[1]),
-    **dict.fromkeys(("iszero", "eq", "lt", "gt", "slt", "sgt"), lambda *operands: _FLAG),
-}
-
-
 def _may_equal(a, b) -> bool:
     return not (a[0] & b[0] & (a[1] ^ b[1]) or a[3] < b[2] or b[3] < a[2])
 
@@ -440,17 +404,46 @@ _RELATIONS = {
     "sle": ("sgt", "sge", (0, -1), (), _signed_may(operator.le)),
 }
 
-# Boolean op -> whether a condition of that op can take the truth value
-# `want`, from whether its operands can (`can(operand, truth)`), as
-# _solve_bool reads them.  A nonzero AND needs both operands nonzero; a zero
-# AND can come from two nonzero operands, so only the word rule judges it.
-_TRUTHS = {
-    "iszero": lambda can, args, want: can(args[0], not want),
-    "and": lambda can, args, want: not want or (can(args[0], True) and can(args[1], True)),
-    "or": lambda can, args, want: (
-        (can(args[0], True) or can(args[1], True)) if want
-        else (can(args[0], False) and can(args[1], False))
-    ),
+
+def _relation_rule(relation):
+    """A relation is exactly 0 where it cannot hold, exactly 1 where its
+    negation cannot, and 0 or 1 otherwise."""
+    negation, *_, may_hold = _RELATIONS[relation]
+    may_fail = _RELATIONS[negation][4]
+
+    def rule(a, b):
+        holds = may_hold(a, b)
+        return _FLAG if holds and may_fail(a, b) else _word(MASK, int(holds))
+    return rule
+
+
+# The one op table: term op -> (abstract rule, inverses).  Any op not in it
+# (variables, sha3, mix and the rest) is top.  Each inverse is an (operand
+# position, inverse) pair for an operand the internal solver can solve for.
+# The inverse takes the target, the other operand's value (0 for a unary op)
+# and a thunk for the operand's own value, and returns the values the
+# operand must take for the op to yield the target; the solver masks them to
+# words.  Shift amounts and SIGNEXTEND's byte index are the first operand,
+# as on the stack.
+_INVERSES = {
+    "add": (lambda a, b: _word(_low_known(a, b), a[1] + b[1]),
+            ((0, lambda t, o, own: (t - o,)), (1, lambda t, o, own: (t - o,)))),
+    "sub": (lambda a, b: _word(_low_known(a, b), a[1] - b[1]),
+            ((0, lambda t, o, own: (t + o,)), (1, lambda t, o, own: (o - t,)))),
+    "xor": (lambda a, b: _word(a[0] & b[0], a[1] ^ b[1]),
+            ((0, lambda t, o, own: (t ^ o,)), (1, lambda t, o, own: (t ^ o,)))),
+    "not": (lambda a: _word(a[0], ~a[1]), ((0, lambda t, o, own: (MASK ^ t,)),)),
+    "mul": (lambda a, b: _word((1 << min(256, _trailing_zeros(a) + _trailing_zeros(b))) - 1, 0),
+            ((0, _mul_inverse), (1, _mul_inverse))),
+    "div": (_div_rule, ((0, lambda t, o, own: (t * o,) if o else ()),)),
+    "shl": (_shift_rule(True), ((1, lambda t, o, own: (t >> o,) if o < 256 else ()),)),
+    "shr": (_shift_rule(False), ((1, lambda t, o, own: (t << o,) if o < 256 else ()),)),
+    "and": (_and_rule, ((0, _and_inverse), (1, _and_inverse))),
+    "signextend": (lambda index, x: _TOP, ((1, lambda t, o, own: (t,)),)),
+    # a | b is at least the larger of a and b
+    "or": (lambda a, b: _word((a[0] & b[0]) | a[1] | b[1], a[1] | b[1], max(a[2], b[2])), ()),
+    "iszero": (lambda a: _FLAG if a[2] == 0 < a[3] else _word(MASK, int(not a[3])), ()),
+    **{relation: (_relation_rule(relation), ()) for relation in ("eq", "lt", "gt", "slt", "sgt")},
 }
 
 
@@ -467,15 +460,16 @@ class InternalSolver:
 
     It answers "unsat" only when the target condition alone cannot take the
     wanted truth value: every variable, fuzzable or not, ranges over all
-    words, every subterm gets an abstract word (known bits and an unsigned
-    interval) from its op's rule, and the condition's relation, or the
-    ``_TRUTHS`` rule of its ``iszero``/``and``/``or``, cannot hold between
-    them.  A query that is unsatisfiable only through the prefix stays
-    "unknown".
+    words, and one abstract interpretation over the condition's DAG gives
+    every subterm an abstract word (known bits and an unsigned interval)
+    from its op's rule in ``_INVERSES``.  Relations and ``iszero`` are
+    exactly 0 or 1 where their operands decide them, so the condition's own
+    word says whether it can be zero or nonzero.  A query that is
+    unsatisfiable only through the prefix stays "unknown".
     """
 
     MAX_CANDIDATES = 256
-    MAX_DEPTH = 24  # how deep the searches go: _TRUTHS, _solve_bool and _unify
+    MAX_DEPTH = 24  # how deep the candidate searches go: _solve_bool and _unify
 
     def solve(
         self,
@@ -492,10 +486,10 @@ class InternalSolver:
         if not free:
             return SolveResult("unknown", route="internal")
         want = not target.taken
-        if not self._can_be(target.cond, want, {}, 0):
+        if not self._can_be(target.cond, want):
             return SolveResult("unsat", route="internal")
         env = dict(var_values)
-        candidates = self._candidates(target.cond, want, env, free)
+        candidates = self._candidates(target.cond, want, env, free, deadline)
         seen = set()
         for candidate in islice(candidates, self.MAX_CANDIDATES):
             if deadline is not None and time.monotonic() >= deadline:
@@ -512,35 +506,27 @@ class InternalSolver:
 
     # -- unsat proofs -----------------------------------------------------
 
-    def _can_be(self, cond: Term, want: bool, words: dict, depth: int) -> bool:
+    def _can_be(self, cond: Term, want: bool) -> bool:
         """False only if no assignment gives cond the truth value want."""
-        while cond.op in ("and", "or") and cond.args[0] is cond.args[1]:
-            cond = cond.args[0]  # DUP1 AND, DUP1 OR: as a word, and(t, t) is t
-        op = cond.op
-        if op in _RELATIONS:
-            may_hold = _RELATIONS[op if want else _RELATIONS[op][0]][4]
-            return may_hold(*(self._abstract(arg, words) for arg in cond.args))
-        truth = _TRUTHS.get(op)
-        if truth is not None and depth < self.MAX_DEPTH:
-            can = partial(self._can_be, words=words, depth=depth + 1)
-            if not truth(can, cond.args, want):
-                return False
-        _, _, lo, hi = self._abstract(cond, words)
+        _, _, lo, hi = self._abstract(cond, {})
         return hi > 0 if want else lo == 0
 
     def _abstract(self, term: Term, words: dict) -> tuple[int, int, int, int]:
         """The abstract word of term over every assignment; ``words`` keeps
-        each subterm's by identity for the calls of one query."""
+        each subterm's by identity."""
         for node in expr.dag(term, into_opaque=False):
-            if id(node) not in words:
-                if node.op == "add" and node.args[0] is node.args[1]:
-                    # DUP1 ADD: t + t is t shifted left by 1
-                    words[id(node)] = _INVERSES["shl"][0](_word(MASK, 1), words[id(node.args[0])])
-                    continue
-                entry = _INVERSES.get(node.op)
-                rule = entry[0] if entry else _WORD_RULES.get(node.op, _top)
-                words[id(node)] = (_word(MASK, node.value) if node.op == "const" else _TOP
-                                   if rule is _top else rule(*(words[id(a)] for a in node.args)))
+            if id(node) in words:
+                continue
+            op, args = node.op, node.args
+            if len(args) == 2 and args[0] is args[1] and op in ("add", "and", "or"):
+                # DUP1 ADD: t + t is t shifted left by 1; DUP1 AND, DUP1 OR: t
+                t = words[id(args[0])]
+                words[id(node)] = _INVERSES["shl"][0](_word(MASK, 1), t) if op == "add" else t
+            elif op == "const":
+                words[id(node)] = _word(MASK, node.value)
+            else:
+                entry = _INVERSES.get(op)
+                words[id(node)] = entry[0](*(words[id(a)] for a in args)) if entry else _TOP
         return words[id(term)]
 
     # -- candidate generation -------------------------------------------
@@ -551,12 +537,15 @@ class InternalSolver:
         want: bool,
         env: dict[str, int],
         free: frozenset[str],
+        deadline: float | None = None,
     ) -> Iterator[dict[str, int]]:
         """Candidate assignments, drawn lazily: an ``and``/``or`` tree makes
         the product of its branches' candidates, 2**leaves of them.  The
         ``dead`` set handed down keeps the ``(id(term), target, depth)`` keys
-        whose ``_unify`` yielded nothing, so a dead end is searched once."""
-        yield from self._solve_bool(cond, want, env, free, 0, set())
+        whose ``_unify`` yielded nothing, so a dead end is searched once.
+        ``_solve_bool`` and ``_unify`` read the clock at each step, so the
+        search ends once ``deadline`` has passed."""
+        yield from self._solve_bool(cond, want, env, free, 0, set(), deadline)
         # concrete-first heuristics: nudge each free variable around the
         # values and constants the condition already mentions
         interesting: list[int] = [0, 1, 2]
@@ -585,20 +574,22 @@ class InternalSolver:
         except expr.EvalError:
             return None
 
-    def _solve_bool(self, cond, want, env, free, depth, dead):
+    def _solve_bool(self, cond, want, env, free, depth, dead, deadline):
         """Assignments aiming to make cond truthy (want) or zero (not want)."""
-        if depth > self.MAX_DEPTH:
+        if depth > self.MAX_DEPTH or deadline is not None and time.monotonic() >= deadline:
             return
         while cond.op in ("and", "or") and cond.args[0] is cond.args[1]:
-            cond = cond.args[0]  # as in _can_be
+            cond = cond.args[0]  # DUP1 AND, DUP1 OR: and(t, t) is t; search it once, not twice
         op = cond.op
         if op == "iszero":
-            yield from self._solve_bool(cond.args[0], not want, env, free, depth + 1, dead)
+            yield from self._solve_bool(
+                cond.args[0], not want, env, free, depth + 1, dead, deadline
+            )
         elif op in _RELATIONS:
-            yield from self._solve_compare(cond, want, env, free, depth, dead)
+            yield from self._solve_compare(cond, want, env, free, depth, dead, deadline)
         elif op in ("and", "or"):
             first, second = (
-                partial(self._solve_bool, arg, want, env, free, depth + 1, dead)
+                partial(self._solve_bool, arg, want, env, free, depth + 1, dead, deadline)
                 for arg in cond.args
             )
             if want != (op == "and"):  # a truthy or, a zero and: either side will do
@@ -613,9 +604,9 @@ class InternalSolver:
                 if op == "and":
                     yield left  # the right side may be truthy already
         else:  # an arbitrary word used as a condition
-            yield from self._unify(cond, int(want), env, free, depth, dead)
+            yield from self._unify(cond, int(want), env, free, depth, dead, deadline)
 
-    def _solve_compare(self, cond, want, env, free, depth, dead):
+    def _solve_compare(self, cond, want, env, free, depth, dead, deadline):
         relation = cond.op if want else _RELATIONS[cond.op][0]
         a, b = cond.args
         for side, other, held in ((a, b, relation), (b, a, _RELATIONS[relation][1])):
@@ -626,13 +617,13 @@ class InternalSolver:
                 continue
             offsets, bounds = _RELATIONS[held][2:4]
             for target in (*(value + offset for offset in offsets), *bounds):
-                yield from self._unify(side, target, env, free, depth, dead)
+                yield from self._unify(side, target, env, free, depth, dead, deadline)
 
-    def _unify(self, term, target, env, free, depth, dead):
+    def _unify(self, term, target, env, free, depth, dead, deadline):
         """Assignments that could make term evaluate to target: a free
         variable takes it, and an op in ``_INVERSES`` hands each operand it
         can solve for the values that operand must take."""
-        if depth > self.MAX_DEPTH:
+        if depth > self.MAX_DEPTH or deadline is not None and time.monotonic() >= deadline:
             return
         target &= MASK
         key = (id(term), target, depth)
@@ -650,7 +641,7 @@ class InternalSolver:
             if other is None:
                 continue
             for value in inverse(target, other, partial(self._eval, side, env)):
-                for candidate in self._unify(side, value, env, free, depth + 1, dead):
+                for candidate in self._unify(side, value, env, free, depth + 1, dead, deadline):
                     found = True
                     yield candidate
         if not found:

@@ -586,6 +586,43 @@ def test_a_guard_behind_dup1_and_or_rounds_is_solved_within_the_budget(op):
     assert report["coverage"]["percent"] == 100.0
 
 
+# A guard over x == 0x1235 kept through n rounds that AND the condition with
+# the OR of it and 0: DUP1 PUSH1 0 OR AND builds and(or(0, c), c), and
+# PUSH1 0 DUP2 OR SWAP1 AND builds and(c, or(c, 0)).  Each round reaches the
+# condition through two different objects, so its tree has 2**n copies.
+def shared_or_guard(rounds, body="DUP1 PUSH1 0 OR AND"):
+    return assemble(
+        "PUSH1 4 CALLDATALOAD PUSH2 0x1235 EQ"
+        + f" {body}" * rounds
+        + " PUSH @win JUMPI STOP win: JUMPDEST STOP"
+    )
+
+
+def test_a_guard_behind_shared_or_rounds_is_solved_within_the_budget():
+    # the unsat proof costs the condition's DAG, so the search that follows
+    # it finds x == 0x1235
+    budget = 5.0
+    for rounds in (24, 30):
+        started = time.monotonic()
+        config = quick_config(timeout=budget)
+        report = run_campaign(MAGIC_ABI, shared_or_guard(rounds), config=config)
+        assert time.monotonic() - started < budget + INPUT_WALL_CAP, rounds
+        assert report["solver"].get("sat", 0) >= 1
+        assert report["coverage"]["percent"] == 100.0
+
+
+def test_a_search_too_large_for_the_budget_ends_with_it():
+    # no candidate comes out of this search before the budget runs out: the
+    # search reads the clock while it draws one
+    budget = 1.0
+    for rounds in (16, 18):
+        started = time.monotonic()
+        code = shared_or_guard(rounds, "PUSH1 0 DUP2 OR SWAP1 AND")
+        report = run_campaign(MAGIC_ABI, code, config=quick_config(timeout=budget))
+        assert time.monotonic() - started < budget + INPUT_WALL_CAP, rounds
+        assert report["solver"]["attempts"] > 0
+
+
 # adds 1 to a calldata word in a loop of 1 200 rounds, then guards on it: a
 # condition deeper than the interpreter's recursion limit
 LONG_LOOP = assemble(

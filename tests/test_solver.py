@@ -209,8 +209,9 @@ def _shared_terms(draw):
 # Deep terms that share, as a loop over DUP1 and one word op builds them: a
 # leaf taken through 20-60 rounds of a binary op, applied either to the last
 # term twice or to it and a constant.  Deeper than the searches' MAX_DEPTH.
-# and/or are drawn too: the truth searches take and(t, t) and or(t, t) as t,
-# so a chain of them costs its depth, not its 2**rounds tree.
+# and/or are drawn too: the abstract words and the candidate search take
+# and(t, t) and or(t, t) as t, so a chain of them costs its depth, not its
+# 2**rounds tree.
 @st.composite
 def _deep_shared_terms(draw):
     term = draw(st.one_of(st.sampled_from(_VAR_NAMES).map(var), _WORDS_OR_SMALL.map(const)))
@@ -323,13 +324,88 @@ def test_a_chain_of_and_or_over_one_operand_costs_its_depth(op):
     for rounds in (20, 26, 200):
         chain = doubled(x, rounds, op)
         started = time.monotonic()
-        assert solver._can_be(chain, True, {}, 0) and solver._can_be(chain, False, {}, 0)
+        assert solver._can_be(chain, True) and solver._can_be(chain, False)
         guard = doubled(apply("eq", x, const(0x1235)), rounds, op)
         result = solver.solve([_constraint(guard, taken=False)], 0, {"arg_0_0": 3})
         assert time.monotonic() - started < 1.0, rounds
         assert result.status == "sat" and result.model == {"arg_0_0": 0x1235}
         result = solver.solve([_constraint(guard, taken=True)], 0, {"arg_0_0": 0x1235})
         assert result.status == "sat" and result.model["arg_0_0"] != 0x1235
+
+
+def shared_chain(cond, rounds, second):
+    """``rounds`` levels of and(t, second(t)) over cond: each level reaches t
+    through two different objects, so its tree has 2**rounds copies of cond."""
+    for _ in range(rounds):
+        cond = apply("and", cond, second(cond))
+    return cond
+
+
+_SECOND_OPERANDS = {
+    "or": lambda t: apply("or", t, const(0)),
+    "iszero": lambda t: apply("iszero", apply("iszero", t)),
+}
+
+
+@pytest.mark.parametrize("second", sorted(_SECOND_OPERANDS))
+@pytest.mark.parametrize("rounds", [24, 30, 60])
+def test_a_chain_whose_and_operands_share_a_condition_is_judged_at_once(second, rounds):
+    # the unsat proof is one walk over the condition's DAG: each shared
+    # subterm gets its abstract word once, however many ways it is reached
+    chain = shared_chain(apply("lt", var("arg_0_0"), const(5)), rounds, _SECOND_OPERANDS[second])
+    solver = InternalSolver()
+    for want in (True, False):
+        started = time.perf_counter()
+        assert solver._can_be(chain, want)
+        assert time.perf_counter() - started < 0.01, want
+
+
+def test_the_search_answers_to_its_deadline_while_it_draws_a_candidate():
+    # the search tree of these satisfiable guards is too large to draw a
+    # candidate from in time: the clock is read inside the search, not only
+    # between candidates
+    solver = InternalSolver()
+    for rounds in (16, 18):
+        chain = shared_chain(apply("lt", var("arg_0_0"), const(5)), rounds, _SECOND_OPERANDS["or"])
+        started = time.monotonic()
+        result = solver.solve([_constraint(chain, taken=False)], 0, {"arg_0_0": 9}, started + 0.5)
+        assert time.monotonic() - started < 0.8, rounds
+        assert result.status == "timeout"
+    # wanting such a chain false, the search forks at every level: past the
+    # deadline it stops forking, so it unwinds at once
+    for rounds in (18, 30):
+        chain = shared_chain(apply("lt", var("arg_0_0"), const(5)), rounds, _SECOND_OPERANDS["or"])
+        started = time.monotonic()
+        result = solver.solve([_constraint(chain, taken=True)], 0, {"arg_0_0": 1}, started)
+        assert time.monotonic() - started < 0.1, rounds
+        assert result.status == "timeout"
+
+
+def _exactly(value):
+    return (MASK, value, value, value)
+
+
+def test_relations_and_iszero_are_exact_where_their_operands_decide_them():
+    x, y = var("arg_0_0"), var("arg_1_0")
+    solver = InternalSolver()
+    assert solver._abstract(apply("lt", const(3), const(5)), {}) == _exactly(1)
+    assert solver._abstract(apply("lt", x, const(0)), {}) == _exactly(0)
+    assert solver._abstract(apply("lt", x, y), {}) == (MASK ^ 1, 0, 0, 1)
+    assert solver._abstract(apply("iszero", const(0)), {}) == _exactly(1)
+    assert solver._abstract(apply("iszero", apply("or", x, const(1))), {}) == _exactly(0)
+    assert solver._abstract(apply("iszero", x), {}) == (MASK ^ 1, 0, 0, 1)
+    # a | b is at least max(a, b): here a is 1 or 2, with no bit known to be
+    # set, and the or still cannot be zero
+    one_or_two = apply("div", apply("or", y, const(1 << 255)), const((1 << 255) - 1))
+    assert solver._abstract(one_or_two, {})[2:] == (1, 2)
+    either = apply("or", one_or_two, x)
+    assert solver._abstract(either, {})[2] == 1
+    assert not solver._can_be(apply("iszero", either), True)
+    assert not solver._can_be(either, False)
+    # and(t, t) and or(t, t), one operand object twice, are t's word: the
+    # rules for two independent operands would widen it to [0, 3] and [1, 3]
+    for op in ("and", "or"):
+        assert solver._abstract(apply(op, one_or_two, one_or_two), {})[2:] == (1, 2)
 
 
 def test_the_solver_and_the_writer_walk_a_deep_chain_without_the_stack():
@@ -652,8 +728,8 @@ def test_candidates_are_drawn_lazily(monkeypatch):
     drawn = []
     solve_bool = InternalSolver._solve_bool
 
-    def counting(self, cond, want, env, free, depth, dead):
-        for candidate in solve_bool(self, cond, want, env, free, depth, dead):
+    def counting(self, cond, want, env, free, depth, dead, deadline):
+        for candidate in solve_bool(self, cond, want, env, free, depth, dead, deadline):
             if depth == 0:
                 drawn.append(candidate)
             yield candidate
@@ -882,7 +958,18 @@ def test_the_abstract_rules_hold_every_concrete_value(cond, values):
                                    ("slt", sa < sb), ("sgt", sa > sb),
                                    ("sge", sa >= sb), ("sle", sa <= sb)):
                 assert _RELATIONS[relation][4](*words) or not test, (relation, term)
-    assert solver._can_be(cond, bool(evaluate(cond, env)), {}, 0)
+    assert solver._can_be(cond, bool(evaluate(cond, env)))
+
+
+def test_the_proof_keeps_its_precision():
+    # 238 is how many of these queries the solver proved unsat when it
+    # judged iszero, and and or by truth rules down the condition's tree:
+    # a floor, so the abstract words may prove more but not fewer
+    rng = Random(7)
+    solver = InternalSolver()
+    conditions = [_random_condition(rng, 4) for _ in range(3000)]
+    proved = sum(not solver._can_be(cond, want) for cond in conditions for want in (True, False))
+    assert proved >= 238
 
 
 def _smt_truth(cond, env) -> bool:

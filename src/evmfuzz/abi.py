@@ -31,7 +31,7 @@ class AbiType:
     @classmethod
     def parse(cls, text: str) -> "AbiType":
         text = text.strip()
-        if text.endswith("]"):
+        if text.endswith("]") and "[" in text:
             open_idx = text.rindex("[")
             dim = text[open_idx + 1:-1]
             elem = cls.parse(text[:open_idx])
@@ -133,16 +133,27 @@ def _is_payable(entry: dict) -> bool:
     return bool(entry.get("payable", False))
 
 
+def _inputs(entry: dict) -> tuple[AbiType, ...]:
+    inputs = entry.get("inputs", [])
+    if not (isinstance(inputs, list) and all(isinstance(arg, dict) for arg in inputs)
+            and all(isinstance(arg.get("type"), str) for arg in inputs)):
+        raise AbiError(f"inputs must be a list of objects with a string type: {inputs!r}")
+    return tuple(AbiType.parse(arg["type"]) for arg in inputs)
+
+
 def parse_abi(source: str | list) -> ContractAbi:
     entries = json.loads(source) if isinstance(source, str) else source
     if not isinstance(entries, list):
         raise AbiError("ABI must be a JSON array")
     abi = ContractAbi()
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise AbiError(f"ABI entry {entry!r} is not an object")
         etype = entry.get("type", "function")
         if etype == "function":
-            inputs = tuple(AbiType.parse(arg["type"]) for arg in entry.get("inputs", []))
-            name = entry["name"]
+            inputs, name = _inputs(entry), entry.get("name")
+            if not isinstance(name, str) or not name.isascii():
+                raise AbiError(f"function without an ASCII name: {entry!r}")
             signature = function_signature(name, inputs)
             abi.functions.append(
                 FunctionSpec(
@@ -154,9 +165,7 @@ def parse_abi(source: str | list) -> ContractAbi:
                 )
             )
         elif etype == "constructor":
-            abi.constructor_inputs = tuple(
-                AbiType.parse(arg["type"]) for arg in entry.get("inputs", [])
-            )
+            abi.constructor_inputs = _inputs(entry)
         elif etype in ("fallback", "receive"):
             abi.has_fallback = True
             abi.fallback_payable = abi.fallback_payable or _is_payable(entry)

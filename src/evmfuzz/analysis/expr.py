@@ -138,20 +138,26 @@ class EvalError(KeyError):
     pass
 
 
-def evaluate(term: Term, env: dict[str, int]) -> int:
-    """The word term takes under env, a shared subterm evaluated once; an
-    opaque term is its observed value, and a variable env lacks raises EvalError."""
-    values = {}
+def values(term: Term, env: dict[str, int]) -> dict[int, int | None]:
+    """The word each subterm of term takes under env, by identity, a shared
+    subterm evaluated once: an opaque term is its observed value, and a
+    subterm over a variable env lacks, or over an op with no semantics, is None."""
+    words: dict[int, int | None] = {}
     for node in dag(term, into_opaque=False):
         op = node.op
         if op == "const" or op in OPAQUE_OPS:
-            values[id(node)] = node.value
+            words[id(node)] = node.value
         elif op == "var":
-            if node.name not in env:
-                raise EvalError(node.name)
-            values[id(node)] = env[node.name] & MASK
-        elif op in OPS:
-            values[id(node)] = OPS[op](*(values[id(arg)] for arg in node.args)) & MASK
+            words[id(node)] = env[node.name] & MASK if node.name in env else None
         else:
-            raise EvalError(f"no semantics for op {op!r}")
-    return values[id(term)]
+            args = [words[id(arg)] for arg in node.args]
+            words[id(node)] = None if op not in OPS or None in args else OPS[op](*args) & MASK
+    return words
+
+
+def evaluate(term: Term, env: dict[str, int]) -> int:
+    """The word term takes under env, as ``values`` gives it; EvalError where that is None."""
+    word = values(term, env)[id(term)]
+    if word is None:
+        raise EvalError(", ".join(sorted(term.names - env.keys())) or "an op with no semantics")
+    return word

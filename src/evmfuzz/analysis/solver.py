@@ -28,11 +28,11 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
+from itertools import count, islice
 
 from ..evm.opcodes import WORD, signed
 from . import expr
-from .expr import MASK, Term, evaluate, variables
+from .expr import MASK, Term, variables
 from .taint import FUZZABLE_KINDS, PathConstraint, parse_var
 
 DEFAULT_TIMEOUT_MS = 100
@@ -315,9 +315,8 @@ def _and_inverse(target: int, mask: int, own) -> Iterator[int]:
     if target & ~mask & MASK:
         return  # the target has bits the mask clears
     yield target
-    own_value = own()
-    if own_value is not None:  # the operand's own bits where the mask clears them
-        yield (own_value & ~mask & MASK) | target
+    if own is not None:  # the operand's own bits where the mask clears them
+        yield (own & ~mask & MASK) | target
 
 
 # An abstract word is a tuple (known, bits, lo, hi): the bits every
@@ -421,7 +420,7 @@ def _relation_rule(relation):
 # (variables, sha3, mix and the rest) is top.  Each inverse is an (operand
 # position, inverse) pair for an operand the internal solver can solve for.
 # The inverse takes the target, the other operand's value (0 for a unary op)
-# and a thunk for the operand's own value, and returns the values the
+# and the operand's own value (None if unknown), and returns the values the
 # operand must take for the op to yield the target; the solver masks them to
 # words.  Shift amounts and SIGNEXTEND's byte index are the first operand,
 # as on the stack.
@@ -450,26 +449,24 @@ _INVERSES = {
 class InternalSolver:
     """Inverse-propagation solver for chains of invertible word operations.
 
-    A condition's relations, ``iszero`` and ``and``/``or`` set the values
-    its sides should take (``_RELATIONS``); each word op on the way down to
-    a fuzzable variable is inverted around the other operand's observed
-    value (``_INVERSES``).  Complete enough for the guard shapes compilers
-    emit around a single fuzzable quantity; says "unknown" rather than
-    guessing wrong, and only returns models that re-evaluate correctly
-    against the full constraint prefix.
+    In a ``CandidateSearch``, a condition's relations, ``iszero`` and
+    ``and``/``or`` set the values its sides should take (``_RELATIONS``);
+    each word op on the way down to a fuzzable variable is inverted around
+    the other operand's observed value (``_INVERSES``).  Complete enough for
+    the guard shapes compilers emit around a single fuzzable quantity; says
+    "unknown" rather than guessing wrong, and only returns models that
+    re-evaluate correctly against the full constraint prefix.
 
     It answers "unsat" only when the target condition alone cannot take the
-    wanted truth value: every variable, fuzzable or not, ranges over all
-    words, and one abstract interpretation over the condition's DAG gives
-    every subterm an abstract word (known bits and an unsigned interval)
-    from its op's rule in ``_INVERSES``.  Relations and ``iszero`` are
-    exactly 0 or 1 where their operands decide them, so the condition's own
-    word says whether it can be zero or nonzero.  A query that is
-    unsatisfiable only through the prefix stays "unknown".
+    wanted truth value, every variable ranging over all words: one abstract
+    interpretation over the condition's DAG gives every subterm an abstract
+    word (known bits and an unsigned interval) from its op's rule in
+    ``_INVERSES``, exact for relations and ``iszero`` where their operands
+    decide them.  A query unsatisfiable only through the prefix stays "unknown".
     """
 
     MAX_CANDIDATES = 256
-    MAX_DEPTH = 24  # how deep the candidate searches go: _solve_bool and _unify
+    MAX_DEPTH = 24  # the candidate search's recursion guard, part of each stream's key
 
     def solve(
         self,
@@ -504,8 +501,6 @@ class InternalSolver:
                 return SolveResult("sat", model=candidate, route="internal")
         return SolveResult("unknown", route="internal")
 
-    # -- unsat proofs -----------------------------------------------------
-
     def _can_be(self, cond: Term, want: bool) -> bool:
         """False only if no assignment gives cond the truth value want."""
         _, _, lo, hi = self._abstract(cond, {})
@@ -529,36 +524,17 @@ class InternalSolver:
                 words[id(node)] = entry[0](*(words[id(a)] for a in args)) if entry else _TOP
         return words[id(term)]
 
-    # -- candidate generation -------------------------------------------
-
-    def _candidates(
-        self,
-        cond: Term,
-        want: bool,
-        env: dict[str, int],
-        free: frozenset[str],
-        deadline: float | None = None,
-    ) -> Iterator[dict[str, int]]:
-        """Candidate assignments, drawn lazily: an ``and``/``or`` tree makes
-        the product of its branches' candidates, 2**leaves of them.  The
-        ``dead`` set handed down keeps the ``(id(term), target, depth)`` keys
-        whose ``_unify`` yielded nothing, so a dead end is searched once.
-        ``_solve_bool`` and ``_unify`` read the clock at each step, so the
-        search ends once ``deadline`` has passed."""
-        yield from self._solve_bool(cond, want, env, free, 0, set(), deadline)
+    def _candidates(self, cond: Term, want: bool, env: dict[str, int], free: frozenset[str],
+                    deadline: float | None = None) -> Iterator[dict[str, int]]:
+        """Candidate assignments, drawn lazily: a ``CandidateSearch`` until
+        ``deadline``, then values around those the condition mentions."""
+        search = CandidateSearch(cond, env, free, deadline)
+        yield from search.stream(search.solve_bool, cond, want, 0)
         # concrete-first heuristics: nudge each free variable around the
         # values and constants the condition already mentions
-        interesting: list[int] = [0, 1, 2]
-        for name in sorted(free):
-            if name in env:
-                observed = env[name]
-                interesting += [observed, (observed + 1) & MASK, (observed - 1) & MASK]
-        for c in self._constants(cond):
-            interesting += [c, (c + 1) & MASK, (c - 1) & MASK]
-        interesting += [1 << 255, MASK]
-        for name in sorted(free):
-            for value in interesting:
-                yield {name: value & MASK}
+        around = [env[name] for name in sorted(free) if name in env] + self._constants(cond)
+        interesting = [0, 1, 2, *(v + d for v in around for d in (0, 1, -1)), 1 << 255, MASK]
+        yield from ({name: value & MASK} for name in sorted(free) for value in interesting)
 
     def _constants(self, term: Term) -> list[int]:
         """The constants in term, depth first, at most 32 from any subterm."""
@@ -568,105 +544,113 @@ class InternalSolver:
                                else [c for arg in node.args for c in lists[id(arg)]][:32])
         return lists[id(term)]
 
-    def _eval(self, term: Term, env: dict[str, int]) -> int | None:
-        try:
-            return evaluate(term, env)
-        except expr.EvalError:
-            return None
+    def _verifies(self, constraints, target_index, want, env) -> bool:
+        for index in range(target_index + 1):
+            pc = constraints[index]
+            value = expr.values(pc.cond, env)[id(pc.cond)]
+            expected = pc.taken if index != target_index else want
+            if value is None or bool(value) != expected:
+                return False
+        return True
 
-    def _solve_bool(self, cond, want, env, free, depth, dead, deadline):
-        """Assignments aiming to make cond truthy (want) or zero (not want)."""
-        if depth > self.MAX_DEPTH or deadline is not None and time.monotonic() >= deadline:
+
+class CandidateSearch:
+    """One ``solve`` call's search for assignments that give cond a truth
+    value, with one memo: each subterm's value under ``env``, computed once,
+    and the stream of each (search, subterm, goal, depth), the goal being
+    ``solve_bool``'s truth value or ``unify``'s target.  A stream replays
+    what a fresh search would yield, so operands that reach one subterm
+    through different objects cost the DAG times ``MAX_DEPTH``, not the tree."""
+
+    def __init__(self, cond: Term, env: dict, free: frozenset[str], deadline: float | None) -> None:
+        self.free, self.deadline = free, deadline
+        self.values = expr.values(cond, env)
+        self.streams: dict[tuple, tuple[list, Iterator]] = {}
+
+    def stream(self, search, term: Term, goal, depth: int) -> Iterator[dict[str, int]]:
+        """What ``search(term, goal, depth)`` yields, read until the deadline.
+        Its first ``MAX_CANDIDATES`` items, as many as ``solve`` draws, are
+        drawn once and kept for every reader; a reader past them draws the
+        rest from a fresh search."""
+        if depth > InternalSolver.MAX_DEPTH:
             return
+        key = (search, id(term), goal, depth)
+        if key not in self.streams:
+            self.streams[key] = ([], search(term, goal, depth))
+        kept, source = self.streams[key]
+        for i in count():
+            if self.deadline is not None and time.monotonic() >= self.deadline:
+                return
+            if i == len(kept) == InternalSolver.MAX_CANDIDATES:
+                yield from islice(search(term, goal, depth), i, None)
+                return
+            if i == len(kept):
+                kept.append(next(source, None))  # None marks the end
+            if kept[i] is None:
+                return
+            yield kept[i]
+
+    def solve_bool(self, cond, want, depth):
+        """Assignments aiming to make cond truthy (want) or zero (not want)."""
         while cond.op in ("and", "or") and cond.args[0] is cond.args[1]:
             cond = cond.args[0]  # DUP1 AND, DUP1 OR: and(t, t) is t; search it once, not twice
         op = cond.op
         if op == "iszero":
-            yield from self._solve_bool(
-                cond.args[0], not want, env, free, depth + 1, dead, deadline
-            )
+            yield from self.stream(self.solve_bool, cond.args[0], not want, depth + 1)
         elif op in _RELATIONS:
-            yield from self._solve_compare(cond, want, env, free, depth, dead, deadline)
+            yield from self._solve_compare(cond, want, depth)
         elif op in ("and", "or"):
-            first, second = (
-                partial(self._solve_bool, arg, want, env, free, depth + 1, dead, deadline)
-                for arg in cond.args
-            )
+            first, second = (partial(self.stream, self.solve_bool, arg, want, depth + 1)
+                             for arg in cond.args)
             if want != (op == "and"):  # a truthy or, a zero and: either side will do
                 yield from first()
                 yield from second()
                 return
             for left in first():  # a truthy and, a zero or: both sides at once
                 for right in second():
-                    merged = self._merge(left, right)
+                    merged = _merge(left, right)
                     if merged is not None:
                         yield merged
                 if op == "and":
                     yield left  # the right side may be truthy already
         else:  # an arbitrary word used as a condition
-            yield from self._unify(cond, int(want), env, free, depth, dead, deadline)
+            yield from self.stream(self.unify, cond, int(want), depth)
 
-    def _solve_compare(self, cond, want, env, free, depth, dead, deadline):
+    def _solve_compare(self, cond, want, depth):
         relation = cond.op if want else _RELATIONS[cond.op][0]
         a, b = cond.args
         for side, other, held in ((a, b, relation), (b, a, _RELATIONS[relation][1])):
-            if not side.names & free:
-                continue
-            value = self._eval(other, env)
-            if value is None:
+            value = self.values[id(other)]
+            if not side.names & self.free or value is None:
                 continue
             offsets, bounds = _RELATIONS[held][2:4]
             for target in (*(value + offset for offset in offsets), *bounds):
-                yield from self._unify(side, target, env, free, depth, dead, deadline)
+                yield from self.stream(self.unify, side, target & MASK, depth)
 
-    def _unify(self, term, target, env, free, depth, dead, deadline):
+    def unify(self, term, target, depth):
         """Assignments that could make term evaluate to target: a free
         variable takes it, and an op in ``_INVERSES`` hands each operand it
         can solve for the values that operand must take."""
-        if depth > self.MAX_DEPTH or deadline is not None and time.monotonic() >= deadline:
-            return
-        target &= MASK
-        key = (id(term), target, depth)
-        if key in dead:
-            return
-        if term.op == "var" and term.name in free:
+        if term.op == "var" and term.name in self.free:
             yield {term.name: target}
             return
-        args, found = term.args, False
+        args = term.args
         for position, inverse in _INVERSES.get(term.op, (None, ()))[1]:
             side = args[position]
-            if not side.names & free:
+            other = self.values[id(args[1 - position])] if len(args) == 2 else 0
+            if not side.names & self.free or other is None:
                 continue
-            other = self._eval(args[1 - position], env) if len(args) == 2 else 0
-            if other is None:
-                continue
-            for value in inverse(target, other, partial(self._eval, side, env)):
-                for candidate in self._unify(side, value, env, free, depth + 1, dead, deadline):
-                    found = True
-                    yield candidate
-        if not found:
-            dead.add(key)
+            for value in inverse(target, other, self.values[id(side)]):
+                yield from self.stream(self.unify, side, value & MASK, depth + 1)
 
-    def _merge(self, left: dict, right: dict) -> dict | None:
-        merged = dict(left)
-        for key, value in right.items():
-            if merged.get(key, value) != value:
-                return None
-            merged[key] = value
-        return merged
 
-    # -- verification -----------------------------------------------------
-
-    def _verifies(self, constraints, target_index, want, env) -> bool:
-        for index in range(target_index + 1):
-            pc = constraints[index]
-            value = self._eval(pc.cond, env)
-            if value is None:
-                return False
-            expected = pc.taken if index != target_index else want
-            if bool(value) != expected:
-                return False
-        return True
+def _merge(left: dict, right: dict) -> dict | None:
+    merged = dict(left)
+    for key, value in right.items():
+        if merged.get(key, value) != value:
+            return None
+        merged[key] = value
+    return merged
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,28 @@ def test_parse_arrays():
     assert t.length == -1 and t.elem.length == 2 and t.elem.elem.bits == 8
 
 
+# malformed ABI entries: not an object, a function without a (string,
+# ASCII) name, an argument without a string type, inputs that are not a list
+BAD_ABIS = [
+    "[1]",
+    '[{"type": "function"}]',
+    '[{"type": "function", "name": 5}]',
+    '[{"type": "function", "name": "f\u00e9"}]',
+    '[{"type": "function", "name": "f", "inputs": [{"name": "x"}]}]',
+    '[{"type": "function", "name": "f", "inputs": [{"type": 8}]}]',
+    '[{"type": "function", "name": "f", "inputs": [1]}]',
+    '[{"type": "function", "name": "f", "inputs": {"type": "uint256"}}]',
+    '[{"type": "constructor", "inputs": "uint256"}]',
+]
+
+
 def test_parse_rejects_junk():
-    for bad in ["uint7", "uint264", "bytes0", "bytes33", "frob", "uint256[0]", "int12"]:
+    for bad in ["uint7", "uint264", "bytes0", "bytes33", "frob", "uint256[0]", "int12", "]"]:
         with pytest.raises(AbiError):
             AbiType.parse(bad)
+    for bad in BAD_ABIS:
+        with pytest.raises(AbiError):
+            parse_abi(bad)
 
 
 def test_canonical_names():

@@ -611,16 +611,36 @@ def test_a_guard_behind_shared_or_rounds_is_solved_within_the_budget():
         assert report["coverage"]["percent"] == 100.0
 
 
-def test_a_search_too_large_for_the_budget_ends_with_it():
-    # no candidate comes out of this search before the budget runs out: the
-    # search reads the clock while it draws one
+def test_a_guard_whose_and_operands_share_a_condition_is_solved_within_a_second():
+    # and(c, or(c, 0)): the search draws each stream of the condition's DAG
+    # once, so one attempt finds x == 0x1235
     budget = 1.0
     for rounds in (16, 18):
         started = time.monotonic()
         code = shared_or_guard(rounds, "PUSH1 0 DUP2 OR SWAP1 AND")
         report = run_campaign(MAGIC_ABI, code, config=quick_config(timeout=budget))
         assert time.monotonic() - started < budget + INPUT_WALL_CAP, rounds
-        assert report["solver"]["attempts"] > 0
+        assert report["solver"]["attempts"] == report["solver"]["sat"] == 1, rounds
+        assert report["coverage"]["percent"] == 100.0, rounds
+
+
+# x == 7 and no k < 22 with arg_k < 100, x being arg_0: each of the 2**22
+# ways to make the or false sets x to 100 or 101, so the search draws no
+# candidate for seconds
+WIDE_OR_GUARD = assemble(
+    "PUSH1 100 PUSH1 4 CALLDATALOAD LT"
+    + "".join(f" PUSH1 100 PUSH {4 + 32 * k} CALLDATALOAD LT OR" for k in range(1, 22))
+    + " ISZERO PUSH1 7 PUSH1 4 CALLDATALOAD EQ AND PUSH @win JUMPI STOP win: JUMPDEST STOP"
+)
+
+
+def test_a_search_too_large_for_the_budget_ends_with_it():
+    # the search reads the clock while it draws a candidate
+    budget = 1.0
+    started = time.monotonic()
+    report = run_campaign(MAGIC_ABI, WIDE_OR_GUARD, config=quick_config(timeout=budget))
+    assert time.monotonic() - started < budget + INPUT_WALL_CAP
+    assert report["solver"]["attempts"] == report["solver"]["timeout"] == 1
 
 
 # adds 1 to a calldata word in a loop of 1 200 rounds, then guards on it: a

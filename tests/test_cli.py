@@ -6,6 +6,8 @@ from evmfuzz.asm import assemble, creation_wrapper
 from evmfuzz.cli import EXIT_DEPLOY, EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_SOLVER, main
 from evmfuzz.keccak import keccak256
 
+from test_abi import BAD_ABIS
+
 SET_SEL = keccak256(b"set(uint256)")[:4]
 
 RUNTIME = assemble(
@@ -175,11 +177,12 @@ def test_rejects_bad_hex(tmp_path, capsys):
 
 def test_rejects_bad_abi(compiled, tmp_path, capsys):
     bad = tmp_path / "bad.abi"
-    bad.write_text("{not json")
-    args = quick_args(compiled)
-    args[1] = str(bad)
-    assert main(args) == EXIT_INPUT
-    assert "bad ABI" in capsys.readouterr().err
+    for text in ["{not json", *BAD_ABIS]:
+        bad.write_text(text)
+        args = quick_args(compiled)
+        args[1] = str(bad)
+        assert main(args) == EXIT_INPUT, text
+        assert "bad ABI" in capsys.readouterr().err, text
 
 
 def test_rejects_unknown_detector(compiled, capsys):

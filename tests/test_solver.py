@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import stat
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evmfuzz.analysis import expr
 from evmfuzz.analysis.expr import MASK, apply, const, dag, evaluate, opaque, var
 from evmfuzz.analysis.solver import (
+    CandidateSearch,
     ExternalSolver,
     InternalSolver,
     SmtLibWriter,
@@ -360,17 +363,39 @@ def test_a_chain_whose_and_operands_share_a_condition_is_judged_at_once(second, 
         assert time.perf_counter() - started < 0.01, want
 
 
-def test_the_search_answers_to_its_deadline_while_it_draws_a_candidate():
-    # the search tree of these satisfiable guards is too large to draw a
-    # candidate from in time: the clock is read inside the search, not only
-    # between candidates
+def wide_or_guard(n):
+    """x == 7 and no k < n with arg_k < 100, x being arg_0, observed with
+    every arg_k at 200: each of the 2**n ways to make the or false sets x to
+    100 or 101, so the search merges none of them with x == 7."""
+    either = apply("lt", var("arg_0_0"), const(100))
+    for k in range(1, n):
+        either = apply("or", either, apply("lt", var(f"arg_{k}_0"), const(100)))
+    guard = apply("and", apply("eq", var("arg_0_0"), const(7)), apply("iszero", either))
+    return guard, {f"arg_{k}_0": 200 for k in range(n)}
+
+
+@pytest.fixture
+def collector_paused():
+    # a full collection of a test process's heap takes 20-60 ms, as long as
+    # the bounds timed below, and can start inside any timed call
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
+
+
+def test_the_search_answers_to_its_deadline_while_it_draws_a_candidate(collector_paused):
+    # each stream of these chains is drawn once per query, so the search
+    # costs their DAG and finds a candidate at once, either way
     solver = InternalSolver()
-    for rounds in (16, 18):
+    for rounds in (12, 14, 16, 18, 24, 30):
         chain = shared_chain(apply("lt", var("arg_0_0"), const(5)), rounds, _SECOND_OPERANDS["or"])
-        started = time.monotonic()
-        result = solver.solve([_constraint(chain, taken=False)], 0, {"arg_0_0": 9}, started + 0.5)
-        assert time.monotonic() - started < 0.8, rounds
-        assert result.status == "timeout"
+        for taken, observed in ((False, 9), (True, 1)):
+            started = time.monotonic()
+            result = solver.solve([_constraint(chain, taken)], 0, {"arg_0_0": observed}, started + 0.5)
+            assert time.monotonic() - started < 0.05, (rounds, taken)
+            assert result.status == "sat"
     # wanting such a chain false, the search forks at every level: past the
     # deadline it stops forking, so it unwinds at once
     for rounds in (18, 30):
@@ -379,6 +404,48 @@ def test_the_search_answers_to_its_deadline_while_it_draws_a_candidate():
         result = solver.solve([_constraint(chain, taken=True)], 0, {"arg_0_0": 1}, started)
         assert time.monotonic() - started < 0.1, rounds
         assert result.status == "timeout"
+    # no candidate comes out of this search in time: the clock is read while
+    # it draws one
+    guard, values = wide_or_guard(18)
+    started = time.monotonic()
+    result = solver.solve([_constraint(guard, taken=False)], 0, values, started + 0.2)
+    assert time.monotonic() - started < 0.25
+    assert result.status == "timeout"
+
+
+def test_the_search_costs_a_conditions_dag_not_its_tree(monkeypatch):
+    # and(c, or(c, 0)) x n reaches c through 2**n paths; each (search,
+    # subterm, goal, depth) is searched once per query, so the searches grow
+    # with n and the depth, and the shared sibling mul(storage_1, 3), the
+    # other side of each comparison, is evaluated once
+    mul, calls, searched = expr.OPS["mul"], [], []
+    monkeypatch.setitem(expr.OPS, "mul", lambda a, b: calls.append(a) or mul(a, b))
+    for name in ("solve_bool", "unify"):
+        def counting(self, term, goal, depth, search=getattr(CandidateSearch, name)):
+            searched.append((search, id(term), goal, depth))
+            return search(self, term, goal, depth)
+        monkeypatch.setattr(CandidateSearch, name, counting)
+    bound = apply("mul", var("storage_1"), const(3))
+    env = {"arg_0_0": 9, "storage_1": 2}
+    for rounds in (6, 12, 18, 24, 30):
+        chain = shared_chain(apply("lt", var("arg_0_0"), bound), rounds, _SECOND_OPERANDS["or"])
+        for want in (True, False):
+            calls.clear()
+            searched.clear()
+            search = CandidateSearch(chain, env, frozenset({"arg_0_0"}), None)
+            list(islice(search.stream(search.solve_bool, chain, want, 0), 64))
+            assert len(calls) == 1, (rounds, want)
+            assert len(set(searched)) == len(searched) <= 4 * rounds * (InternalSolver.MAX_DEPTH + 1)
+    # the memo lives with its query: the solver keeps nothing between calls
+    solver = InternalSolver()
+    assert solver.solve([_constraint(chain, taken=False)], 0, env).status == "sat"
+    assert vars(solver) == {}
+    # a stream keeps at most MAX_CANDIDATES items: the 2**10 ways to make
+    # this or false are drawn, not kept
+    guard, values = wide_or_guard(10)
+    search = CandidateSearch(guard, values, frozenset(values), None)
+    assert list(search.stream(search.solve_bool, guard, True, 0)) == [{"arg_0_0": 7}]
+    assert max(len(kept) for kept, _ in search.streams.values()) <= InternalSolver.MAX_CANDIDATES
 
 
 def _exactly(value):
@@ -726,15 +793,15 @@ def test_candidates_are_drawn_lazily(monkeypatch):
     for k in range(1, 16):
         cond = apply("or", cond, apply("lt", var(f"arg_{k}_0"), const(100)))
     drawn = []
-    solve_bool = InternalSolver._solve_bool
+    solve_bool = CandidateSearch.solve_bool
 
-    def counting(self, cond, want, env, free, depth, dead, deadline):
-        for candidate in solve_bool(self, cond, want, env, free, depth, dead, deadline):
+    def counting(self, cond, want, depth):
+        for candidate in solve_bool(self, cond, want, depth):
             if depth == 0:
                 drawn.append(candidate)
             yield candidate
 
-    monkeypatch.setattr(InternalSolver, "_solve_bool", counting)
+    monkeypatch.setattr(CandidateSearch, "solve_bool", counting)
     values = {f"arg_{k}_0": 5 if k == 0 else 200 for k in range(16)}
     result = _flip([_constraint(cond, taken=True)], 0, values)
     assert result.status == "sat"

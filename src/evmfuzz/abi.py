@@ -21,6 +21,12 @@ class AbiError(ValueError):
     pass
 
 
+def _count(text: str) -> int:
+    """``text`` as a decimal count; 0 for anything else, and for more digits
+    than any size or dimension bound allows."""
+    return int(text) if text.isascii() and text.isdigit() and len(text) <= 9 else 0
+
+
 @dataclass(frozen=True)
 class AbiType:
     kind: str  # uint | int | address | bool | fbytes | bytes | string | array
@@ -37,9 +43,14 @@ class AbiType:
             elem = cls.parse(text[:open_idx])
             if dim == "":
                 return cls("array", elem=elem, length=-1)
-            if not dim.isdigit() or int(dim) == 0:
+            length = _count(dim)
+            if not length:
                 raise AbiError(f"bad array dimension in {text!r}")
-            return cls("array", elem=elem, length=int(dim))
+            # every draw builds each element, so a static array is bounded
+            # by the words its elements take (one for a dynamic element)
+            if length * elem.head_words() > MAX_STATIC_WORDS:
+                raise AbiError(f"{text!r} spans more than {MAX_STATIC_WORDS} words")
+            return cls("array", elem=elem, length=length)
         if text == "address":
             return cls("address")
         if text == "bool":
@@ -53,13 +64,13 @@ class AbiType:
         for prefix, kind in (("uint", "uint"), ("int", "int")):
             if text.startswith(prefix):
                 rest = text[len(prefix):]
-                bits = 256 if rest == "" else int(rest) if rest.isdigit() else 0
+                bits = 256 if rest == "" else _count(rest)
                 if bits % 8 or not 8 <= bits <= 256:
                     raise AbiError(f"bad integer width {text!r}")
                 return cls(kind, bits=bits)
         if text.startswith("bytes"):
             rest = text[5:]
-            size = int(rest) if rest.isdigit() else 0
+            size = _count(rest)
             if not 1 <= size <= 32:
                 raise AbiError(f"bad fixed bytes size {text!r}")
             return cls("fbytes", bits=size)
@@ -256,7 +267,8 @@ def encode_calldata(fn: FunctionSpec, values: list) -> bytes:
 
 EDGE_PROBABILITY = 0.5
 MAX_DYNAMIC_BYTES = 64
-MAX_ARRAY_LENGTH = 4
+MAX_ARRAY_LENGTH = 4  # elements of a drawn dynamic array
+MAX_STATIC_WORDS = 1024  # words of a static array type, checked when parsed
 
 
 def generate_argument(

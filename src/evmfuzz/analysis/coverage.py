@@ -24,8 +24,12 @@ class CoverageStore:
         self.branch_outcomes: dict[int, set[bool]] = {}
 
     def merge_trace(self, trace: ExecutionTrace) -> bool:
-        """Fold one trace in; returns True when new instructions appeared."""
+        """Fold one trace in; returns True when new instructions appeared.
+        A trace this store took in last time adds nothing."""
         facts = trace.facts
+        if facts.merged_by is self:
+            return False
+        facts.merged_by = self
         fresh = facts.executed - self.executed
         if fresh:
             fresh &= self._starts

@@ -68,9 +68,17 @@ def slot_identity(trace: ExecutionTrace, raw: int) -> tuple:
 
 
 def read_set(trace: ExecutionTrace) -> frozenset:
-    return frozenset(slot_identity(trace, raw) for raw in trace.facts.read_keys)
+    """Slots read by a trace, computed once per trace."""
+    facts = trace.facts
+    if facts.reads is None:
+        facts.reads = frozenset(slot_identity(trace, raw) for raw in facts.read_keys)
+    return facts.reads
 
 
 def write_set(trace: ExecutionTrace) -> frozenset:
-    """Slots written by a trace; meaningful only for applied traces."""
-    return frozenset(slot_identity(trace, raw) for raw in trace.facts.write_keys)
+    """Slots written by a trace, computed once per trace; meaningful only for
+    applied traces."""
+    facts = trace.facts
+    if facts.writes is None:
+        facts.writes = frozenset(slot_identity(trace, raw) for raw in facts.write_keys)
+    return facts.writes

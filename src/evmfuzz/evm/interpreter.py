@@ -12,7 +12,8 @@ mutate block values and external call outcomes like any other input byte.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Iterator
 
 import json
@@ -120,10 +121,14 @@ class TraceFacts:
     """What coverage, fitness, slot recovery, the GA registries and the
     detectors read from a trace, recorded by the run as it pops each operand.
 
-    ``identities`` starts empty.  ``analysis.slots`` fills it with the slot
-    identity tuple of each raw key it resolves against the trace's
-    preimages, ``(declared slot, path)`` or ``("raw", key)``, so every
-    distinct key is resolved once per trace, whoever asks first.
+    The fields after ``invalid_pc`` cache work derived from the trace
+    alone, done once per trace whoever asks first, and equality skips them.
+    ``analysis.slots`` fills ``identities`` with the slot identity of each
+    raw key it resolves against the trace's preimages, ``(declared slot,
+    path)`` or ``("raw", key)``, and keeps the ``reads`` and ``writes``
+    identity sets.  ``merged_by`` and ``observed_by`` name the coverage
+    store and the GA engine that last took the trace in, which need not
+    take it in again.
     """
 
     executed: frozenset[int] = frozenset()  # every pc visited, the fault step's included
@@ -133,7 +138,11 @@ class TraceFacts:
     write_keys: set[int] = field(default_factory=set)  # raw SSTORE keys
     extcode_targets: set[int] = field(default_factory=set)  # EXTCODESIZE operands
     invalid_pc: int | None = None  # a genuine INVALID (failed assertion), never a fault
-    identities: dict[int, tuple] = field(default_factory=dict)
+    identities: dict[int, tuple] = field(default_factory=dict, compare=False)
+    reads: frozenset | None = field(default=None, compare=False)
+    writes: frozenset | None = field(default=None, compare=False)
+    merged_by: object = field(default=None, compare=False, repr=False)
+    observed_by: object = field(default=None, compare=False, repr=False)
 
 
 class TraceRecords(Sequence):
@@ -177,9 +186,9 @@ class ExecutionTrace:
     that did not execute.  ``calldata`` is the data the run read, and
     ``facts`` what the run recorded for the trace's readers.
 
-    A trace is shared: the interpreter hands the same object to every run
-    that repeats a memoized transaction, so nothing may change a trace once
-    ``execute`` returns it (the slot identities its facts keep and the taint
+    A trace is shared by every run that repeats a memoized transaction or
+    whose outcome is equal field by field, so nothing may change a trace
+    once ``execute`` returns it (the caches its facts keep and the taint
     walks kept in ``walks`` aside), and it is equal only to itself.
     """
 
@@ -212,6 +221,12 @@ class ExecutionTrace:
                     "error": record.error,
                 }
             )
+
+
+# Everything a trace's reader sees: every field but the facts, which the run
+# derives from the columns, and the caches.
+CONTENT_FIELDS = tuple(f.name for f in fields(ExecutionTrace) if f.init and f.name != "facts")
+_content = attrgetter(*CONTENT_FIELDS)
 
 
 class DeployError(Exception):
@@ -274,10 +289,16 @@ class Interpreter:
     * the outcome of ``execute``, keyed by the pre-state's snapshot (the
       items of its five maps), the transaction's fields and the
       environment's: a repeat restores the stored post-state snapshot (a run
-      that was not applied stores none) and returns the stored trace, so
-      several runs share one trace object.  Two equal states that hold their
-      items in different orders only cost a miss.  A ``TIMEOUT`` trace
-      depends on the clock and is never stored.  At most
+      that was not applied stores none) and returns the stored trace.  The
+      key names fields a run may never read (the gas limit, results of
+      callees the path never calls, storage it never loads), so a miss
+      often runs to a trace equal in every ``CONTENT_FIELDS`` field to one
+      the memo holds; it then gets that held trace, and work derived from a
+      trace alone is done once per distinct outcome.  The held traces are
+      indexed by content, each with the count of entries that hold it, and
+      leave the index with the last of them.  Two equal states that hold
+      their items in different orders only cost a miss.  A ``TIMEOUT``
+      trace depends on the clock and is never stored.  At most
       ``OUTCOME_MEMO_ENTRIES`` outcomes holding ``OUTCOME_MEMO_STEPS`` trace
       steps are kept, the oldest evicted first, and an outcome of more steps
       than that is not stored.  Entries are filed under the key's hash,
@@ -302,9 +323,12 @@ class Interpreter:
         self.wall_cap = wall_cap  # seconds per transaction; None or 0 = unlimited
         self._digests: dict[bytes, int] = {}
         self._decoded: dict[bytes, tuple[frozenset[int], list]] = {}
-        # key hash -> (key, trace, post-state or None, steps), oldest first
+        # key hash -> (key, trace, post-state or None, steps, content hash),
+        # oldest first
         self._outcomes: dict[int, tuple] = {}
         self._held = 0  # the steps of the stored outcomes
+        # content hash -> [held trace, entries holding it] pairs
+        self._traces: dict[int, list[list]] = {}
 
     def _keccak_word(self, blob: bytes, deadline: float | None = None) -> int:
         """Keccak-256 of ``blob`` as a word, through the bounded memo.
@@ -382,16 +406,42 @@ class Interpreter:
         steps = len(trace.ops)
         if trace.terminal == "TIMEOUT" or OUTCOME_MEMO_ENTRIES <= 0 or steps > OUTCOME_MEMO_STEPS:
             return trace
+        content = hash((trace.calldata, trace.terminal, trace.return_data, tuple(trace.stacks)))
+        trace = self._hold(trace, content)
         if stored is not None:  # another key with the same hash
-            del outcomes[digest]
-            self._held -= stored[3]
+            self._drop(digest)
         while outcomes and (len(outcomes) >= OUTCOME_MEMO_ENTRIES
                             or self._held + steps > OUTCOME_MEMO_STEPS):
-            self._held -= outcomes.pop(next(iter(outcomes)))[3]
+            self._drop(next(iter(outcomes)))
         post = state.snapshot() if trace.state_delta_applied else None
-        outcomes[digest] = (key, trace, post, steps)
+        outcomes[digest] = (key, trace, post, steps, content)
         self._held += steps
         return trace
+
+    def _hold(self, trace: ExecutionTrace, content: int) -> ExecutionTrace:
+        """The held trace equal to ``trace`` in content, else ``trace``
+        itself, held by one more memo entry."""
+        bucket = self._traces.setdefault(content, [])
+        seen = _content(trace)
+        for pair in bucket:
+            if _content(pair[0]) == seen:
+                pair[1] += 1
+                return pair[0]
+        bucket.append([trace, 1])
+        return trace
+
+    def _drop(self, digest: int) -> None:
+        """Evict the outcome filed under ``digest``, and its trace from the
+        content index if no other entry holds it."""
+        _, trace, _, steps, content = self._outcomes.pop(digest)
+        self._held -= steps
+        bucket = self._traces[content]
+        pair = next(pair for pair in bucket if pair[0] is trace)
+        pair[1] -= 1
+        if not pair[1]:
+            bucket.remove(pair)
+            if not bucket:
+                del self._traces[content]
 
     def _transact(
         self, state: EmulatedState, tx: Transaction, env: EnvOverrides,

@@ -318,6 +318,11 @@ class GeneticEngine:
     # observations feeding the registries
 
     def observe_trace(self, trace: ExecutionTrace) -> None:
+        """Register a trace's callees and EXTCODESIZE targets, once per
+        trace this engine took in last."""
+        if trace.facts.observed_by is self:
+            return
+        trace.facts.observed_by = self
         for event in trace.calls:
             if event.op in CALL_OPS:
                 self.known_callees.add(event.to)

@@ -47,8 +47,10 @@ def test_parse_arrays():
 
 
 # malformed ABI entries: not an object, a function without a (string,
-# ASCII) name, an argument without a string type, inputs that are not a list
+# ASCII) name, an argument without a string type, inputs that are not a list,
+# a static array too large to draw
 BAD_ABIS = [
+    '[{"type": "function", "name": "f", "inputs": [{"type": "uint8[100000000]"}]}]',
     "[1]",
     '[{"type": "function"}]',
     '[{"type": "function", "name": 5}]',
@@ -62,7 +64,8 @@ BAD_ABIS = [
 
 
 def test_parse_rejects_junk():
-    for bad in ["uint7", "uint264", "bytes0", "bytes33", "frob", "uint256[0]", "int12", "]"]:
+    for bad in ["uint7", "uint264", "bytes0", "bytes33", "frob", "uint256[0]", "int12", "]",
+                "uint\u00b2", "bytes\u00b2", "uint8[\u00b2]", "uint" + "9" * 5000]:
         with pytest.raises(AbiError):
             AbiType.parse(bad)
     for bad in BAD_ABIS:
@@ -90,6 +93,16 @@ def test_head_words_for_static_arrays():
     assert AbiType.parse("uint256[4]").head_words() == 4
     assert AbiType.parse("uint256[2][3]").head_words() == 6
     assert AbiType.parse("uint256[]").head_words() == 1
+
+
+def test_a_static_array_is_bounded_by_the_words_it_spans():
+    for fits in ["uint8[1024]", "uint256[32][32]", "string[1024]", "uint8[1024][]"]:
+        assert AbiType.parse(fits).kind == "array"
+    # a dynamic element counts one word, as it does in the head
+    for bad in ["uint8[1025]", "uint256[33][32]", "string[1025]", "uint8[100000000][]",
+                "uint8[100000000]", "uint8[" + "9" * 5000 + "]"]:
+        with pytest.raises(AbiError, match="bad array dimension|more than 1024 words"):
+            AbiType.parse(bad)
 
 
 def test_argument_at_maps_head_words_to_positions():

@@ -6,6 +6,7 @@ import pytest
 from evmfuzz import campaign as campaign_module
 from evmfuzz.abi import AbiType, parse_abi
 from evmfuzz.analysis import OpenBranch, PathConstraint, SolveResult, TaintReport
+from evmfuzz.analysis import taint as taint_module
 from evmfuzz.analysis.expr import apply, const, var
 from evmfuzz.asm import assemble, creation_wrapper
 from evmfuzz.campaign import (
@@ -16,7 +17,7 @@ from evmfuzz.campaign import (
     run_campaign,
     write_report,
 )
-from evmfuzz.evm import Transaction
+from evmfuzz.evm import Interpreter, Transaction
 from evmfuzz.evm import interpreter as interpreter_module
 from evmfuzz.evm.opcodes import disassemble
 from evmfuzz.ga import Individual, Input
@@ -805,7 +806,15 @@ def fixture_report(compiled) -> dict:
 
 
 def test_the_memos_change_no_report(monkeypatch):
+    runs, walks = [], []
+    shipped_transact, shipped_walk = Interpreter._transact, taint_module._Walker.walk
+    monkeypatch.setattr(Interpreter, "_transact",
+                        lambda *args: runs.append(None) or shipped_transact(*args))
+    monkeypatch.setattr(taint_module._Walker, "walk",
+                        lambda walker: walks.append(None) or shipped_walk(walker))
     memoized = [fixture_report(compiled) for compiled in CORPUS]
+    # runs whose outcomes are equal share a trace, walked once
+    assert 0 < len(walks) < len(runs)
     monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_ENTRIES", 0)
     walked = []
 

@@ -185,6 +185,17 @@ def test_rejects_bad_abi(compiled, tmp_path, capsys):
         assert "bad ABI" in capsys.readouterr().err, text
 
 
+def test_rejects_a_static_array_too_large_to_draw(compiled, tmp_path, capsys):
+    huge = tmp_path / "huge.abi"
+    huge.write_text(json.dumps(
+        [{"type": "function", "name": "f", "inputs": [{"name": "x", "type": "uint8[100000000]"}]}]
+    ))
+    args = quick_args(compiled)
+    args[1] = str(huge)
+    assert main(args) == EXIT_INPUT == 1
+    assert "bad ABI" in capsys.readouterr().err
+
+
 def test_rejects_unknown_detector(compiled, capsys):
     assert main(quick_args(compiled, "--detectors", "AF,XX")) == EXIT_INPUT
     assert "unknown detectors: XX" in capsys.readouterr().err

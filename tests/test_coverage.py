@@ -44,6 +44,16 @@ def test_merge_reports_growth_once():
     assert store.merge_trace(trace) is False  # nothing new the second time
 
 
+def test_two_stores_sharing_a_trace_each_take_it_in():
+    trace = run(value=5)
+    first, second = CoverageStore(BRANCHING), CoverageStore(BRANCHING)
+    assert first.merge_trace(trace) is True
+    assert second.merge_trace(trace) is True
+    assert first.merge_trace(trace) is False
+    assert second.executed == first.executed and first.percent() == 100.0 * 8 / 9
+    assert second.branch_outcomes == first.branch_outcomes == {BRANCHING.index(0x57): {True}}
+
+
 def test_fallthrough_covers_prefix_only():
     store = CoverageStore(BRANCHING)
     store.merge_trace(run(value=0))

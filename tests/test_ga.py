@@ -350,6 +350,13 @@ def test_observe_trace_populates_registries():
     engine.observe_trace(trace)
     assert engine.known_callees == {0xCD}
     assert engine.known_extcode_targets == {0xAB}
+    # the engine takes a trace in once; another engine sharing it still does
+    engine.known_callees.clear()
+    engine.observe_trace(trace)
+    assert engine.known_callees == set()
+    other = make_engine()
+    other.observe_trace(trace)
+    assert other.known_callees == {0xCD} and other.known_extcode_targets == {0xAB}
 
 
 def test_evolution_is_deterministic_per_seed():

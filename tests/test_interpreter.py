@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import time
+from collections import Counter
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmfuzz.analysis import taint_individual
+from evmfuzz.analysis import taint, taint_individual
 from evmfuzz.asm import assemble, creation_wrapper
 from evmfuzz.detectors import DetectorSuite
 from evmfuzz.evm import (
@@ -18,7 +20,14 @@ from evmfuzz.evm import (
     Transaction,
 )
 from evmfuzz.evm import interpreter as interpreter_module
-from evmfuzz.evm.interpreter import KECCAK_MEMO_BYTES, KECCAK_MEMO_ENTRIES, TraceRecord
+from evmfuzz.evm.interpreter import (
+    CONTENT_FIELDS,
+    KECCAK_MEMO_BYTES,
+    KECCAK_MEMO_ENTRIES,
+    ExecutionTrace,
+    TraceFacts,
+    TraceRecord,
+)
 from evmfuzz.evm import opcodes
 from evmfuzz.evm.opcodes import NAME_TO_CODE, WORD_OPS
 from evmfuzz.evm.state import INITIAL_BALANCE
@@ -818,21 +827,38 @@ def test_a_timeout_is_run_again_not_reused():
     assert again is whole
 
 
+def ran(interpreter) -> list:
+    """The traces ``interpreter`` makes by running, appended as it runs them;
+    a memoized repeat runs nothing and appends nothing."""
+    made = []
+    shipped = interpreter._transact
+
+    def transact(*args):
+        made.append(shipped(*args))
+        return made[-1]
+
+    interpreter._transact = transact
+    return made
+
+
 def test_a_repeat_restores_the_post_state():
     interpreter = Interpreter()
+    made = ran(interpreter)
     source = "CALLVALUE PUSH1 0x00 SSTORE STOP"
     first, first_state = run(source, value=5, interpreter=interpreter)
     second, second_state = run(source, value=5, interpreter=interpreter)
-    assert second is first
+    assert second is first and len(made) == 1
     assert second_state.snapshot() == first_state.snapshot()
     assert second_state.storage == {(CONTRACT, 0): 5}
     assert second_state.received_from == {ACCOUNTS.benign: 5}
-    # a changed pre-state misses
+    # a changed pre-state misses and runs again
     state = EmulatedState()
     state.sstore(CONTRACT, 1, 1)
     third, state = run(source, value=5, interpreter=interpreter, state=state)
-    assert third is not first
+    assert len(made) == 2
     assert state.storage == {(CONTRACT, 0): 5, (CONTRACT, 1): 1}
+    # the run never loads slot 1, so its trace equals the first and is shared
+    assert third is first
 
 
 def filled(order):
@@ -890,3 +916,100 @@ def test_a_full_outcome_memo_keeps_its_bounds(entries, steps, monkeypatch):
     assert traces[0][1] is not traces[0][0]
     again, _ = run(COUNTED_LOOP, data=(11).to_bytes(32, "big"), interpreter=interpreter)
     assert again is traces[11][1]
+
+
+# ---------------------------------------------------------------------------
+# equal outcomes share one trace
+
+# reads its calldata alone: never the gas left, the sender or a call result
+ECHO = f"PUSH1 0x00 CALLDATALOAD {RETURN_TOP}"
+# copies what OTHER returns to memory, where nothing reads it back
+CALL_AND_DROP = (
+    "PUSH1 0x20 PUSH1 0x40 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 "
+    f"PUSH20 {OTHER} PUSH2 0x2328 CALL POP STOP"
+)
+
+
+def test_runs_that_differ_in_what_the_code_never_reads_share_one_trace(monkeypatch):
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    data = (7).to_bytes(32, "big")
+    first, _ = run(ECHO, data=data, interpreter=interpreter)
+    by_gas, _ = run(ECHO, data=data, gas=100_000, interpreter=interpreter)
+    by_callee, _ = run(ECHO, data=data, interpreter=interpreter,
+                       env=EnvOverrides(call_results={OTHER: (0, b"\x01")}))
+    # each missed the memo and ran, and got the trace the first run left
+    assert len(made) == 3 and by_gas is first and by_callee is first
+    assert made[1] is not first and made[1].facts == first.facts
+    walks = []
+    shipped = taint._Walker.walk
+    monkeypatch.setattr(taint._Walker, "walk", lambda walker: walks.append(shipped(walker)))
+    inp = Input(fn=None, sender=ACCOUNTS.benign, raw_calldata=data)
+    reports = [taint_individual([inp], [trace]) for trace in (first, by_gas, by_callee)]
+    assert len(walks) == 1 and reports[0] == reports[1] == reports[2]
+
+
+def test_injected_return_data_that_nothing_reads_still_tells_traces_apart():
+    interpreter = Interpreter()
+    first, second, again = [
+        run(CALL_AND_DROP, gas=gas, interpreter=interpreter,
+            env=EnvOverrides(call_results={OTHER: (1, payload)}))[0]
+        for payload, gas in ((b"\x01" * 32, 8_000_000), (b"\x02" * 32, 8_000_000),
+                             (b"\x01" * 32, 9_000))
+    ]
+    assert second is not first and again is first
+    assert (first.ops, first.stacks) == (second.ops, second.stacks)
+    assert [event.return_data for event in first.calls + second.calls] == [
+        b"\x01" * 32, b"\x02" * 32
+    ]
+
+
+def changed(value):
+    """A value of the same type as ``value`` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (list, str, bytes)):
+        return value[:-1]
+    if isinstance(value, dict):
+        return {**value, -1: b""}
+    return value + 1
+
+
+def test_every_field_a_reader_sees_is_in_the_content_key():
+    shared = {f.name for f in dataclasses.fields(ExecutionTrace) if f.init} - {"facts"}
+    assert set(CONTENT_FIELDS) == shared
+    # a trace with a call, a preimage and return data: no field is empty
+    interpreter = Interpreter()
+    source = f"PUSH1 0x20 PUSH1 0x00 SHA3 {CALL_AND_DROP.removesuffix(' STOP')} {RETURN_TOP}"
+    held, _ = run(source, data=b"\x05", interpreter=interpreter)
+    assert all(getattr(held, name) for name in CONTENT_FIELDS if name != "faulted")
+    [(_, _, _, _, content)] = interpreter._outcomes.values()
+    for name in CONTENT_FIELDS:
+        other = dataclasses.replace(held, **{name: changed(getattr(held, name))})
+        assert interpreter._hold(other, content) is other, name
+    # the facts of runs that share a trace compare equal, the caches aside
+    caches = {f.name for f in dataclasses.fields(TraceFacts) if not f.compare}
+    assert caches == {"identities", "reads", "writes", "merged_by", "observed_by"}
+    made = ran(interpreter)
+    again, _ = run(source, data=b"\x05", gas=9_000, interpreter=interpreter)
+    assert again is held and made[0] is not held
+    held.facts.identities[0] = (0, ())
+    assert made[0].facts == held.facts
+
+
+@pytest.mark.parametrize("entries", [0, 3])
+def test_the_content_index_holds_the_traces_the_memo_holds(entries, monkeypatch):
+    monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_ENTRIES", entries)
+    interpreter = Interpreter()
+    for rounds in range(8):
+        for gas in (100_000, 200_000):  # two entries, one outcome
+            run(COUNTED_LOOP, data=rounds.to_bytes(32, "big"), gas=gas, interpreter=interpreter)
+            # each held trace is indexed once, with the count of its holders
+            holders = Counter(id(item[1]) for item in interpreter._outcomes.values())
+            indexed = {id(trace): entries_holding for bucket in interpreter._traces.values()
+                       for trace, entries_holding in bucket}
+            assert indexed == holders
+    if entries == 0:
+        assert interpreter._traces == {} and interpreter._outcomes == {}
+    else:
+        assert len(interpreter._outcomes) == entries and len(interpreter._traces) == 2

@@ -401,7 +401,7 @@ class _Walker:
         elif trace.terminal == "TIMEOUT" and end and ops[end - 1] in _CALL_OPERANDS \
                 and end - 1 not in self.events:
             end -= 1  # the clock cut it short inside a memory region, unfinished
-        steps, self.realignments = self.tracker.plans.plan(tuple(ops[:end]), stacks)
+        steps, self.realignments = self.tracker.plans.plan(ops[:end], stacks)
         terms = self.terms = [None] * (end + 1)  # the last one for _NEVER
         for index, kind, name, operands in steps:
             stack = stacks[index]

@@ -144,9 +144,10 @@ def _read_state(path: str | None) -> tuple:
                     if number < 0 or (key in ("from", "to") and number >> 160):
                         raise ValueError(f"{key} {tx[key]!r} is out of range")
             data = tx.get("data", "")
-            if data:
-                bytes.fromhex(data.removeprefix("0x"))
-    except (ValueError, TypeError, json.JSONDecodeError) as exc:
+            if not isinstance(data, str):
+                raise ValueError(f"data {data!r} is not a hex string")
+            bytes.fromhex(data.removeprefix("0x"))
+    except (ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise _Problem(EXIT_INPUT, f"bad state file {path!r}: {exc}") from exc
     return tuple(blob)
 
@@ -188,6 +189,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if not args.bin and not args.bin_runtime:
             raise _Problem(EXIT_INPUT, "one of --bin or --bin-runtime is required")
+        if not args.timeout >= 0:  # NaN too: no deadline would ever pass
+            raise _Problem(EXIT_INPUT, f"--timeout {args.timeout} is not a number of seconds")
         abi = _read_abi(args.abi)
         runtime = _read_code(args.bin_runtime, "runtime code") if args.bin_runtime else b""
         creation = _read_code(args.bin, "creation code") if args.bin else None
@@ -213,6 +216,13 @@ def main(argv: list[str] | None = None) -> int:
             trace_dir=args.trace_dump,
             initial_state=_read_state(args.state),
         )
+        if args.trace_dump:
+            try:
+                Path(args.trace_dump).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise _Problem(
+                    EXIT_IO, f"cannot write trace dump {args.trace_dump!r}: {exc}"
+                ) from exc
     except _Problem as exc:
         print(f"fuzz: {exc}", file=sys.stderr)
         return exc.code

@@ -4,16 +4,17 @@ Executes one transaction against the emulated state and records every
 instruction as three parallel columns (opcode, pc, a pre-execution stack
 snapshot), plus one flag saying whether the run ended in a fault and the
 facts its readers need (branches, storage keys, code-size targets), taken
-as each operand is popped.  Outgoing calls never execute code: their
-results come from the injectable environment, which is what lets the fuzzer
-mutate block values and external call outcomes like any other input byte.
+as each operand is popped.  A finished trace is an immutable value, equal
+to another field by field, and runs whose traces are equal share one.
+Outgoing calls never execute code: their results come from the injectable
+environment, which is what lets the fuzzer mutate block values and
+external call outcomes like any other input byte.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import json
@@ -100,7 +101,7 @@ class TraceRecord:
     error: bool  # the synthetic fault step that ends a faulted trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class CallEvent:
     """One outgoing CALL/CALLCODE/DELEGATECALL/STATICCALL or CREATE."""
 
@@ -121,8 +122,9 @@ class TraceFacts:
     """What coverage, fitness, slot recovery, the GA registries and the
     detectors read from a trace, recorded by the run as it pops each operand.
 
-    The fields after ``invalid_pc`` cache work derived from the trace
-    alone, done once per trace whoever asks first, and equality skips them.
+    The recorded fields are immutable.  The fields after ``invalid_pc``
+    cache work derived from the trace alone, done once per trace whoever
+    asks first, and equality skips them.
     ``analysis.slots`` fills ``identities`` with the slot identity of each
     raw key it resolves against the trace's preimages, ``(declared slot,
     path)`` or ``("raw", key)``, and keeps the ``reads`` and ``writes``
@@ -132,11 +134,11 @@ class TraceFacts:
     """
 
     executed: frozenset[int] = frozenset()  # every pc visited, the fault step's included
-    jumpis: list[tuple[int, int, bool]] = field(default_factory=list)  # (pc, destination, taken)
+    jumpis: tuple[tuple[int, int, bool], ...] = ()  # (pc, destination, taken)
     sstores: int = 0  # SSTOREs that executed
-    read_keys: set[int] = field(default_factory=set)  # raw SLOAD keys
-    write_keys: set[int] = field(default_factory=set)  # raw SSTORE keys
-    extcode_targets: set[int] = field(default_factory=set)  # EXTCODESIZE operands
+    read_keys: frozenset[int] = frozenset()  # raw SLOAD keys
+    write_keys: frozenset[int] = frozenset()  # raw SSTORE keys
+    extcode_targets: frozenset[int] = frozenset()  # EXTCODESIZE operands
     invalid_pc: int | None = None  # a genuine INVALID (failed assertion), never a fault
     identities: dict[int, tuple] = field(default_factory=dict, compare=False)
     reads: frozenset | None = field(default=None, compare=False)
@@ -175,7 +177,7 @@ class TraceRecords(Sequence):
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class ExecutionTrace:
     """One run, recorded as three parallel columns.
 
@@ -186,25 +188,29 @@ class ExecutionTrace:
     that did not execute.  ``calldata`` is the data the run read, and
     ``facts`` what the run recorded for the trace's readers.
 
-    A trace is shared by every run that repeats a memoized transaction or
-    whose outcome is equal field by field, so nothing may change a trace
-    once ``execute`` returns it (the caches its facts keep and the taint
-    walks kept in ``walks`` aside), and it is equal only to itself.
+    A trace is a value: two traces are equal when every field but
+    ``facts`` and ``walks`` is, and a run whose trace equals one a memo
+    holds gets that held trace, so nothing may change a trace once
+    ``execute`` returns it (the caches its facts keep and the taint walks
+    kept in ``walks`` aside).
     """
 
-    ops: list[str]
-    pcs: list[int]
-    stacks: list[tuple[int, ...]]
+    ops: tuple[str, ...]
+    pcs: tuple[int, ...]
+    stacks: tuple[tuple[int, ...], ...]
     terminal: str
     state_delta_applied: bool
     faulted: bool = False
     calldata: bytes = b""
-    calls: list[CallEvent] = field(default_factory=list)
+    calls: tuple[CallEvent, ...] = ()
     sha3_preimages: dict[int, bytes] = field(default_factory=dict)
     return_data: bytes = b""
     gas_used: int = 0
-    facts: TraceFacts = field(default_factory=TraceFacts, repr=False)
-    walks: dict = field(default_factory=dict, init=False, repr=False)
+    facts: TraceFacts = field(default_factory=TraceFacts, compare=False, repr=False)
+    walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        return hash((self.calldata, self.terminal, self.return_data, self.stacks))
 
     @property
     def records(self) -> TraceRecords:
@@ -221,12 +227,6 @@ class ExecutionTrace:
                     "error": record.error,
                 }
             )
-
-
-# Everything a trace's reader sees: every field but the facts, which the run
-# derives from the columns, and the caches.
-CONTENT_FIELDS = tuple(f.name for f in fields(ExecutionTrace) if f.init and f.name != "facts")
-_content = attrgetter(*CONTENT_FIELDS)
 
 
 class DeployError(Exception):
@@ -292,11 +292,11 @@ class Interpreter:
       that was not applied stores none) and returns the stored trace.  The
       key names fields a run may never read (the gas limit, results of
       callees the path never calls, storage it never loads), so a miss
-      often runs to a trace equal in every ``CONTENT_FIELDS`` field to one
-      the memo holds; it then gets that held trace, and work derived from a
-      trace alone is done once per distinct outcome.  The held traces are
-      indexed by content, each with the count of entries that hold it, and
-      leave the index with the last of them.  Two equal states that hold
+      often runs to a trace equal to one the memo holds; it then gets that
+      held trace, and work derived from a trace alone is done once per
+      distinct outcome.  The held traces are kept in a dict keyed by
+      themselves, each with the count of entries that hold it, and leave
+      it with the last of them.  Two equal states that hold
       their items in different orders only cost a miss.  A ``TIMEOUT``
       trace depends on the clock and is never stored.  At most
       ``OUTCOME_MEMO_ENTRIES`` outcomes holding ``OUTCOME_MEMO_STEPS`` trace
@@ -323,12 +323,11 @@ class Interpreter:
         self.wall_cap = wall_cap  # seconds per transaction; None or 0 = unlimited
         self._digests: dict[bytes, int] = {}
         self._decoded: dict[bytes, tuple[frozenset[int], list]] = {}
-        # key hash -> (key, trace, post-state or None, steps, content hash),
-        # oldest first
+        # key hash -> (key, trace, post-state or None), oldest first
         self._outcomes: dict[int, tuple] = {}
         self._held = 0  # the steps of the stored outcomes
-        # content hash -> [held trace, entries holding it] pairs
-        self._traces: dict[int, list[list]] = {}
+        # held trace -> [held trace, entries holding it]
+        self._traces: dict[ExecutionTrace, list] = {}
 
     def _keccak_word(self, blob: bytes, deadline: float | None = None) -> int:
         """Keccak-256 of ``blob`` as a word, through the bounded memo.
@@ -406,42 +405,28 @@ class Interpreter:
         steps = len(trace.ops)
         if trace.terminal == "TIMEOUT" or OUTCOME_MEMO_ENTRIES <= 0 or steps > OUTCOME_MEMO_STEPS:
             return trace
-        content = hash((trace.calldata, trace.terminal, trace.return_data, tuple(trace.stacks)))
-        trace = self._hold(trace, content)
+        held = self._traces.setdefault(trace, [trace, 0])
+        held[1] += 1
+        trace = held[0]
         if stored is not None:  # another key with the same hash
             self._drop(digest)
         while outcomes and (len(outcomes) >= OUTCOME_MEMO_ENTRIES
                             or self._held + steps > OUTCOME_MEMO_STEPS):
             self._drop(next(iter(outcomes)))
         post = state.snapshot() if trace.state_delta_applied else None
-        outcomes[digest] = (key, trace, post, steps, content)
+        outcomes[digest] = (key, trace, post)
         self._held += steps
-        return trace
-
-    def _hold(self, trace: ExecutionTrace, content: int) -> ExecutionTrace:
-        """The held trace equal to ``trace`` in content, else ``trace``
-        itself, held by one more memo entry."""
-        bucket = self._traces.setdefault(content, [])
-        seen = _content(trace)
-        for pair in bucket:
-            if _content(pair[0]) == seen:
-                pair[1] += 1
-                return pair[0]
-        bucket.append([trace, 1])
         return trace
 
     def _drop(self, digest: int) -> None:
         """Evict the outcome filed under ``digest``, and its trace from the
-        content index if no other entry holds it."""
-        _, trace, _, steps, content = self._outcomes.pop(digest)
-        self._held -= steps
-        bucket = self._traces[content]
-        pair = next(pair for pair in bucket if pair[0] is trace)
-        pair[1] -= 1
-        if not pair[1]:
-            bucket.remove(pair)
-            if not bucket:
-                del self._traces[content]
+        held traces if no other entry holds it."""
+        trace = self._outcomes.pop(digest)[1]
+        self._held -= len(trace.ops)
+        held = self._traces[trace]
+        held[1] -= 1
+        if not held[1]:
+            del self._traces[trace]
 
     def _transact(
         self, state: EmulatedState, tx: Transaction, env: EnvOverrides,
@@ -453,7 +438,7 @@ class Interpreter:
         if tx.value > state.balance_of(tx.sender):
             # Unpayable transaction: a synthetic fault step, nothing applied.
             return ExecutionTrace(
-                ["INVALID"], [0], [()], "INVALID", False, faulted=True, calldata=tx.data,
+                ("INVALID",), (0,), ((),), "INVALID", False, faulted=True, calldata=tx.data,
                 facts=TraceFacts(executed=frozenset((0,))),
             )
         if tx.value:
@@ -496,8 +481,11 @@ class Interpreter:
         pcs: list[int] = []
         stacks: list[tuple[int, ...]] = []
         record_op, record_pc, record_stack = ops.append, pcs.append, stacks.append
-        facts = TraceFacts()
-        record_jumpi = facts.jumpis.append
+        jumpis: list[tuple[int, int, bool]] = []
+        record_jumpi = jumpis.append
+        reads, writes, targets = set(), set(), set()  # SLOAD, SSTORE, EXTCODESIZE operands
+        sstores = 0
+        invalid_pc = None
         calls: list[CallEvent] = []
         preimages: dict[int, bytes] = {}
         stack: list[int] = []
@@ -624,12 +612,12 @@ class Interpreter:
                     append(int.from_bytes(data[offset:offset + 32].ljust(32, b"\x00"), "big"))
                 elif name == "SSTORE":
                     slot, word = pop(), pop()
-                    facts.sstores += 1
-                    facts.write_keys.add(slot)
+                    sstores += 1
+                    writes.add(slot)
                     state.sstore(self_addr, slot, word)
                 elif name == "SLOAD":
                     slot = pop()
-                    facts.read_keys.add(slot)
+                    reads.add(slot)
                     push(state.sload(self_addr, slot))
                 elif name == "MSTORE":
                     offset, word = pop(), pop()
@@ -674,7 +662,7 @@ class Interpreter:
                     push(GAS_PRICE)
                 elif name == "EXTCODESIZE":
                     target = pop()
-                    facts.extcode_targets.add(target)
+                    targets.add(target)
                     push(env.extcode_sizes.get(target, 0))
                 elif name == "RETURNDATASIZE":
                     if last_callee is not None and last_callee in env.returndata_sizes:
@@ -767,7 +755,7 @@ class Interpreter:
                     applied = False
                     break
                 elif name == "INVALID":
-                    facts.invalid_pc = pc  # a genuine INVALID, not a fault
+                    invalid_pc = pc  # a genuine INVALID, not a fault
                     terminal = "INVALID"
                     applied = False
                     break
@@ -802,21 +790,23 @@ class Interpreter:
             record_stack(tuple(stack))
             terminal = "INVALID"
             applied = False
-        facts.executed = frozenset(pcs)
 
         return ExecutionTrace(
-            ops=ops,
-            pcs=pcs,
-            stacks=stacks,
+            ops=tuple(ops),
+            pcs=tuple(pcs),
+            stacks=tuple(stacks),
             terminal=terminal,
             state_delta_applied=applied,
             faulted=faulted,
             calldata=data,
-            calls=calls,
+            calls=tuple(calls),
             sha3_preimages=preimages,
             return_data=return_data,
             gas_used=used,
-            facts=facts,
+            facts=TraceFacts(
+                frozenset(pcs), tuple(jumpis), sstores, frozenset(reads),
+                frozenset(writes), frozenset(targets), invalid_pc,
+            ),
         )
 
 

@@ -25,10 +25,10 @@ def gather_facts(trace) -> dict:
     genuine = bool(trace.ops) and trace.ops[-1] == "INVALID" and not trace.faulted
     return {
         "executed": frozenset(trace.pcs),
-        "jumpis": jumpis,
+        "jumpis": tuple(jumpis),
         "sstores": sstores,
-        "read_keys": reads,
-        "write_keys": writes,
-        "extcode_targets": targets,
+        "read_keys": frozenset(reads),
+        "write_keys": frozenset(writes),
+        "extcode_targets": frozenset(targets),
         "invalid_pc": trace.pcs[-1] if genuine else None,
     }

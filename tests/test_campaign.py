@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -420,6 +421,63 @@ def test_trace_dump_writes_parseable_lines(tmp_path):
         for line in path.read_text().splitlines():
             record = json.loads(line)
             assert {"op", "pc", "stack", "depth", "error", "input"} <= set(record)
+
+
+# hashes its argument, calls out, and faults on a stack underflow when the
+# argument is odd
+POKE_ABI = parse_abi(
+    '[{"type": "function", "name": "poke", "inputs": [{"type": "uint256"}],'
+    ' "stateMutability": "nonpayable"}]'
+)
+HASH_CALL_FAULT = assemble(
+    """
+    PUSH1 0x04
+    CALLDATALOAD
+    PUSH1 0x00
+    MSTORE
+    PUSH1 0x20
+    PUSH1 0x00
+    SHA3
+    PUSH1 0x00
+    SSTORE
+    PUSH1 0x20
+    PUSH1 0x40
+    PUSH1 0x00
+    PUSH1 0x00
+    PUSH1 0x00
+    PUSH20 0x9999000000000000000000000000000000009999
+    GAS
+    CALL
+    POP
+    PUSH1 0x04
+    CALLDATALOAD
+    PUSH1 0x01
+    AND
+    PUSH @odd
+    JUMPI
+    STOP
+odd:
+    JUMPDEST
+    POP
+    STOP
+"""
+)
+# sha256 of the dump's files, each as its name, a newline and its lines
+HASH_CALL_FAULT_DUMP = "09a8d6fd7e62f6c26d0eb3a7057b85da978f02f1ef8b5f6d63f8f0735decaff1"
+
+
+def test_the_trace_dump_of_a_fixed_campaign_is_pinned(tmp_path):
+    run_campaign(POKE_ABI, HASH_CALL_FAULT,
+                 config=quick_config(seed=1, generations=4, trace_dir=str(tmp_path)))
+    digest = hashlib.sha256()
+    records = []
+    for path in sorted(tmp_path.glob("*.jsonl")):
+        text = path.read_text()
+        digest.update(f"{path.name}\n{text}".encode())
+        records.extend(json.loads(line) for line in text.splitlines())
+    ops = {record["op"] for record in records}
+    assert {"CALL", "SHA3"} <= ops and any(record["error"] for record in records)
+    assert digest.hexdigest() == HASH_CALL_FAULT_DUMP
 
 
 # ---------------------------------------------------------------------------

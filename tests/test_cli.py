@@ -154,6 +154,14 @@ def test_trace_dump_directory(compiled):
     assert list(dump.glob("*.jsonl"))
 
 
+def test_a_trace_dump_path_that_cannot_be_a_directory_fails_distinctly(compiled, capsys):
+    taken = compiled / "contract.abi"  # an existing file, then a path under it
+    for dump in (taken, taken / "traces"):
+        assert main(quick_args(compiled, "--trace-dump", str(dump))) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("fuzz: cannot write trace dump") and repr(str(dump)) in err
+
+
 # ---------------------------------------------------------------------------
 # input problems
 
@@ -196,6 +204,13 @@ def test_rejects_a_static_array_too_large_to_draw(compiled, tmp_path, capsys):
     assert "bad ABI" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seconds", ["nan", "-1"])
+def test_rejects_a_timeout_that_is_not_a_number_of_seconds(compiled, capsys, seconds):
+    # no deadline compares past NaN, so a run without --generations would never end
+    assert main(quick_args(compiled, "--timeout", seconds)) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"fuzz: --timeout {float(seconds)}")
+
+
 def test_rejects_unknown_detector(compiled, capsys):
     assert main(quick_args(compiled, "--detectors", "AF,XX")) == EXIT_INPUT
     assert "unknown detectors: XX" in capsys.readouterr().err
@@ -212,6 +227,9 @@ def test_rejects_unknown_detector(compiled, capsys):
         '[{"from": "0x1", "timestamp": "-0x1"}]',  # negative timestamp
         '[{"from": "0x1%s"}]' % ("0" * 40),  # a sender of 161 bits
         '[{"from": "0x1", "to": %d}]' % (1 << 160),  # a recipient of 161 bits
+        '[{"from": "0x1", "data": 5}]',  # calldata that is not a string
+        '[{"from": "0x1", "data": ["00"]}]',
+        '[{"from": "0x1", "value": 1.5e400}]',  # a value JSON reads as infinity
     ],
 )
 def test_rejects_bad_state_file(compiled, capsys, blob):

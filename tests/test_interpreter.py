@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import time
 from collections import Counter
@@ -21,7 +22,6 @@ from evmfuzz.evm import (
 )
 from evmfuzz.evm import interpreter as interpreter_module
 from evmfuzz.evm.interpreter import (
-    CONTENT_FIELDS,
     KECCAK_MEMO_BYTES,
     KECCAK_MEMO_ENTRIES,
     ExecutionTrace,
@@ -713,7 +713,7 @@ def test_each_code_is_decoded_once_per_interpreter(monkeypatch):
 def test_unassigned_opcode_faults_without_a_step_of_its_own():
     trace, _ = run(bytes.fromhex("6001" "0c"))  # PUSH1 1, then the unassigned 0x0c
     assert (trace.terminal, trace.faulted, trace.gas_used) == ("INVALID", True, 1)
-    assert (trace.ops, trace.pcs, trace.stacks) == (["PUSH1", "INVALID"], [0, 2], [(), (1,)])
+    assert (trace.ops, trace.pcs, trace.stacks) == (("PUSH1", "INVALID"), (0, 2), ((), (1,)))
 
 
 def test_push_past_the_stack_limit_is_synthetic_fault():
@@ -801,7 +801,7 @@ def test_a_spent_budget_ends_the_input_in_timeout(wall_cap):
     # a cap of 0 or None means no cap, but the deadline still binds
     started = time.monotonic()
     trace, _ = run_until(ENDLESS, Interpreter(wall_cap=wall_cap), deadline=started - 1.0)
-    assert trace.terminal == "TIMEOUT" and trace.ops == []
+    assert trace.terminal == "TIMEOUT" and trace.ops == ()
     assert time.monotonic() - started < 0.1
 
 
@@ -907,7 +907,7 @@ def test_a_full_outcome_memo_keeps_its_bounds(entries, steps, monkeypatch):
         data = count.to_bytes(32, "big")
         trace, _ = run(COUNTED_LOOP, data=data, interpreter=interpreter)
         assert len(memo) <= entries and interpreter._held <= steps
-        assert interpreter._held == sum(item[3] for item in memo.values())
+        assert interpreter._held == sum(len(item[1].ops) for item in memo.values())
         fresh, _ = run(COUNTED_LOOP, data=data)
         assert (trace.ops, trace.stacks) == (fresh.ops, fresh.stacks)
         traces.setdefault(count, []).append(trace)
@@ -968,7 +968,7 @@ def changed(value):
     """A value of the same type as ``value`` that differs from it."""
     if isinstance(value, bool):
         return not value
-    if isinstance(value, (list, str, bytes)):
+    if isinstance(value, (tuple, str, bytes)):
         return value[:-1]
     if isinstance(value, dict):
         return {**value, -1: b""}
@@ -976,23 +976,27 @@ def changed(value):
 
 
 def test_every_field_a_reader_sees_is_in_the_content_key():
-    shared = {f.name for f in dataclasses.fields(ExecutionTrace) if f.init} - {"facts"}
-    assert set(CONTENT_FIELDS) == shared
+    compared = {f.name for f in dataclasses.fields(ExecutionTrace) if f.compare}
+    assert compared == {f.name for f in dataclasses.fields(ExecutionTrace) if f.init} - {"facts"}
     # a trace with a call, a preimage and return data: no field is empty
     interpreter = Interpreter()
     source = f"PUSH1 0x20 PUSH1 0x00 SHA3 {CALL_AND_DROP.removesuffix(' STOP')} {RETURN_TOP}"
     held, _ = run(source, data=b"\x05", interpreter=interpreter)
-    assert all(getattr(held, name) for name in CONTENT_FIELDS if name != "faulted")
-    [(_, _, _, _, content)] = interpreter._outcomes.values()
-    for name in CONTENT_FIELDS:
+    assert all(getattr(held, name) for name in compared if name != "faulted")
+    assert list(interpreter._traces) == [held]
+    # a trace differing in any one compared field is not held, also when
+    # the field is not hashed and the two hash alike
+    for name in compared:
         other = dataclasses.replace(held, **{name: changed(getattr(held, name))})
-        assert interpreter._hold(other, content) is other, name
+        assert other != held and other not in interpreter._traces, name
+    assert dataclasses.replace(held, facts=TraceFacts()) == held
     # the facts of runs that share a trace compare equal, the caches aside
     caches = {f.name for f in dataclasses.fields(TraceFacts) if not f.compare}
     assert caches == {"identities", "reads", "writes", "merged_by", "observed_by"}
     made = ran(interpreter)
     again, _ = run(source, data=b"\x05", gas=9_000, interpreter=interpreter)
     assert again is held and made[0] is not held
+    assert made[0] == held and hash(made[0]) == hash(held)
     held.facts.identities[0] = (0, ())
     assert made[0].facts == held.facts
 
@@ -1004,12 +1008,27 @@ def test_the_content_index_holds_the_traces_the_memo_holds(entries, monkeypatch)
     for rounds in range(8):
         for gas in (100_000, 200_000):  # two entries, one outcome
             run(COUNTED_LOOP, data=rounds.to_bytes(32, "big"), gas=gas, interpreter=interpreter)
-            # each held trace is indexed once, with the count of its holders
+            # each held trace is its own key, with the count of its holders
             holders = Counter(id(item[1]) for item in interpreter._outcomes.values())
-            indexed = {id(trace): entries_holding for bucket in interpreter._traces.values()
-                       for trace, entries_holding in bucket}
-            assert indexed == holders
+            indexed = {id(trace): entries_holding
+                       for key, (trace, entries_holding) in interpreter._traces.items()
+                       if key is trace}
+            assert indexed == holders and len(indexed) == len(interpreter._traces)
     if entries == 0:
         assert interpreter._traces == {} and interpreter._outcomes == {}
     else:
         assert len(interpreter._outcomes) == entries and len(interpreter._traces) == 2
+
+
+def test_a_held_trace_leaves_the_collectors_lists():
+    # the collector stops tracking a tuple of atoms once it has seen one,
+    # so a memo full of traces adds nothing to each collection's scan
+    interpreter = Interpreter()
+    held, _ = run(COUNTED_LOOP, data=(3).to_bytes(32, "big"), interpreter=interpreter)
+    [(_, stored, _)] = interpreter._outcomes.values()
+    assert stored is held and held.facts.jumpis and all(held.stacks[1:])
+    gc.collect()
+    gc.collect()
+    for name, column in [("ops", held.ops), ("pcs", held.pcs), ("stacks", held.stacks),
+                         ("jumpis", held.facts.jumpis)]:
+        assert not gc.is_tracked(column), name

@@ -116,7 +116,7 @@ def test_a_run_cut_before_its_first_step_goes_through_the_pipeline():
     code = push(1) + push(0) + bytes([NAME_TO_CODE["SSTORE"]])
     inp = Input(fn=None, sender=ACCOUNTS.all()[0], raw_calldata=b"")
     [trace] = run_pipeline(code, [inp], deadline=time.monotonic())
-    assert trace.terminal == "TIMEOUT" and trace.ops == []
+    assert trace.terminal == "TIMEOUT" and trace.ops == ()
 
 
 def run_pipeline(code, batch, deadline=None):

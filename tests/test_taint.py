@@ -102,7 +102,7 @@ def test_branch_destinations_recorded():
     constraint = report.constraints[0]
     assert constraint.taken is True
     # the trace records the JUMPI's taken destination, the JUMPDEST of `yes`
-    assert trace.facts.jumpis == [(constraint.pc, VALUE_GUARD.index(0x5B), True)]
+    assert trace.facts.jumpis == ((constraint.pc, VALUE_GUARD.index(0x5B), True),)
 
 
 def test_second_input_gets_its_own_index():

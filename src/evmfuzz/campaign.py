@@ -33,9 +33,9 @@ from .analysis import (
     taint_individual,
     write_set,
 )
-from .detectors import ALL_KINDS, DetectorSuite
+from .detectors import ALL_KINDS, DetectorSuite, Finding
 from .evm import EmulatedState, EnvOverrides, Interpreter, Transaction
-from .evm.interpreter import DEFAULT_CALL_RESULT, GAS_BUDGET, _derive_address
+from .evm.interpreter import DEFAULT_CALL_RESULT, GAS_BUDGET, new_address
 from .ga import (
     Evaluation,
     GeneticEngine,
@@ -142,17 +142,17 @@ class Campaign:
         else:
             # No constructor to run: install the runtime image directly at
             # the address a deployment would have produced.
-            nonce = self.state.nonces.get(accounts.deployer, 0)
-            self.state.nonces[accounts.deployer] = nonce + 1
-            self.address = _derive_address(accounts.deployer, nonce)
+            self.address = new_address(self.state, accounts.deployer)
             self.state.code[self.address] = runtime_code
             runtime = runtime_code
         for slot, value in (pre_storage or {}).items():
             self.state.sstore(self.address, slot, value)
         if contract_balance:
             self.state.credit(self.address, contract_balance)
-        for tx in self.config.initial_state:
-            self._replay(tx)
+        # senders of warm-up value, whoever it went to
+        depositors = frozenset(
+            _as_int(tx["from"]) for tx in self.config.initial_state if self._replay(tx)
+        )
 
         self.runtime = runtime
         self.coverage = CoverageStore(runtime)
@@ -175,9 +175,9 @@ class Campaign:
             external_argv=external_argv,
         )
         self.detectors = DetectorSuite(
-            accounts, self.address, runtime, enabled=self.config.detectors
+            accounts, self.address, runtime, enabled=self.config.detectors,
+            depositors=depositors,
         )
-        self.findings = []
         self.series: list[list[float]] = []
         self.generations = 0
         self.executions = 0
@@ -192,36 +192,42 @@ class Campaign:
         if self._trace_dir:
             self._trace_dir.mkdir(parents=True, exist_ok=True)
 
-    def _replay(self, tx: dict) -> None:
+    @property
+    def findings(self) -> list[Finding]:
+        """Every finding so far, in the order the detectors made them."""
+        return list(self.detectors.findings.values())
+
+    def _replay(self, tx: dict) -> bool:
+        """Run one warm-up transaction; returns whether it applied with value."""
         env = EnvOverrides()
         if "timestamp" in tx:
             env.timestamp = _as_int(tx["timestamp"])
         data = tx.get("data", "")
-        self.interpreter.execute(
+        value = _as_int(tx.get("value", 0))
+        trace = self.interpreter.execute(
             self.state,
             Transaction(
                 sender=_as_int(tx["from"]),
                 to=_as_int(tx.get("to", self.address)),
-                value=_as_int(tx.get("value", 0)),
+                value=value,
                 gas_limit=MAX_GAS,
                 data=bytes.fromhex(data.removeprefix("0x")) if data else b"",
             ),
             env,
         )
+        return value > 0 and trace.state_delta_applied
 
     # ------------------------------------------------------------------
     # execution
 
     def run_individual(
         self, individual: Individual, deadline: float | None = None
-    ) -> tuple[list, list[TaintReport], list[dict[int, int]]]:
+    ) -> tuple[list, list[TaintReport]]:
         """Execute one individual from the deployment snapshot; each input
         stops at the earlier of its wall cap and ``deadline``."""
         self.state.restore(self._base)
         traces = []
-        received_before = []
         for inp in individual.inputs:
-            received_before.append(dict(self.state.received_from))
             trace = self.interpreter.execute(
                 self.state, inp.transaction(self.address), inp.env, deadline
             )
@@ -229,7 +235,7 @@ class Campaign:
             self.engine.observe_trace(trace)
         self.executions += len(traces)
         reports = taint_individual(individual.inputs, traces, self._taint_plans)
-        return traces, reports, received_before
+        return traces, reports
 
     def _evaluate(self, traces, executed_before) -> Evaluation:
         reads: frozenset = frozenset()
@@ -275,14 +281,12 @@ class Campaign:
             witnesses: list[tuple[Individual, list[TaintReport]]] = []
             grew = False
             for individual in population:
-                traces, reports, received_before = self.run_individual(individual, deadline)
+                traces, reports = self.run_individual(individual, deadline)
                 for trace in traces:
                     grew = self.coverage.merge_trace(trace) or grew
                 evals.append(self._evaluate(traces, executed_before))
                 witnesses.append((individual, reports))
-                self.findings.extend(
-                    self.detectors.inspect(individual, traces, reports, received_before)
-                )
+                self.detectors.inspect(individual, traces, reports)
                 purge_reverting_values(
                     individual.inputs, traces, reports, self.engine.pools
                 )

@@ -140,7 +140,9 @@ def _read_state(path: str | None) -> tuple:
                 raise ValueError('every transaction needs a "from" address')
             for key in ("from", "to", "value", "timestamp"):
                 if key in tx:
-                    number = int(tx[key], 0) if isinstance(tx[key], str) else int(tx[key])
+                    if isinstance(tx[key], bool) or not isinstance(tx[key], (int, str)):
+                        raise ValueError(f"{key} {tx[key]!r} is not an integer or a string")
+                    number = int(tx[key], 0) if isinstance(tx[key], str) else tx[key]
                     if number < 0 or (key in ("from", "to") and number >> 160):
                         raise ValueError(f"{key} {tx[key]!r} is out of range")
             data = tx.get("data", "")

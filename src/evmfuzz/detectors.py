@@ -55,12 +55,12 @@ class _InputView:
     input: Input
     trace: ExecutionTrace
     report: TaintReport
-    received_before: dict[int, int]  # state.received_from before this input ran
 
 
 class DetectorSuite:
     """Campaign-lifetime detector state: findings and the slot-writer memory
-    that transaction-order dependency needs."""
+    that transaction-order dependency needs.  ``depositors`` are the
+    accounts that paid value in before the campaign's first input."""
 
     def __init__(
         self,
@@ -68,10 +68,12 @@ class DetectorSuite:
         contract: int,
         runtime_code: bytes,
         enabled: tuple[str, ...] = ALL_KINDS,
+        depositors: frozenset[int] = frozenset(),
     ) -> None:
         self.accounts = accounts
         self.contract = contract
         self.enabled = frozenset(enabled)
+        self.depositors = depositors
         self.findings: dict[tuple[str, int], Finding] = {}
         # storage identity -> senders whose applied writes reached it
         self.slot_writers: dict[tuple, set[int]] = {}
@@ -86,15 +88,12 @@ class DetectorSuite:
         individual: Individual,
         traces: list[ExecutionTrace],
         reports: list[TaintReport],
-        received_before: list[dict[int, int]],
     ) -> list[Finding]:
         """Run every detector over one executed individual; returns only
         findings not already known."""
         views = [
-            _InputView(i, inp, trace, report, before)
-            for i, (inp, trace, report, before) in enumerate(
-                zip(individual.inputs, traces, reports, received_before)
-            )
+            _InputView(i, inp, trace, report)
+            for i, (inp, trace, report) in enumerate(zip(individual.inputs, traces, reports))
         ]
         fingerprint: str | None = None
         fresh: list[Finding] = []
@@ -282,7 +281,7 @@ class DetectorSuite:
                 continue
             if not self.accounts.is_attacker(event.to):
                 continue
-            if view.received_before.get(event.to, 0) > 0:
+            if self._paid_in(event.to, views[: view.index]):
                 continue  # the recipient paid in first: refund, not leak
             if self._address_supplied_by_non_attacker(event.to, views):
                 continue  # somebody trusted asked for this payout
@@ -291,6 +290,15 @@ class DetectorSuite:
                 "value": event.value,
                 "sender": hex(view.input.sender),
             }
+
+    def _paid_in(self, address, earlier) -> bool:
+        """``address`` paid value in before the campaign, or in one of the
+        ``earlier`` inputs whose effects stand."""
+        return address in self.depositors or any(
+            other.input.sender == address and other.input.value > 0
+            and other.trace.state_delta_applied
+            for other in earlier
+        )
 
     def _address_supplied_by_non_attacker(self, address, views) -> bool:
         for other in views:

@@ -185,8 +185,11 @@ class ExecutionTrace:
     stack beforehand, top of stack last.  ``faulted`` says the run halted
     abnormally (stack misuse, bad jump, memory cap, unassigned opcode,
     unpayable transaction); its last step is then a synthetic ``INVALID``
-    that did not execute.  ``calldata`` is the data the run read, and
-    ``facts`` what the run recorded for the trace's readers.
+    that did not execute, and every other step cost one gas.  The run's
+    effects were applied when it ended in ``STOP``, ``RETURN`` or
+    ``SELFDESTRUCT`` (``state_delta_applied``).  ``calldata`` is the data
+    the run read, and ``facts`` what the run recorded for the trace's
+    readers.
 
     A trace is a value: two traces are equal when every field but
     ``facts`` and ``walks`` is, and a run whose trace equals one a memo
@@ -199,18 +202,20 @@ class ExecutionTrace:
     pcs: tuple[int, ...]
     stacks: tuple[tuple[int, ...], ...]
     terminal: str
-    state_delta_applied: bool
     faulted: bool = False
     calldata: bytes = b""
     calls: tuple[CallEvent, ...] = ()
     sha3_preimages: dict[int, bytes] = field(default_factory=dict)
     return_data: bytes = b""
-    gas_used: int = 0
     facts: TraceFacts = field(default_factory=TraceFacts, compare=False, repr=False)
     walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __hash__(self) -> int:
         return hash((self.calldata, self.terminal, self.return_data, self.stacks))
+
+    @property
+    def state_delta_applied(self) -> bool:
+        return self.terminal in {"STOP", "RETURN", "SELFDESTRUCT"}
 
     @property
     def records(self) -> TraceRecords:
@@ -287,7 +292,7 @@ class Interpreter:
     otherwise recompute on nearly every transaction:
 
     * the outcome of ``execute``, keyed by the pre-state's snapshot (the
-      items of its five maps), the transaction's fields and the
+      items of its four maps), the transaction's fields and the
       environment's: a repeat restores the stored post-state snapshot (a run
       that was not applied stores none) and returns the stored trace.  The
       key names fields a run may never read (the gas limit, results of
@@ -355,9 +360,7 @@ class Interpreter:
         Constructor arguments travel appended to the creation code, which is
         where CODECOPY-based constructor prologues expect them.
         """
-        nonce = state.nonces.get(sender, 0)
-        state.nonces[sender] = nonce + 1
-        address = _derive_address(sender, nonce)
+        address = new_address(state, sender)
         snap = state.snapshot()
         trace = self._run(
             state,
@@ -369,7 +372,7 @@ class Interpreter:
             gas=GAS_BUDGET,
             env=EnvOverrides(),
         )
-        if trace.terminal != "RETURN" or not trace.state_delta_applied:
+        if trace.terminal != "RETURN":
             state.restore(snap)
             raise DeployError(f"constructor halted with {trace.terminal}", trace)
         state.code[address] = trace.return_data
@@ -438,15 +441,12 @@ class Interpreter:
         if tx.value > state.balance_of(tx.sender):
             # Unpayable transaction: a synthetic fault step, nothing applied.
             return ExecutionTrace(
-                ("INVALID",), (0,), ((),), "INVALID", False, faulted=True, calldata=tx.data,
+                ("INVALID",), (0,), ((),), "INVALID", faulted=True, calldata=tx.data,
                 facts=TraceFacts(executed=frozenset((0,))),
             )
         if tx.value:
             state.debit(tx.sender, tx.value)
             state.credit(tx.to, tx.value)
-            state.received_from[tx.sender] = (
-                state.received_from.get(tx.sender, 0) + tx.value
-            )
         trace = self._run(
             state,
             code=code,
@@ -499,7 +499,6 @@ class Interpreter:
         pc = 0
         used = 0
         terminal = ""
-        applied = True
         faulted = False
         return_data = b""
         give_up_at = deadline  # the earlier of the deadline and the wall cap
@@ -549,12 +548,10 @@ class Interpreter:
             if used >= checkpoint:
                 if used >= gas:
                     terminal = "OUT_OF_GAS"
-                    applied = False
                     break
                 # below the gas limit, so this is a clock checkpoint
                 if time.monotonic() > give_up_at:
                     terminal = "TIMEOUT"
-                    applied = False
                     break
                 checkpoint = min(gas, used + CLOCK_STEPS)
             step = program[pc]
@@ -703,9 +700,7 @@ class Interpreter:
                     if create_value > state.balance_of(self_addr):
                         child, success = 0, 0
                     else:
-                        nonce = state.nonces.get(self_addr, 0)
-                        state.nonces[self_addr] = nonce + 1
-                        child = _derive_address(self_addr, nonce)
+                        child = new_address(state, self_addr)
                         if create_value:
                             state.debit(self_addr, create_value)
                             state.credit(child, create_value)
@@ -752,12 +747,10 @@ class Interpreter:
                     offset, size = pop(), pop()
                     return_data = mread(offset, size)
                     terminal = "REVERT"
-                    applied = False
                     break
                 elif name == "INVALID":
                     invalid_pc = pc  # a genuine INVALID, not a fault
                     terminal = "INVALID"
-                    applied = False
                     break
                 elif name == "SELFDESTRUCT":
                     beneficiary = pop()
@@ -779,7 +772,6 @@ class Interpreter:
                 break
             except TimeoutError:  # a large memory region met the wall cap
                 terminal = "TIMEOUT"
-                applied = False
                 break
             pc += 1
 
@@ -789,20 +781,17 @@ class Interpreter:
             record_pc(pc)
             record_stack(tuple(stack))
             terminal = "INVALID"
-            applied = False
 
         return ExecutionTrace(
             ops=tuple(ops),
             pcs=tuple(pcs),
             stacks=tuple(stacks),
             terminal=terminal,
-            state_delta_applied=applied,
             faulted=faulted,
             calldata=data,
             calls=tuple(calls),
             sha3_preimages=preimages,
             return_data=return_data,
-            gas_used=used,
             facts=TraceFacts(
                 frozenset(pcs), tuple(jumpis), sstores, frozenset(reads),
                 frozenset(writes), frozenset(targets), invalid_pc,
@@ -810,6 +799,9 @@ class Interpreter:
         )
 
 
-def _derive_address(creator: int, nonce: int) -> int:
+def new_address(state: EmulatedState, creator: int) -> int:
+    """The address of the next account ``creator`` makes: bumps its nonce."""
+    nonce = state.nonces.get(creator, 0)
+    state.nonces[creator] = nonce + 1
     blob = creator.to_bytes(20, "big") + nonce.to_bytes(8, "big")
     return int.from_bytes(keccak256(blob)[12:], "big")

@@ -31,11 +31,10 @@ class AccountSet:
 
 
 class EmulatedState:
-    """Balances, deployed code, storage, and bookkeeping for one campaign.
+    """Balances, deployed code, storage and nonces for one campaign.
 
-    Storage is keyed (address, slot).  received_from records the cumulative
-    wei each sender has moved into the contract under test; the leaking-ether
-    detector needs it to tell refunds apart from theft.
+    Storage is keyed (address, slot); nonces count the accounts each
+    creator has made.
     """
 
     def __init__(self, accounts: AccountSet | None = None) -> None:
@@ -45,7 +44,6 @@ class EmulatedState:
         }
         self.code: dict[int, bytes] = {}
         self.storage: dict[tuple[int, int], int] = {}
-        self.received_from: dict[int, int] = {}
         self.nonces: dict[int, int] = {}
 
     def balance_of(self, address: int) -> int:
@@ -67,19 +65,17 @@ class EmulatedState:
             self.storage[(address, slot)] = value
 
     def snapshot(self) -> tuple:
-        """The items of the five maps, in their order, as one hashable value:
-        ``(balances, code, storage, received_from, nonces)``.  Keys and values
-        are immutable, so the snapshot is independent of the state."""
+        """The items of the four maps, in their order, as one hashable value:
+        ``(balances, code, storage, nonces)``.  Keys and values are
+        immutable, so the snapshot is independent of the state."""
         return (
             tuple(self.balances.items()), tuple(self.code.items()),
-            tuple(self.storage.items()), tuple(self.received_from.items()),
-            tuple(self.nonces.items()),
+            tuple(self.storage.items()), tuple(self.nonces.items()),
         )
 
     def restore(self, snap: tuple) -> None:
-        balances, code, storage, received_from, nonces = snap
+        balances, code, storage, nonces = snap
         self.balances = dict(balances)
         self.code = dict(code)
         self.storage = dict(storage)
-        self.received_from = dict(received_from)
         self.nonces = dict(nonces)

@@ -246,28 +246,21 @@ class GeneticEngine:
             return new or inp
         # overrides must stay reversible: an input that can never get back to
         # the chain default would drift away from every replayable schedule
-        if self._chance():
-            roll = rng.random()
-            ts = self.pools.pick("timestamp", selector) if roll < 0.6 else None
-            if ts is None and roll >= 0.8:
-                ts = rng.randrange(DEPLOY_TIMESTAMP, DEPLOY_TIMESTAMP + TEN_YEARS)
-            new = new or inp.copy()
-            if ts is None:
-                new.env.timestamp = DEPLOY_TIMESTAMP
-                new.pool_tags.pop(("timestamp", selector), None)
-            else:
-                new.env.timestamp = new.pool_tags["timestamp", selector] = ts
-        if self._chance():
-            roll = rng.random()
-            number = self.pools.pick("block_number", selector) if roll < 0.6 else None
-            if number is None and roll >= 0.8:
-                number = rng.randrange(DEPLOY_BLOCK_NUMBER, DEPLOY_BLOCK_NUMBER + BLOCK_RANGE)
-            new = new or inp.copy()
-            if number is None:
-                new.env.block_number = DEPLOY_BLOCK_NUMBER
-                new.pool_tags.pop(("block_number", selector), None)
-            else:
-                new.env.block_number = new.pool_tags["block_number", selector] = number
+        # each block value's pool kind is also its attribute on the env
+        for kind, default, span in (("timestamp", DEPLOY_TIMESTAMP, TEN_YEARS),
+                                    ("block_number", DEPLOY_BLOCK_NUMBER, BLOCK_RANGE)):
+            if self._chance():
+                roll = rng.random()
+                drawn = self.pools.pick(kind, selector) if roll < 0.6 else None
+                if drawn is None and roll >= 0.8:
+                    drawn = rng.randrange(default, default + span)
+                new = new or inp.copy()
+                if drawn is None:
+                    setattr(new.env, kind, default)
+                    new.pool_tags.pop((kind, selector), None)
+                else:
+                    setattr(new.env, kind, drawn)
+                    new.pool_tags[kind, selector] = drawn
         for callee in sorted(self.known_callees):
             if self._chance():
                 pooled = self.pools.pick("call_result", callee)

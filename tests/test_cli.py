@@ -230,6 +230,7 @@ def test_rejects_unknown_detector(compiled, capsys):
         '[{"from": "0x1", "data": 5}]',  # calldata that is not a string
         '[{"from": "0x1", "data": ["00"]}]',
         '[{"from": "0x1", "value": 1.5e400}]',  # a value JSON reads as infinity
+        '[{"from": true, "value": 1.5, "timestamp": 2.9}]',  # a boolean and fractions
     ],
 )
 def test_rejects_bad_state_file(compiled, capsys, blob):

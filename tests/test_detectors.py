@@ -1,5 +1,9 @@
+import pytest
+
+from evmfuzz.abi import parse_abi
 from evmfuzz.analysis import taint_individual
 from evmfuzz.asm import assemble
+from evmfuzz.campaign import Campaign, CampaignConfig
 from evmfuzz.detectors import ALL_KINDS, DetectorSuite, Finding
 from evmfuzz.evm import AccountSet, EmulatedState, EnvOverrides, Interpreter
 from evmfuzz.ga import Individual, Input
@@ -19,13 +23,12 @@ def run_inputs(code, inputs, contract_balance=0, suite=None, pre_storage=None):
     for slot, value in (pre_storage or {}).items():
         state.sstore(CONTRACT, slot, value)
     interp = Interpreter()
-    traces, received = [], []
+    traces = []
     for inp in inputs:
-        received.append(dict(state.received_from))
         traces.append(interp.execute(state, inp.transaction(CONTRACT), inp.env))
     reports = taint_individual(inputs, traces)
     suite = suite or DetectorSuite(ACCOUNTS, CONTRACT, code)
-    findings = suite.inspect(Individual(inputs), traces, reports, received)
+    findings = suite.inspect(Individual(inputs), traces, reports)
     return findings, suite
 
 
@@ -578,6 +581,76 @@ def test_le_quiet_for_depositors():
     withdraw = Input(fn=None, sender=ATTACKER)
     findings, _ = run_inputs(accepts, [deposit, withdraw], contract_balance=10**9)
     assert "LE" not in kinds(findings)
+
+
+# with calldata, a deposit: one byte is accepted, more revert; without, a
+# payout of 100 wei to the caller
+DEPOSIT_OR_PAYOUT = assemble(
+    """
+    CALLDATASIZE
+    PUSH @deposit
+    JUMPI
+    PUSH1 0x00
+    PUSH1 0x00
+    PUSH1 0x00
+    PUSH1 0x00
+    PUSH1 0x64
+    CALLER
+    PUSH2 0x2000
+    CALL
+    POP
+    STOP
+deposit:
+    JUMPDEST
+    PUSH1 0x01
+    CALLDATASIZE
+    EQ
+    PUSH @accept
+    JUMPI
+    PUSH1 0x00
+    PUSH1 0x00
+    REVERT
+accept:
+    JUMPDEST
+    STOP
+"""
+)
+
+
+def test_le_fires_when_the_payees_deposit_reverted():
+    deposit = Input(fn=None, sender=ATTACKER, value=500, raw_calldata=b"\x01\x02")
+    withdraw = Input(fn=None, sender=ATTACKER)
+    findings, _ = run_inputs(DEPOSIT_OR_PAYOUT, [deposit, withdraw], contract_balance=10**9)
+    assert kinds(findings) == ["LE"]
+
+
+def test_le_fires_when_only_the_other_attacker_paid_in():
+    other = ACCOUNTS.attackers[1]
+    deposit = Input(fn=None, sender=other, value=500, raw_calldata=b"\x01")
+    withdraw = Input(fn=None, sender=ATTACKER)
+    findings, _ = run_inputs(DEPOSIT_OR_PAYOUT, [deposit, withdraw], contract_balance=10**9)
+    assert kinds(findings) == ["LE"]
+    assert findings[0].evidence["to"] == hex(ATTACKER)
+
+
+@pytest.mark.parametrize("warm_up, leaks", [
+    ((), True),
+    (({"from": ATTACKER, "value": 500, "data": "0x01"},), False),
+    # a warm-up payment counts whoever it went to
+    (({"from": ATTACKER, "to": HELPER, "value": 1},), False),
+    (({"from": ATTACKER, "value": 500, "data": "0x0102"},), True),  # reverted
+    (({"from": ATTACKER, "data": "0x01"},), True),  # no value
+])
+def test_le_reads_deposits_from_the_initial_state_replay(warm_up, leaks):
+    campaign = Campaign(
+        parse_abi("[]"), DEPOSIT_OR_PAYOUT, config=CampaignConfig(initial_state=warm_up),
+        contract_balance=10**9,
+    )
+    withdraw = Individual([Input(fn=None, sender=ATTACKER)])
+    traces, reports = campaign.run_individual(withdraw)
+    findings = campaign.detectors.inspect(withdraw, traces, reports)
+    assert ("LE" in kinds(findings)) == leaks
+    assert campaign.findings == findings
 
 
 def test_le_quiet_when_benign_account_is_paid():

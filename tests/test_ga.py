@@ -53,7 +53,7 @@ def always_mutate(monkeypatch):
 
 def trace_with(ops, pcs, stacks, applied=True, **facts):
     """A hand-built trace with the ``facts`` its run would have recorded."""
-    return ExecutionTrace(ops, pcs, stacks, terminal="STOP", state_delta_applied=applied,
+    return ExecutionTrace(ops, pcs, stacks, terminal="STOP" if applied else "REVERT",
                           facts=TraceFacts(**facts))
 
 
@@ -343,7 +343,6 @@ def test_observe_trace_populates_registries():
         pcs=[4],
         stacks=[(0xAB,)],
         terminal="STOP",
-        state_delta_applied=True,
         calls=[CallEvent(0, "CALL", 9, 0xCD, 2300, 0, 1, False)],
         facts=TraceFacts(extcode_targets={0xAB}),
     )

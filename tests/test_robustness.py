@@ -125,9 +125,8 @@ def run_pipeline(code, batch, deadline=None):
     state = EmulatedState(AccountSet())
     state.code[CONTRACT] = code
     interpreter = Interpreter(wall_cap=WALL_CAP)
-    traces, received = [], []
+    traces = []
     for inp in batch:
-        received.append(dict(state.received_from))
         started = time.monotonic()
         traces.append(
             interpreter.execute(state, inp.transaction(CONTRACT), inp.env, deadline)
@@ -147,7 +146,7 @@ def run_pipeline(code, batch, deadline=None):
         write_set(trace)
         coverage.merge_trace(trace)
     compute_fitness(traces, frozenset())
-    DetectorSuite(ACCOUNTS, CONTRACT, code).inspect(Individual(batch), traces, reports, received)
+    DetectorSuite(ACCOUNTS, CONTRACT, code).inspect(Individual(batch), traces, reports)
 
     for trace in traces:
         records = list(trace.records)

@@ -196,6 +196,6 @@ def test_each_raw_key_is_resolved_once_per_trace(monkeypatch):
     _, _, expected = slots_ref.scenario_mapping(slot=1, key=accounts.benign)
     assert read_set(trace) == write_set(trace) == {expected}
     suite = DetectorSuite(accounts, CONTRACT, MAPPING_INCREMENT)
-    suite.inspect(Individual([inp]), [trace], taint_individual([inp], [trace]), [{}])
+    suite.inspect(Individual([inp]), [trace], taint_individual([inp], [trace]))
     assert suite.slot_writers == {expected: {accounts.benign}}
     assert len(resolved) == 1

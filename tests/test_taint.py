@@ -705,7 +705,7 @@ ONE_ARG_ABI = parse_abi(
 
 def blamed_revert(name):
     """A reverted trace and a report whose last guard reads only ``name``."""
-    trace = ExecutionTrace([], [], [], terminal="REVERT", state_delta_applied=False)
+    trace = ExecutionTrace([], [], [], terminal="REVERT")
     report = TaintReport(constraints=[PathConstraint(0, var(name), False)])
     return trace, report
 

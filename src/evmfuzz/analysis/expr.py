@@ -1,15 +1,17 @@
 """Symbolic expression terms for taint tracking and constraint solving.
 
-A Term is an immutable DAG: concrete constants, named variables (fuzzer-
-controllable sources like callvalue_0 or opaque ones like storage_…), and
-compound applications of 256-bit word operations, which share subterms
-(``DUP1 ADD`` makes ``add(t, t)``) and are walked by loops, most over ``dag``.
-Opaque operations (sha3, mix) remember the concrete value observed at
-execution time and evaluate to it; everything else evaluates structurally
-through ``OPS``, the lower-cased ``evm.opcodes.WORD_OPS``.
+A Term is an immutable, hash-consed DAG (one live term per value, so equal
+means identical): constants, named variables (fuzzer-controllable sources like
+callvalue_0 or opaque ones like storage_…) and applications of 256-bit word
+ops, which share subterms and are walked by loops keyed by identity.  Opaque
+operations (sha3, mix) remember the concrete value observed at execution time
+and evaluate to it; everything else evaluates structurally through ``OPS``,
+the lower-cased ``evm.opcodes.WORD_OPS``.
 """
 
 from __future__ import annotations
+
+from weakref import ref
 
 from ..evm.opcodes import MASK, WORD_OPS
 
@@ -17,66 +19,39 @@ OPAQUE_OPS = ("sha3", "mix")
 
 
 class Term:
-    """One immutable node of a term DAG, equal and hashed by value.
+    """One immutable node of a term DAG, the only live term of its value.
 
-    Every term knows, from the moment it is built, the names of the
-    variables in it (``names``) and their kinds (``kinds``, each name's
-    prefix before its first ``_``), gathered from its arguments' sets.  Its
-    hash is computed on first use, after its arguments', kept, and equals
-    ``hash((op, args, value, name))``, so nothing may assign to a term once
-    built.  Equality compares hashes, then heads, each pair of subterms once.
+    Building a term equal to a live one returns that one (``_TERMS``, weak
+    and unlocked: build terms on one thread), so equality and hashing are by
+    identity.  Each term knows its variables' names (``names``) and kinds
+    (``kinds``, each name's prefix before its first ``_``), gathered from its
+    arguments' sets when built; nothing may assign to a term once built.
     """
 
-    __slots__ = ("op", "args", "value", "name", "names", "kinds", "_hash")
+    __slots__ = ("op", "args", "value", "name", "names", "kinds", "__weakref__")
 
-    def __init__(self, op: str, args: tuple = (), value: int = 0, name: str = "") -> None:
-        self.op = op
-        self.args = args
-        self.value = value  # constant value, or observed value for opaque ops
-        self.name = name  # variable name
+    def __new__(cls, op: str, args: tuple = (), value: int = 0, name: str = "") -> Term:
+        key = (op, tuple(args), value, name)
+        held = _TERMS.get(key)
+        if held is not None and (term := held()) is not None:
+            return term
+        term = super().__new__(cls)
+        held = _TERMS[key] = _Held(term, _forget)
+        held.key = key
+        # value: a constant's, or the word an opaque op observed; name: a variable's
+        term.op, term.args, term.value, term.name = key
         if op == "var":
             names, kinds = frozenset((name,)), frozenset((name.partition("_")[0],))
         else:
             names = kinds = _EMPTY
-            for arg in args:
+            for arg in term.args:
                 if arg.names and arg.names is not names:
                     if names:
                         names, kinds = names | arg.names, kinds | arg.kinds
                     else:
                         names, kinds = arg.names, arg.kinds
-        self.names = names
-        self.kinds = kinds
-        self._hash = None  # most terms are never hashed
-
-    def __hash__(self) -> int:
-        if self._hash is None:  # unhashed arguments first, on a stack of its own
-            stack = [(self, iter(self.args))]
-            while stack:
-                node, args = stack[-1]
-                for arg in args:
-                    if arg._hash is None:
-                        stack.append((arg, iter(arg.args)))
-                        break
-                else:
-                    stack.pop()
-                    node._hash = hash((node.op, node.args, node.value, node.name))
-        return self._hash
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Term:
-            return NotImplemented
-        if hash(self) != hash(other):
-            return False
-        pairs, compared = [(self, other)], set()
-        while pairs:  # heads pair by pair, each pair of subterms once
-            a, b = pairs.pop()
-            if a is b or (id(a), id(b)) in compared:
-                continue
-            if (a.op, a.value, a.name, len(a.args)) != (b.op, b.value, b.name, len(b.args)):
-                return False
-            compared.add((id(a), id(b)))
-            pairs += zip(a.args, b.args)
-        return True
+        term.names, term.kinds = names, kinds
+        return term
 
     def __repr__(self) -> str:  # compact, debugging only: recursive, as long as the tree
         if self.op == "const":
@@ -86,7 +61,19 @@ class Term:
         return f"({self.op} {' '.join(map(repr, self.args))})"
 
 
+class _Held(ref):  # a term's weak reference in ``_TERMS``, under the term's key
+    __slots__ = ("key",)
+
+
+_TERMS: dict[tuple, _Held] = {}  # (op, args, value, name) -> the live term of that value
 _EMPTY: frozenset[str] = frozenset()
+
+
+def _forget(dead: _Held, terms: dict = _TERMS) -> None:  # terms bound: works at teardown
+    # drop a dead term's entry, unless a new term took its key first: the
+    # cycle collector clears all the references it frees before calling back
+    if terms.get(dead.key) is dead:
+        del terms[dead.key]
 
 
 def const(value: int) -> Term:
@@ -98,11 +85,11 @@ def var(name: str) -> Term:
 
 
 def apply(op: str, *args: Term) -> Term:
-    return Term(op, args=tuple(args))
+    return Term(op, args)
 
 
 def opaque(op: str, observed: int, *args: Term) -> Term:
-    return Term(op, args=tuple(args), value=observed & MASK)
+    return Term(op, args, observed & MASK)
 
 
 def variables(term: Term) -> frozenset[str]:
@@ -127,7 +114,7 @@ def dag(term: Term, into_opaque: bool = True) -> list[Term]:
 
 def contains(term: Term, needle: Term) -> bool:
     """Whether needle occurs in term, opaque operands included."""
-    return any(node == needle for node in dag(term))
+    return any(node is needle for node in dag(term))
 
 
 # The word semantics of the EVM opcodes, named in lower case.

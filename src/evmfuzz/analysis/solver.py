@@ -514,7 +514,7 @@ class InternalSolver:
                 continue
             op, args = node.op, node.args
             if len(args) == 2 and args[0] is args[1] and op in ("add", "and", "or"):
-                # DUP1 ADD: t + t is t shifted left by 1; DUP1 AND, DUP1 OR: t
+                # t + t is t << 1; and(t, t), or(t, t) are t; equal operands are one term
                 t = words[id(args[0])]
                 words[id(node)] = _INVERSES["shl"][0](_word(MASK, 1), t) if op == "add" else t
             elif op == "const":
@@ -559,8 +559,8 @@ class CandidateSearch:
     value, with one memo: each subterm's value under ``env``, computed once,
     and the stream of each (search, subterm, goal, depth), the goal being
     ``solve_bool``'s truth value or ``unify``'s target.  A stream replays
-    what a fresh search would yield, so operands that reach one subterm
-    through different objects cost the DAG times ``MAX_DEPTH``, not the tree."""
+    what a fresh search would yield, so operands that share a subterm cost
+    the DAG times ``MAX_DEPTH``, not the tree."""
 
     def __init__(self, cond: Term, env: dict, free: frozenset[str], deadline: float | None) -> None:
         self.free, self.deadline = free, deadline
@@ -593,7 +593,7 @@ class CandidateSearch:
     def solve_bool(self, cond, want, depth):
         """Assignments aiming to make cond truthy (want) or zero (not want)."""
         while cond.op in ("and", "or") and cond.args[0] is cond.args[1]:
-            cond = cond.args[0]  # DUP1 AND, DUP1 OR: and(t, t) is t; search it once, not twice
+            cond = cond.args[0]  # and(t, t) and or(t, t) are t: search it once, not twice
         op = cond.op
         if op == "iszero":
             yield from self.stream(self.solve_bool, cond.args[0], not want, depth + 1)

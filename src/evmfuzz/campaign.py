@@ -91,6 +91,9 @@ class CampaignConfig:
     # {"from": addr, "to": addr?, "value": n?, "data": hex?, "timestamp": n?}
     initial_state: tuple = ()
 
+    def __post_init__(self) -> None:
+        check_initial_state(self.initial_state)
+
     def jsonable(self) -> dict:
         return {
             "seed": self.seed,
@@ -110,6 +113,24 @@ class CampaignConfig:
 
 def _as_int(value) -> int:
     return int(value, 0) if isinstance(value, str) else int(value)
+
+
+def check_initial_state(txs) -> None:
+    """Raise ValueError unless every warm-up transaction is well formed and in range."""
+    for tx in txs:
+        if not isinstance(tx, dict) or "from" not in tx:
+            raise ValueError('every transaction needs a "from" address')
+        for key in ("from", "to", "value", "timestamp"):
+            if key in tx:
+                if isinstance(tx[key], bool) or not isinstance(tx[key], (int, str)):
+                    raise ValueError(f"{key} {tx[key]!r} is not an integer or a string")
+                number = _as_int(tx[key])
+                if number < 0 or (key in ("from", "to") and number >> 160):
+                    raise ValueError(f"{key} {tx[key]!r} is out of range")
+        data = tx.get("data", "")
+        if not isinstance(data, str):
+            raise ValueError(f"data {data!r} is not a hex string")
+        bytes.fromhex(data.removeprefix("0x"))
 
 
 class Campaign:
@@ -149,7 +170,7 @@ class Campaign:
             self.state.sstore(self.address, slot, value)
         if contract_balance:
             self.state.credit(self.address, contract_balance)
-        # senders of warm-up value, whoever it went to
+        # senders of warm-up value to the contract under test
         depositors = frozenset(
             _as_int(tx["from"]) for tx in self.config.initial_state if self._replay(tx)
         )
@@ -198,24 +219,25 @@ class Campaign:
         return list(self.detectors.findings.values())
 
     def _replay(self, tx: dict) -> bool:
-        """Run one warm-up transaction; returns whether it applied with value."""
+        """Run one warm-up transaction; returns whether it paid the contract value and applied."""
         env = EnvOverrides()
         if "timestamp" in tx:
             env.timestamp = _as_int(tx["timestamp"])
         data = tx.get("data", "")
         value = _as_int(tx.get("value", 0))
+        to = _as_int(tx.get("to", self.address))
         trace = self.interpreter.execute(
             self.state,
             Transaction(
                 sender=_as_int(tx["from"]),
-                to=_as_int(tx.get("to", self.address)),
+                to=to,
                 value=value,
                 gas_limit=MAX_GAS,
                 data=bytes.fromhex(data.removeprefix("0x")) if data else b"",
             ),
             env,
         )
-        return value > 0 and trace.state_delta_applied
+        return value > 0 and to == self.address and trace.state_delta_applied
 
     # ------------------------------------------------------------------
     # execution

@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .abi import AbiError, ContractAbi, parse_abi
 from .analysis.solver import SOLVER_CANDIDATES
-from .campaign import CampaignConfig, run_campaign, write_report
+from .campaign import CampaignConfig, check_initial_state, run_campaign, write_report
 from .detectors import ALL_KINDS
 from .evm import DeployError
 
@@ -135,20 +135,7 @@ def _read_state(path: str | None) -> tuple:
         blob = json.loads(_read_text(path, "state"))
         if not isinstance(blob, list):
             raise ValueError("expected a JSON list of transactions")
-        for tx in blob:
-            if not isinstance(tx, dict) or "from" not in tx:
-                raise ValueError('every transaction needs a "from" address')
-            for key in ("from", "to", "value", "timestamp"):
-                if key in tx:
-                    if isinstance(tx[key], bool) or not isinstance(tx[key], (int, str)):
-                        raise ValueError(f"{key} {tx[key]!r} is not an integer or a string")
-                    number = int(tx[key], 0) if isinstance(tx[key], str) else tx[key]
-                    if number < 0 or (key in ("from", "to") and number >> 160):
-                        raise ValueError(f"{key} {tx[key]!r} is out of range")
-            data = tx.get("data", "")
-            if not isinstance(data, str):
-                raise ValueError(f"data {data!r} is not a hex string")
-            bytes.fromhex(data.removeprefix("0x"))
+        check_initial_state(blob)
     except (ValueError, TypeError, OverflowError, json.JSONDecodeError) as exc:
         raise _Problem(EXIT_INPUT, f"bad state file {path!r}: {exc}") from exc
     return tuple(blob)

@@ -192,10 +192,9 @@ class ExecutionTrace:
     readers.
 
     A trace is a value: two traces are equal when every field but
-    ``facts`` and ``walks`` is, and a run whose trace equals one a memo
-    holds gets that held trace, so nothing may change a trace once
-    ``execute`` returns it (the caches its facts keep and the taint walks
-    kept in ``walks`` aside).
+    ``facts``, ``walks`` and the kept ``_hash`` is, and a run whose trace
+    equals one a memo holds gets that held trace, so nothing may change a
+    trace once ``execute`` returns it (its facts' caches and ``walks`` aside).
     """
 
     ops: tuple[str, ...]
@@ -209,9 +208,13 @@ class ExecutionTrace:
     return_data: bytes = b""
     facts: TraceFacts = field(default_factory=TraceFacts, compare=False, repr=False)
     walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __hash__(self) -> int:
-        return hash((self.calldata, self.terminal, self.return_data, self.stacks))
+    def __hash__(self) -> int:  # kept once taken: the stacks column is long
+        if self._hash is None:
+            content = (self.calldata, self.terminal, self.return_data, self.stacks)
+            object.__setattr__(self, "_hash", hash(content))
+        return self._hash
 
     @property
     def state_delta_applied(self) -> bool:

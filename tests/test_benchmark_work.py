@@ -22,6 +22,11 @@ PASS_DIGESTS = {
     ("fixtures", 1): "4c0d27ec961e",
     ("storage", 1): "2f6c71bcf8ad",
     ("guards", 1): "eb1d12e48691",
+    # seeds 2 and 3, which the fingerprint check over seeds 1-3 reads too
+    ("storage", 2): "111679608542",
+    ("storage", 3): "9a4fa81a59cf",
+    ("guards", 2): "62f0d54dd86a",
+    ("guards", 3): "b893473a55d2",
     # the held-out seed that speed claims are checked on
     ("storage", 11): "be60e91a356e",
     ("guards", 11): "b179b3805e93",
@@ -36,6 +41,11 @@ def pass_digest(workload: str, seed: int) -> str:
 @pytest.mark.parametrize("workload", sorted(w for w, seed in PASS_DIGESTS if seed == 1))
 def test_a_seed_one_pass_does_the_pinned_work(workload):
     assert pass_digest(workload, 1) == PASS_DIGESTS[workload, 1]
+
+
+@pytest.mark.parametrize("workload, seed", sorted(key for key in PASS_DIGESTS if key[1] in (2, 3)))
+def test_seed_two_and_three_passes_do_the_pinned_work(workload, seed):
+    assert pass_digest(workload, seed) == PASS_DIGESTS[workload, seed]
 
 
 @pytest.mark.parametrize("workload", sorted(w for w, seed in PASS_DIGESTS if seed == 11))

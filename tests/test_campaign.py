@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import time
@@ -7,6 +8,7 @@ import pytest
 from evmfuzz import campaign as campaign_module
 from evmfuzz.abi import AbiType, parse_abi
 from evmfuzz.analysis import OpenBranch, PathConstraint, SolveResult, TaintReport
+from evmfuzz.analysis import expr
 from evmfuzz.analysis import taint as taint_module
 from evmfuzz.analysis.expr import apply, const, var
 from evmfuzz.asm import assemble, creation_wrapper
@@ -164,6 +166,20 @@ def quick_config(**overrides) -> CampaignConfig:
 
 # ---------------------------------------------------------------------------
 # coverage and the solver loop
+
+
+def test_a_dropped_campaign_leaves_the_term_table_as_it_found_it():
+    def live():
+        return {held() for held in expr._TERMS.values()}
+
+    gc.collect()
+    before = live()  # held here, so they stay
+    campaign = Campaign(MAGIC_ABI, MAGIC_GUARD, config=quick_config(generations=10))
+    campaign.run()
+    assert live() > before
+    del campaign
+    gc.collect()
+    assert live() == before
 
 
 def test_solver_flips_magic_guard():
@@ -785,6 +801,20 @@ def test_initial_state_value_defaults_to_the_contract():
     config = CampaignConfig(initial_state=({"from": ATTACKER_1, "value": 5},))
     campaign = Campaign(EMPTY_ABI, PRIVILEGED_SETTER, config=config)
     assert campaign.state.balance_of(campaign.address) == 5
+
+
+@pytest.mark.parametrize("tx, bad", [
+    ({"from": "0x10", "value": -5}, "value"),
+    ({"from": 1 << 170}, "from"),
+    ({"from": "0x10", "to": hex(1 << 160)}, "to"),
+])
+def test_initial_state_is_checked_when_the_config_is_built(tx, bad, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a warm-up transaction ran")
+
+    monkeypatch.setattr(Interpreter, "execute", never)
+    with pytest.raises(ValueError, match=f"^{bad} .* is out of range$"):
+        Campaign(EMPTY_ABI, PRIVILEGED_SETTER, config=CampaignConfig(initial_state=(tx,)))
 
 
 def test_initial_state_is_echoed_in_the_report_config():

@@ -636,8 +636,8 @@ def test_le_fires_when_only_the_other_attacker_paid_in():
 @pytest.mark.parametrize("warm_up, leaks", [
     ((), True),
     (({"from": ATTACKER, "value": 500, "data": "0x01"},), False),
-    # a warm-up payment counts whoever it went to
-    (({"from": ATTACKER, "to": HELPER, "value": 1},), False),
+    # only a payment into the contract under test is a deposit
+    (({"from": ATTACKER, "to": HELPER, "value": 1},), True),
     (({"from": ATTACKER, "value": 500, "data": "0x0102"},), True),  # reverted
     (({"from": ATTACKER, "data": "0x01"},), True),  # no value
 ])

@@ -222,12 +222,30 @@ def _tree(term):
 def test_cached_sets_and_hash_agree_with_the_tree(term):
     assert variables(term) == _reference_variables(term)
     assert term.kinds == {parse_var(name).kind for name in variables(term)}
-    assert hash(term) == hash((term.op, term.args, term.value, term.name))
     copy = _rebuilt(term)
-    assert copy is not term
-    assert copy == term
-    assert hash(copy) == hash(term)
+    assert copy is term
     assert variables(copy) == variables(term)
+
+
+def test_a_term_built_apart_from_an_equal_live_term_is_that_term():
+    x = var("arg_0_0")
+    term = apply("add", apply("mul", x, const(3)), opaque("sha3", 7, x))
+    assert apply("add", apply("mul", var("arg_0_0"), const(3 + (1 << 256))),
+                 opaque("sha3", 7 + (1 << 256), var("arg_0_0"))) is term
+    assert Term("add", (Term("mul", [Term("var", name="arg_0_0"), Term("const", value=3)]),
+                        Term("sha3", (x,), 7))) is term
+    assert apply("add", apply("mul", x, const(4)), opaque("sha3", 7, x)) is not term
+
+
+def test_a_late_call_back_for_a_dead_term_leaves_the_entry_a_new_term_took():
+    # the cycle collector may clear a term's reference, let a new equal term
+    # take its key, and only then call back for the dead one
+    term = var("arg_0_0")
+    late = expr._Held(term)
+    late.key = ("var", (), 0, "arg_0_0")
+    expr._forget(late)
+    assert expr._TERMS[late.key]() is term
+    assert var("arg_0_0") is term
 
 
 def _finish_order(term, into_opaque, seen):

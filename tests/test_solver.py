@@ -252,14 +252,16 @@ def test_a_shared_subterm_is_written_once():
     assert writer.wrap_lets(writer.convert(doubled(x, 2))) == (
         "(let ((t0 (bvadd arg_0_0 arg_0_0))) (bvadd t0 t0))"
     )
-    # equal subterms built apart are not shared: the text stays as it was
+    # equal subterms built apart are one term, so they share one binding too
     apart = apply("add", apply("mul", x, y), apply("mul", x, y))
-    assert writer.convert(apart) == "(bvadd (bvmul arg_0_0 arg_1_0) (bvmul arg_0_0 arg_1_0))"
+    assert writer.wrap_lets(writer.convert(apart)) == (
+        "(let ((t1 (bvmul arg_0_0 arg_1_0))) (bvadd t1 t1))"
+    )
     # a binding lives inside one assertion: the next one binds afresh
     twice = doubled(x, 1)
     pair = apply("add", twice, twice)
     first = writer.wrap_lets(writer.convert(pair))
-    assert writer.wrap_lets(writer.convert(pair)) == first.replace("t1", "t2")
+    assert writer.wrap_lets(writer.convert(pair)) == first.replace("t2", "t3")
 
 
 def test_lets_and_stand_ins_are_numbered_in_walk_order():
@@ -473,6 +475,29 @@ def test_relations_and_iszero_are_exact_where_their_operands_decide_them():
     # rules for two independent operands would widen it to [0, 3] and [1, 3]
     for op in ("and", "or"):
         assert solver._abstract(apply(op, one_or_two, one_or_two), {})[2:] == (1, 2)
+
+
+def test_an_addend_built_apart_from_its_twin_is_judged_as_a_shift():
+    # one term per value: add(x, x'), x' built apart from x, is add(x, x)
+    x, twin = (apply("mul", var("arg_0_0"), const(3)) for _ in range(2))
+    solver = InternalSolver()
+    assert solver._abstract(apply("add", x, twin), {}) == (
+        solver._abstract(apply("shl", const(1), x), {})
+    )
+
+
+def test_an_and_of_a_condition_and_its_twin_draws_what_the_condition_draws():
+    # and(c, c'), c' built apart from c, is and(c, c): searched as c, once
+    c, c_apart = (apply("lt", var("arg_0_0"), apply("mul", var("storage_1"), const(3)))
+                  for _ in range(2))
+    env, free = {"arg_0_0": 9, "storage_1": 2}, frozenset({"arg_0_0"})
+    for want in (True, False):
+        both = apply("and", c, c_apart)
+        search = CandidateSearch(both, env, free, None)
+        drawn = list(search.stream(search.solve_bool, both, want, 0))
+        search = CandidateSearch(c, env, free, None)
+        assert drawn == list(search.stream(search.solve_bool, c, want, 0))
+        assert drawn
 
 
 def test_the_solver_and_the_writer_walk_a_deep_chain_without_the_stack():

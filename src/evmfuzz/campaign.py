@@ -17,6 +17,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
+from types import MappingProxyType
 
 from .abi import ContractAbi
 from .analysis import (
@@ -75,7 +76,7 @@ _SOLVED_FIELDS = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignConfig:
     seed: int = 1
     timeout: float = 60.0  # wall-clock budget, seconds
@@ -92,7 +93,16 @@ class CampaignConfig:
     initial_state: tuple = ()
 
     def __post_init__(self) -> None:
+        """Raise ValueError on a budget no run could keep or a bad warm-up."""
+        if not self.timeout >= 0:  # NaN too: no deadline would ever pass
+            raise ValueError(f"timeout {self.timeout} is not a number of seconds")
+        if self.generations is not None and self.generations < 0:
+            raise ValueError(f"generations {self.generations} is negative")
         check_initial_state(self.initial_state)
+        # a read-only copy, so neither the caller nor a reader can change a
+        # checked warm-up transaction
+        frozen = tuple(MappingProxyType(dict(tx)) for tx in self.initial_state)
+        object.__setattr__(self, "initial_state", frozen)
 
     def jsonable(self) -> dict:
         return {
@@ -125,7 +135,7 @@ def check_initial_state(txs) -> None:
                 if isinstance(tx[key], bool) or not isinstance(tx[key], (int, str)):
                     raise ValueError(f"{key} {tx[key]!r} is not an integer or a string")
                 number = _as_int(tx[key])
-                if number < 0 or (key in ("from", "to") and number >> 160):
+                if number < 0 or number >> (160 if key in ("from", "to") else 256):
                     raise ValueError(f"{key} {tx[key]!r} is out of range")
         data = tx.get("data", "")
         if not isinstance(data, str):

@@ -192,19 +192,22 @@ def main(argv: list[str] | None = None) -> int:
             if args.no_solver:
                 raise _Problem(EXIT_INPUT, "--solver-bin conflicts with --no-solver")
             solver_argv = _solver_argv(args.solver_bin, args.solver_timeout_ms)
-        config = CampaignConfig(
-            seed=args.seed,
-            timeout=args.timeout,
-            generations=args.generations,
-            solver_enabled=not args.no_solver,
-            raw_aware=not args.no_raw,
-            env_fuzzing=not args.no_env,
-            solver_timeout_ms=args.solver_timeout_ms,
-            solver_argv=solver_argv,
-            detectors=_parse_detectors(args.detectors),
-            trace_dir=args.trace_dump,
-            initial_state=_read_state(args.state),
-        )
+        try:
+            config = CampaignConfig(
+                seed=args.seed,
+                timeout=args.timeout,
+                generations=args.generations,
+                solver_enabled=not args.no_solver,
+                raw_aware=not args.no_raw,
+                env_fuzzing=not args.no_env,
+                solver_timeout_ms=args.solver_timeout_ms,
+                solver_argv=solver_argv,
+                detectors=_parse_detectors(args.detectors),
+                trace_dir=args.trace_dump,
+                initial_state=_read_state(args.state),
+            )
+        except ValueError as exc:
+            raise _Problem(EXIT_INPUT, str(exc)) from exc
         if args.trace_dump:
             try:
                 Path(args.trace_dump).mkdir(parents=True, exist_ok=True)

@@ -512,6 +512,15 @@ class Interpreter:
         # up at, the clock is checked: the gas limit and every multiple of
         # CLOCK_STEPS, step 0 included
         checkpoint = gas if give_up_at is None else 0
+        # What each environment op pushes, fixed for the whole run, so one
+        # arm of the loop serves them all.  Execution is single-level (calls
+        # never run code), so the origin is the caller.
+        words = {
+            "ADDRESS": self_addr, "ORIGIN": sender, "CALLER": sender, "CALLVALUE": value,
+            "CALLDATASIZE": len(data), "CODESIZE": len(code), "GASPRICE": GAS_PRICE,
+            "COINBASE": COINBASE, "TIMESTAMP": env.timestamp, "NUMBER": env.block_number,
+            "DIFFICULTY": DIFFICULTY, "GASLIMIT": BLOCK_GAS_LIMIT,
+        }
 
         def push(x: int) -> None:
             if len(stack) >= STACK_LIMIT:
@@ -538,10 +547,6 @@ class Interpreter:
         def mread(offset: int, size: int) -> bytes:
             touch(offset, size)
             return bytes(memory[offset:offset + size])
-
-        def mwrite(offset: int, blob: bytes) -> None:
-            touch(offset, len(blob))
-            memory[offset:offset + len(blob)] = blob
 
         def mcopy(dest: int, source: bytes, offset: int, size: int) -> None:
             touch(dest, size)  # before padding: a huge size faults, not allocates
@@ -592,7 +597,9 @@ class Interpreter:
                     append(stack[-pops])
                 elif kind == "swap":
                     stack[-1], stack[-pops] = stack[-pops], stack[-1]
-                # then the named ops, commonest first
+                # then the named ops, commonest first, except that the
+                # environment words come after the storage, memory and
+                # hashing ops, so that those never pay for the table lookup
                 elif name == "JUMPI":
                     dest, cond = pop(), pop()
                     record_jumpi((pc, dest, cond != 0))  # a bad destination still counts
@@ -638,55 +645,31 @@ class Interpreter:
                     digest = self._keccak_word(blob, give_up_at)
                     preimages[digest] = blob
                     append(digest)
-                elif name == "ADDRESS":
-                    push(self_addr)
+                elif name in words:
+                    push(words[name])
                 elif name == "BALANCE":
                     push(state.balance_of(pop()))
-                elif name == "ORIGIN":
-                    push(sender)  # single-level execution: origin == caller
-                elif name == "CALLER":
-                    push(sender)
-                elif name == "CALLVALUE":
-                    push(value)
-                elif name == "CALLDATASIZE":
-                    push(len(data))
                 elif name == "CALLDATACOPY":
                     dest, offset, size = pop(), pop(), pop()
                     mcopy(dest, data, offset, size)
-                elif name == "CODESIZE":
-                    push(len(code))
                 elif name == "CODECOPY":
                     dest, offset, size = pop(), pop(), pop()
                     mcopy(dest, code, offset, size)
-                elif name == "GASPRICE":
-                    push(GAS_PRICE)
                 elif name == "EXTCODESIZE":
                     target = pop()
                     targets.add(target)
                     push(env.extcode_sizes.get(target, 0))
                 elif name == "RETURNDATASIZE":
-                    if last_callee is not None and last_callee in env.returndata_sizes:
-                        push(env.returndata_sizes[last_callee])
-                    else:
-                        push(len(returndata))
+                    push(env.returndata_sizes.get(last_callee, len(returndata)))
                 elif name == "RETURNDATACOPY":
                     dest, offset, size = pop(), pop(), pop()
                     mcopy(dest, returndata, offset, size)
                 elif name == "BLOCKHASH":
                     push(self._keccak_word(b"blockhash" + pop().to_bytes(32, "big")))
-                elif name == "COINBASE":
-                    push(COINBASE)
-                elif name == "TIMESTAMP":
-                    push(env.timestamp)
-                elif name == "NUMBER":
-                    push(env.block_number)
-                elif name == "DIFFICULTY":
-                    push(DIFFICULTY)
-                elif name == "GASLIMIT":
-                    push(BLOCK_GAS_LIMIT)
                 elif name == "MSTORE8":
                     offset, word = pop(), pop()
-                    mwrite(offset, bytes([word & 0xFF]))
+                    touch(offset, 1)
+                    memory[offset] = word & 0xFF
                 elif name == "PC":
                     push(pc)
                 elif name == "MSIZE":
@@ -741,15 +724,10 @@ class Interpreter:
                                   to, call_gas, call_value, success, transferred, returned)
                     )
                     push(success)
-                elif name == "RETURN":
+                elif name == "RETURN" or name == "REVERT":
                     offset, size = pop(), pop()
                     return_data = mread(offset, size)
-                    terminal = "RETURN"
-                    break
-                elif name == "REVERT":
-                    offset, size = pop(), pop()
-                    return_data = mread(offset, size)
-                    terminal = "REVERT"
+                    terminal = name
                     break
                 elif name == "INVALID":
                     invalid_pc = pc  # a genuine INVALID, not a fault

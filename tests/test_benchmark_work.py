@@ -5,6 +5,13 @@ A change that should leave every search decision alone (a refactor, a speed
 change) must leave this digest alone too: it covers each campaign's
 executions, generations, coverage, (kind, pc) findings and solver counts.
 A change that means to move the work updates the digest and says why.
+
+Beside the digests, ``PASS_RUNS_AND_WALKS`` pins how much the seed-1
+passes execute: the transactions the interpreter runs (``_transact``, so
+outcome-memo hits do not count) and the taint walks it takes
+(``_Walker.walk``, so walks kept on a trace do not count).  The digest
+cannot see these, since a memo hit gives the same answer as a run.  A
+change that means to move these counts updates them and gives the reason.
 """
 
 import hashlib
@@ -17,6 +24,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import run  # noqa: E402
+from evmfuzz.analysis import taint  # noqa: E402
+from evmfuzz.evm import Interpreter  # noqa: E402
 
 PASS_DIGESTS = {
     ("fixtures", 1): "4c0d27ec961e",
@@ -32,6 +41,25 @@ PASS_DIGESTS = {
     ("guards", 11): "b179b3805e93",
 }
 
+PASS_RUNS_AND_WALKS = {
+    "fixtures": (10_292, 3_436),
+    "storage": (384, 274),
+    "guards": (7_925, 4_358),
+}
+
+
+def counted(monkeypatch, owner, name) -> list:
+    """The calls made to ``owner.name`` from now on, one entry each."""
+    calls = []
+    shipped = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return shipped(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
 
 def pass_digest(workload: str, seed: int) -> str:
     fingerprint = run.pass_fingerprint(run.run_pass(run.workload_jobs(workload, seed)))
@@ -39,8 +67,11 @@ def pass_digest(workload: str, seed: int) -> str:
 
 
 @pytest.mark.parametrize("workload", sorted(w for w, seed in PASS_DIGESTS if seed == 1))
-def test_a_seed_one_pass_does_the_pinned_work(workload):
+def test_a_seed_one_pass_does_the_pinned_work(workload, monkeypatch):
+    runs = counted(monkeypatch, Interpreter, "_transact")
+    walks = counted(monkeypatch, taint._Walker, "walk")
     assert pass_digest(workload, 1) == PASS_DIGESTS[workload, 1]
+    assert (len(runs), len(walks)) == PASS_RUNS_AND_WALKS[workload]
 
 
 @pytest.mark.parametrize("workload, seed", sorted(key for key in PASS_DIGESTS if key[1] in (2, 3)))

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -318,6 +319,29 @@ def test_the_solver_is_asked_with_the_first_witness_of_a_branch(monkeypatch):
     )]
 
 
+def test_one_activation_asks_the_solver_at_most_its_budget(monkeypatch):
+    # more open branches with a fuzzable variable than one activation may ask
+    pcs = range(0x40, 0x40 + campaign_module.MAX_SOLVER_CALLS + 3)
+    constraints = [
+        PathConstraint(pc, apply("eq", var(f"arg_{k}_0"), const(7)), False)
+        for k, pc in enumerate(pcs)
+    ]
+    witness = (Individual([]), [TaintReport(constraints=constraints)])
+    campaign = Campaign(MAGIC_ABI, MAGIC_GUARD)
+    monkeypatch.setattr(
+        campaign.coverage, "find_open_branches", lambda: [OpenBranch(pc, True) for pc in pcs]
+    )
+    asked = []
+
+    def solve_branch(constraints, target_index, var_values, deadline=None):
+        asked.append(target_index)
+        return SolveResult("unknown")
+
+    monkeypatch.setattr(campaign.bridge, "solve_branch", solve_branch)
+    assert campaign._solve_open_branches([witness]) == []
+    assert asked == list(range(campaign_module.MAX_SOLVER_CALLS))
+
+
 def test_series_is_monotonic():
     report = run_campaign(MAGIC_ABI, MAGIC_GUARD, config=quick_config())
     elapsed = [point[0] for point in report["series"]]
@@ -558,6 +582,15 @@ def test_apply_model_sets_environment_fields():
     assert int.from_bytes(ret[32:64], "big") == 7
     assert inp.env.extcode_sizes[0x1234] == 10
     assert inp.gas_limit == 21_000
+
+
+def test_apply_model_skips_a_word_past_the_head():
+    campaign = make_campaign()
+    fn = MAGIC_ABI.functions[0]  # set(uint256): one head word
+    individual = Individual([Input(fn=fn, sender=1, args=[0])])
+    inp = campaign._apply_model(individual, {"arg_1_0": 5}).inputs[0]
+    assert inp.args == [0]
+    assert inp.pool_tags == {}
 
 
 def test_apply_model_skips_out_of_range_inputs():
@@ -807,6 +840,7 @@ def test_initial_state_value_defaults_to_the_contract():
     ({"from": "0x10", "value": -5}, "value"),
     ({"from": 1 << 170}, "from"),
     ({"from": "0x10", "to": hex(1 << 160)}, "to"),
+    ({"from": "0x10", "timestamp": 1 << 256}, "timestamp"),  # would wrap to 0
 ])
 def test_initial_state_is_checked_when_the_config_is_built(tx, bad, monkeypatch):
     def never(*args, **kwargs):
@@ -815,6 +849,39 @@ def test_initial_state_is_checked_when_the_config_is_built(tx, bad, monkeypatch)
     monkeypatch.setattr(Interpreter, "execute", never)
     with pytest.raises(ValueError, match=f"^{bad} .* is out of range$"):
         Campaign(EMPTY_ABI, PRIVILEGED_SETTER, config=CampaignConfig(initial_state=(tx,)))
+
+
+def test_an_initial_state_timestamp_fills_a_word():
+    from evmfuzz.evm.state import ATTACKER_1
+
+    top = (1 << 256) - 1
+    config = CampaignConfig(initial_state=({"from": ATTACKER_1, "timestamp": top},))
+    campaign = Campaign(EMPTY_ABI, assemble("TIMESTAMP PUSH1 0 SSTORE STOP"), config=config)
+    assert campaign.state.sload(campaign.address, 0) == top
+
+
+@pytest.mark.parametrize("field, value", [
+    ("timeout", float("nan")),  # no deadline compares past NaN: the run would never end
+    ("timeout", -1.0),
+    ("generations", -3),
+])
+def test_a_config_rejects_a_budget_no_run_could_keep(field, value):
+    with pytest.raises(ValueError, match=f"^{field} {value} is "):
+        CampaignConfig(**{field: value})
+
+
+def test_a_config_cannot_change_after_its_checks_ran():
+    from evmfuzz.evm.state import ATTACKER_1
+
+    tx = {"from": ATTACKER_1, "value": 5}
+    config = CampaignConfig(initial_state=(tx,))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.initial_state = ({"from": ATTACKER_1, "value": -5},)
+    with pytest.raises(TypeError):
+        config.initial_state[0]["value"] = -5
+    tx["value"] = -5  # the caller's own dict
+    campaign = Campaign(EMPTY_ABI, assemble("STOP"), config=config)
+    assert campaign.state.balance_of(campaign.address) == 5
 
 
 def test_initial_state_is_echoed_in_the_report_config():

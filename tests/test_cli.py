@@ -211,6 +211,11 @@ def test_rejects_a_timeout_that_is_not_a_number_of_seconds(compiled, capsys, sec
     assert capsys.readouterr().err.startswith(f"fuzz: --timeout {float(seconds)}")
 
 
+def test_rejects_a_negative_generation_cap(compiled, capsys):
+    assert main(quick_args(compiled, "--generations", "-3")) == EXIT_INPUT
+    assert capsys.readouterr().err == "fuzz: generations -3 is negative\n"
+
+
 def test_rejects_unknown_detector(compiled, capsys):
     assert main(quick_args(compiled, "--detectors", "AF,XX")) == EXIT_INPUT
     assert "unknown detectors: XX" in capsys.readouterr().err

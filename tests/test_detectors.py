@@ -98,6 +98,30 @@ def test_io_fires_when_wrapped_result_is_stored():
     assert findings[0].evidence["sinks"][0]["op"] == "SSTORE"
 
 
+def test_io_fires_when_wrapped_result_is_sent():
+    send_sum = assemble(
+        """
+        PUSH1 0x00
+        PUSH1 0x00
+        PUSH1 0x00
+        PUSH1 0x00
+        PUSH1 0x04
+        CALLDATALOAD
+        DUP1
+        ADD
+        PUSH2 0x8888
+        PUSH2 0x08fc
+        CALL
+        POP
+        STOP
+    """
+    )
+    inp = Input(fn=None, sender=BENIGN, raw_calldata=_arg_calldata((1 << 255) + 3))
+    findings, _ = run_inputs(send_sum, [inp], contract_balance=10)
+    [finding] = [f for f in findings if f.kind == "IO"]
+    assert finding.evidence["sinks"] == [{"op": "CALL", "pc": send_sum.index(0xF1)}]
+
+
 def test_io_quiet_without_wraparound():
     inp = Input(fn=None, sender=BENIGN, raw_calldata=_arg_calldata(7))
     findings, _ = run_inputs(OVERFLOW_STORE, [inp])

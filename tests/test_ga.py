@@ -267,6 +267,17 @@ def test_crossover_never_exceeds_max_inputs(always_cross):
     assert [i.fn.name for i in child.inputs] == ["buy", "buy", "buy"]
 
 
+def test_the_crossover_log_stops_at_its_cap(always_cross, monkeypatch):
+    monkeypatch.setattr(engine_module, "CROSSOVER_LOG_CAP", 2)
+    engine = make_engine()
+    a, b = engine.initial_population()[:2]
+    children = [engine.crossover(a, b, eval_with(), eval_with()) for _ in range(3)]
+    assert len(children) == 3
+    assert engine.crossover_log == [{
+        "first": ["buy"], "second": ["withdraw"], "child": ["buy", "withdraw"],
+    }] * 2
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32),

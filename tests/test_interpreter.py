@@ -918,6 +918,19 @@ def test_a_full_outcome_memo_keeps_its_bounds(entries, steps, monkeypatch):
     assert again is traces[11][1]
 
 
+def test_two_outcome_keys_with_one_hash_keep_one_entry(monkeypatch):
+    # every key and every trace hashes alike, so each outcome displaces the last
+    monkeypatch.setattr(interpreter_module, "hash", lambda value: 0, raising=False)
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    for rounds in (1, 4, 1):
+        run(COUNTED_LOOP, data=rounds.to_bytes(32, "big"), interpreter=interpreter)
+        [(_, stored, _)] = interpreter._outcomes.values()
+        assert interpreter._held == len(stored.ops)
+        assert list(interpreter._traces.values()) == [[stored, 1]]
+    assert len(made) == 3  # the displaced outcome ran again
+
+
 # ---------------------------------------------------------------------------
 # equal outcomes share one trace
 

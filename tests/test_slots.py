@@ -6,6 +6,7 @@ from evmfuzz.asm import assemble
 from evmfuzz.detectors import DetectorSuite
 from evmfuzz.evm import AccountSet, EmulatedState, Interpreter, Transaction
 from evmfuzz.ga import Individual, Input
+from evmfuzz.keccak import keccak256
 
 from oracles import slots_ref
 
@@ -63,6 +64,26 @@ def test_array_of_structs():
 def test_unknown_hash_like_key_stays_raw():
     raw = int.from_bytes(b"\x80" + b"\x55" * 31, "big")
     assert resolve_key(raw, {}) == ("raw", raw)
+
+
+def test_nesting_deeper_than_eight_levels_stays_raw():
+    raw, preimages = 0, {}
+    for depth in range(1, 10):
+        raw, blob = slots_ref.mapping_location(raw, depth)
+        preimages[raw] = blob
+        expected = (0, tuple(("map", k) for k in range(1, depth + 1)))
+        assert resolve_key(raw, preimages) == (expected if depth <= 8 else ("raw", raw))
+
+
+def test_a_preimage_that_is_neither_a_map_nor_an_array_stays_raw():
+    raw = int.from_bytes(keccak256(bytes(40)), "big")
+    assert resolve_key(raw, {raw: bytes(40)}) == ("raw", raw)
+
+
+def test_a_hash_over_an_unresolved_word_stays_raw():
+    # the slot word is neither declared, nor a hash, nor one plus an offset
+    raw, blob = slots_ref.mapping_location(1 << 200, 5)
+    assert resolve_key(raw, {raw: blob}) == ("raw", raw)
 
 
 def test_same_location_same_identity_different_routes():

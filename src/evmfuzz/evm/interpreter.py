@@ -5,10 +5,13 @@ instruction as three parallel columns (opcode, pc, a pre-execution stack
 snapshot), plus one flag saying whether the run ended in a fault and the
 facts its readers need (branches, storage keys, code-size targets), taken
 as each operand is popped.  A finished trace is an immutable value, equal
-to another field by field, and runs whose traces are equal share one.
-Outgoing calls never execute code: their results come from the injectable
-environment, which is what lets the fuzzer mutate block values and
-external call outcomes like any other input byte.
+to another field by field.  While it runs, a run also logs each value it
+takes from outside itself (a storage slot, a balance, the sender, a block
+word, a call result, the gas cap) and each write it makes, so that a later
+transaction whose reads would all be equal gets the same trace without
+running.  Outgoing calls never execute code: their results come from the
+injectable environment, which is what lets the fuzzer mutate block values
+and external call outcomes like any other input byte.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ STACK_LIMIT = 1024
 KECCAK_MEMO_BYTES = RATE_BYTES
 KECCAK_MEMO_ENTRIES = 4096
 
-# Transaction outcome memo bounds: at most this many outcomes per interpreter,
-# holding at most this many trace steps in all.
+# Transaction outcome memo bounds: at most this many outcomes (leaves of the
+# trie of reads) per interpreter, holding at most this many trace steps in all.
 OUTCOME_MEMO_ENTRIES = 128
 OUTCOME_MEMO_STEPS = 1 << 16
 
@@ -80,6 +83,39 @@ class EnvOverrides:
 
 
 DEFAULT_CALL_RESULT = (1, b"\x00" * 32)
+
+# Where a run reads a value from outside itself, as (kind, where): ``where``
+# is the slot, the account or the callee read at, None for the run's scalars.
+_GAS = ("gas", None)  # the transaction's gas cap
+# the environment words that a run reads from outside the fields its trie
+# root is keyed by, and where each is logged
+_LOGGED_WORDS = {"ORIGIN": ("sender", None), "CALLER": ("sender", None),
+                 "TIMESTAMP": ("timestamp", None), "NUMBER": ("number", None)}
+
+
+def _reread(location: tuple, state: EmulatedState, tx: Transaction,
+            env: EnvOverrides, gas: int):
+    """What a run of ``tx`` under ``env`` and the gas cap ``gas``, starting
+    from ``state`` as the transaction's value left it, would read first at
+    ``location``, read without running it."""
+    kind, where = location
+    if kind == "slot":
+        return state.sload(tx.to, where)
+    if kind == "call":
+        return env.call_results.get(where, DEFAULT_CALL_RESULT)
+    if kind == "sender":
+        return tx.sender
+    if kind == "gas":
+        return gas
+    if kind == "balance":
+        return state.balance_of(where)
+    if kind == "returndata":
+        return env.returndata_sizes.get(where)
+    if kind == "extcode":
+        return env.extcode_sizes.get(where, 0)
+    if kind == "timestamp":
+        return env.timestamp
+    return env.block_number
 
 
 @dataclass
@@ -192,8 +228,8 @@ class ExecutionTrace:
     readers.
 
     A trace is a value: two traces are equal when every field but
-    ``facts``, ``walks`` and the kept ``_hash`` is, and a run whose trace
-    equals one a memo holds gets that held trace, so nothing may change a
+    ``facts`` and ``walks`` is.  A transaction whose reads equal those of a
+    run the interpreter holds gets that run's trace, so nothing may change a
     trace once ``execute`` returns it (its facts' caches and ``walks`` aside).
     """
 
@@ -208,13 +244,6 @@ class ExecutionTrace:
     return_data: bytes = b""
     facts: TraceFacts = field(default_factory=TraceFacts, compare=False, repr=False)
     walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    _hash: int | None = field(default=None, init=False, compare=False, repr=False)
-
-    def __hash__(self) -> int:  # kept once taken: the stacks column is long
-        if self._hash is None:
-            content = (self.calldata, self.terminal, self.return_data, self.stacks)
-            object.__setattr__(self, "_hash", hash(content))
-        return self._hash
 
     @property
     def state_delta_applied(self) -> bool:
@@ -294,24 +323,31 @@ class Interpreter:
     An instance keeps three memos of pure functions that a campaign would
     otherwise recompute on nearly every transaction:
 
-    * the outcome of ``execute``, keyed by the pre-state's snapshot (the
-      items of its four maps), the transaction's fields and the
-      environment's: a repeat restores the stored post-state snapshot (a run
-      that was not applied stores none) and returns the stored trace.  The
-      key names fields a run may never read (the gas limit, results of
-      callees the path never calls, storage it never loads), so a miss
-      often runs to a trace equal to one the memo holds; it then gets that
-      held trace, and work derived from a trace alone is done once per
-      distinct outcome.  The held traces are kept in a dict keyed by
-      themselves, each with the count of entries that hold it, and leave
-      it with the last of them.  Two equal states that hold
-      their items in different orders only cost a miss.  A ``TIMEOUT``
-      trace depends on the clock and is never stored.  At most
-      ``OUTCOME_MEMO_ENTRIES`` outcomes holding ``OUTCOME_MEMO_STEPS`` trace
-      steps are kept, the oldest evicted first, and an outcome of more steps
-      than that is not stored.  Entries are filed under the key's hash,
-      computed once per call; the key is kept beside the outcome and
-      compared on lookup, so two keys with one hash only cost a miss;
+    * the outcomes of ``execute``, in a trie of the values each run read.
+      A root is keyed by the fields every run reads: the target, its code,
+      the calldata and the value.  Below it, each branch names the next
+      location the runs under it read (a storage slot this run did not
+      write first, an account's balance as the run started, the sender, the
+      block timestamp or number, one callee's injected result or
+      return-data size, one target's code size, the gas cap) and maps each
+      value read there to what comes next.  A run is a function of its
+      root and its reads, so runs with equal reads read the same next
+      location: a lookup re-reads those locations from the state, the
+      transaction and the environment, and runs nothing.  The leaf it
+      reaches holds the trace, the run's writes and the lowest gas cap the
+      run needs, since a run that reads no gas (the ``GAS`` op, or running
+      out) holds under every cap from its step count up.  A hit replays the
+      writes, in order, through the state's own methods, so the post-state
+      holds the items a fresh run would leave, in the same order.
+      Values the run never read (the gas limit, unread storage, the results
+      of callees it never calls) do not tell two transactions apart.  A
+      ``TIMEOUT`` run depends on the clock, and a run that executes
+      ``CREATE`` or ``SELFDESTRUCT`` moves nonces and code, which its writes
+      do not hold, so neither is stored.  Where a run that ran out of gas
+      parts from one that read on, the newer replaces the older.  At most
+      ``OUTCOME_MEMO_ENTRIES`` leaves holding ``OUTCOME_MEMO_STEPS`` trace
+      steps are kept: a full trie is emptied whole, and an outcome of more
+      steps than that is not stored;
     * the Keccak digests of ``SHA3`` and ``BLOCKHASH`` preimages, for
       preimages shorter than ``KECCAK_MEMO_BYTES`` and up to
       ``KECCAK_MEMO_ENTRIES`` of them (later or longer ones are hashed
@@ -331,11 +367,14 @@ class Interpreter:
         self.wall_cap = wall_cap  # seconds per transaction; None or 0 = unlimited
         self._digests: dict[bytes, int] = {}
         self._decoded: dict[bytes, tuple[frozenset[int], list]] = {}
-        # key hash -> (key, trace, post-state or None), oldest first
-        self._outcomes: dict[int, tuple] = {}
-        self._held = 0  # the steps of the stored outcomes
-        # held trace -> [held trace, entries holding it]
-        self._traces: dict[ExecutionTrace, list] = {}
+        # The trie of reads: root key -> node.  A branch is (location,
+        # {value read there: node}); a leaf is (None, trace, writes, the
+        # lowest gas cap the run needs).
+        self._roots: dict[tuple, tuple] = {}
+        # the leaves filed since the trie was last emptied, replaced ones
+        # too, and the trace steps they hold: bounds on what it holds
+        self._leaves = 0
+        self._steps = 0
 
     def _keccak_word(self, blob: bytes, deadline: float | None = None) -> int:
         """Keccak-256 of ``blob`` as a word, through the bounded memo.
@@ -374,7 +413,7 @@ class Interpreter:
             data=b"",
             gas=GAS_BUDGET,
             env=EnvOverrides(),
-        )
+        )[0]
         if trace.terminal != "RETURN":
             state.restore(snap)
             raise DeployError(f"constructor halted with {trace.terminal}", trace)
@@ -391,79 +430,84 @@ class Interpreter:
         """Run ``tx`` against ``state``, applying its effects unless the run
         failed.  A run ends in ``TIMEOUT`` at the earlier of the wall cap and
         ``deadline`` (a ``time.monotonic()`` value), at once if that has
-        passed; a repeat of a memoized transaction does not run at all."""
+        passed.  A transaction whose every read equals a stored run's does
+        not run at all: it gets that run's trace, and the run's writes are
+        replayed on ``state``."""
         env = env or EnvOverrides()
-        pre = state.snapshot()
-        key = (
-            pre, tx.sender, tx.to, tx.value, tx.gas_limit, tx.data,
-            env.timestamp, env.block_number, tuple(env.call_results.items()),
-            tuple(env.returndata_sizes.items()), tuple(env.extcode_sizes.items()),
-        )
-        digest = hash(key)
-        outcomes = self._outcomes
-        stored = outcomes.get(digest)
-        if stored is not None and stored[0] == key:
-            post = stored[2]
-            if post is not None:  # else the run left the state as it found it
-                state.restore(post)
-            return stored[1]
-        trace = self._transact(state, tx, env, deadline, pre)
-        steps = len(trace.ops)
-        if trace.terminal == "TIMEOUT" or OUTCOME_MEMO_ENTRIES <= 0 or steps > OUTCOME_MEMO_STEPS:
-            return trace
-        held = self._traces.setdefault(trace, [trace, 0])
-        held[1] += 1
-        trace = held[0]
-        if stored is not None:  # another key with the same hash
-            self._drop(digest)
-        while outcomes and (len(outcomes) >= OUTCOME_MEMO_ENTRIES
-                            or self._held + steps > OUTCOME_MEMO_STEPS):
-            self._drop(next(iter(outcomes)))
-        post = state.snapshot() if trace.state_delta_applied else None
-        outcomes[digest] = (key, trace, post)
-        self._held += steps
-        return trace
-
-    def _drop(self, digest: int) -> None:
-        """Evict the outcome filed under ``digest``, and its trace from the
-        held traces if no other entry holds it."""
-        trace = self._outcomes.pop(digest)[1]
-        self._held -= len(trace.ops)
-        held = self._traces[trace]
-        held[1] -= 1
-        if not held[1]:
-            del self._traces[trace]
-
-    def _transact(
-        self, state: EmulatedState, tx: Transaction, env: EnvOverrides,
-        deadline: float | None, pre: tuple,
-    ) -> ExecutionTrace:
-        """Run ``tx``, rolling ``state`` back to its snapshot ``pre`` unless
-        the run applied."""
-        code = state.code.get(tx.to, b"")
         if tx.value > state.balance_of(tx.sender):
             # Unpayable transaction: a synthetic fault step, nothing applied.
             return ExecutionTrace(
                 ("INVALID",), (0,), ((),), "INVALID", faulted=True, calldata=tx.data,
                 facts=TraceFacts(executed=frozenset((0,))),
             )
+        pre = None  # the state to roll back to, taken here only if value moves
         if tx.value:
+            pre = state.snapshot()
             state.debit(tx.sender, tx.value)
             state.credit(tx.to, tx.value)
-        trace = self._run(
+        code = state.code.get(tx.to, b"")
+        gas = min(tx.gas_limit, GAS_BUDGET)
+        root = (tx.to, code, tx.data, tx.value)
+        node = self._roots.get(root)
+        while node is not None and node[0] is not None:
+            node = node[1].get(_reread(node[0], state, tx, env, gas))
+        if node is not None and gas >= node[3]:
+            _, trace, writes, _ = node
+            if trace.state_delta_applied:
+                for name, args in writes:
+                    getattr(state, name)(*args)
+            elif pre is not None:
+                state.restore(pre)
+            return trace
+        trace, reads, writes, lowest = self._transact(state, tx, code, env, gas, deadline, pre)
+        if reads is not None:
+            self._store(root, reads, (None, trace, writes, lowest))
+        return trace
+
+    def _store(self, root: tuple, reads: dict, leaf: tuple) -> None:
+        """File ``leaf`` under ``root`` along the path of ``reads``, emptying
+        a full trie first."""
+        steps = len(leaf[1].ops)
+        if OUTCOME_MEMO_ENTRIES <= 0 or steps > OUTCOME_MEMO_STEPS:
+            return
+        if self._leaves >= OUTCOME_MEMO_ENTRIES or self._steps + steps > OUTCOME_MEMO_STEPS:
+            self._roots, self._leaves, self._steps = {}, 0, 0
+        parent, key = self._roots, root
+        for location, value in reads.items():
+            node = parent.get(key)
+            # runs with equal reads read on alike, unless one of them ran
+            # out of gas where the other read on: the newer one replaces
+            if node is None or node[0] != location:
+                node = parent[key] = (location, {})
+            parent, key = node[1], value
+        parent[key] = leaf
+        self._leaves += 1
+        self._steps += steps
+
+    def _transact(
+        self, state: EmulatedState, tx: Transaction, code: bytes, env: EnvOverrides,
+        gas: int, deadline: float | None, pre: tuple | None,
+    ) -> tuple:
+        """Run ``tx``, whose value has already moved, under the gas cap
+        ``gas``, rolling ``state`` back to ``pre`` (or, when that is None, to
+        the state as this found it) unless the run applied.  Returns what
+        ``_run`` does."""
+        if pre is None:
+            pre = state.snapshot()
+        ran = self._run(
             state,
             code=code,
             self_addr=tx.to,
             sender=tx.sender,
             value=tx.value,
             data=tx.data,
-            gas=min(tx.gas_limit, GAS_BUDGET),
+            gas=gas,
             env=env,
             deadline=deadline,
         )
-        if not trace.state_delta_applied:
+        if not ran[0].state_delta_applied:
             state.restore(pre)
-        return trace
+        return ran
 
     # ------------------------------------------------------------------
     # core loop
@@ -479,14 +523,30 @@ class Interpreter:
         gas: int,
         env: EnvOverrides,
         deadline: float | None = None,
-    ) -> ExecutionTrace:
+    ) -> tuple[ExecutionTrace, dict | None, tuple, int]:
+        """Run ``code`` and return its trace, what it read, what it wrote and
+        the lowest gas cap it needs.
+
+        The reads map each location the run took a value from outside
+        itself at (see ``_reread``) to that value, at its first read and in
+        the order of first reads; None when the outcome may not be reused
+        (``TIMEOUT``, ``CREATE``, ``SELFDESTRUCT``).  A balance is read as
+        it was when the run started.  The writes are ``(EmulatedState method
+        name, arguments)`` in the order the run called them.
+        """
         ops: list[str] = []
         pcs: list[int] = []
         stacks: list[tuple[int, ...]] = []
         record_op, record_pc, record_stack = ops.append, pcs.append, stacks.append
         jumpis: list[tuple[int, int, bool]] = []
         record_jumpi = jumpis.append
-        reads, writes, targets = set(), set(), set()  # SLOAD, SSTORE, EXTCODESIZE operands
+        loaded, stored, targets = set(), set(), set()  # SLOAD, SSTORE, EXTCODESIZE operands
+        reads: dict[tuple, object] = {}  # location -> the value first read there
+        note = reads.setdefault
+        writes: list[tuple[str, tuple]] = []
+        record_write = writes.append
+        moved: dict[int, int] = {}  # the value this run's transfers moved, per account
+        reusable = True
         sstores = 0
         invalid_pc = None
         calls: list[CallEvent] = []
@@ -513,8 +573,9 @@ class Interpreter:
         # CLOCK_STEPS, step 0 included
         checkpoint = gas if give_up_at is None else 0
         # What each environment op pushes, fixed for the whole run, so one
-        # arm of the loop serves them all.  Execution is single-level (calls
-        # never run code), so the origin is the caller.
+        # arm of the loop serves them all (``_LOGGED_WORDS`` are noted as
+        # reads).  Execution is single-level (calls never run code), so the
+        # origin is the caller.
         words = {
             "ADDRESS": self_addr, "ORIGIN": sender, "CALLER": sender, "CALLVALUE": value,
             "CALLDATASIZE": len(data), "CODESIZE": len(code), "GASPRICE": GAS_PRICE,
@@ -552,10 +613,25 @@ class Interpreter:
             touch(dest, size)  # before padding: a huge size faults, not allocates
             memory[dest:dest + size] = source[offset:offset + size].ljust(size, b"\x00")
 
+        def balance(address: int) -> int:
+            """The balance of ``address`` now, noted as it was at the start."""
+            now = state.balance_of(address)
+            note(("balance", address), now - moved.get(address, 0))
+            return now
+
+        def move(source: int, target: int, amount: int) -> None:
+            state.debit(source, amount)
+            state.credit(target, amount)
+            record_write(("debit", (source, amount)))
+            record_write(("credit", (target, amount)))
+            moved[source] = moved.get(source, 0) - amount
+            moved[target] = moved.get(target, 0) + amount
+
         while True:
             if used >= checkpoint:
                 if used >= gas:
                     terminal = "OUT_OF_GAS"
+                    note(_GAS, gas)
                     break
                 # below the gas limit, so this is a clock checkpoint
                 if time.monotonic() > give_up_at:
@@ -565,6 +641,7 @@ class Interpreter:
             step = program[pc]
             if step is None:
                 faulted = True  # unassigned opcode: same as a synthetic fault
+                used += 1  # its step began, so a cap must pass it too
                 break
             kind, name, pops, argument = step
             record_op(name)
@@ -620,12 +697,16 @@ class Interpreter:
                 elif name == "SSTORE":
                     slot, word = pop(), pop()
                     sstores += 1
-                    writes.add(slot)
+                    stored.add(slot)
                     state.sstore(self_addr, slot, word)
+                    record_write(("sstore", (self_addr, slot, word)))
                 elif name == "SLOAD":
                     slot = pop()
-                    reads.add(slot)
-                    push(state.sload(self_addr, slot))
+                    loaded.add(slot)
+                    word = state.sload(self_addr, slot)
+                    if slot not in stored:  # else the run wrote what it loads
+                        note(("slot", slot), word)
+                    push(word)
                 elif name == "MSTORE":
                     offset, word = pop(), pop()
                     end = offset + 32
@@ -646,9 +727,12 @@ class Interpreter:
                     preimages[digest] = blob
                     append(digest)
                 elif name in words:
-                    push(words[name])
+                    word = words[name]
+                    if name in _LOGGED_WORDS:
+                        note(_LOGGED_WORDS[name], word)
+                    push(word)
                 elif name == "BALANCE":
-                    push(state.balance_of(pop()))
+                    push(balance(pop()))
                 elif name == "CALLDATACOPY":
                     dest, offset, size = pop(), pop(), pop()
                     mcopy(dest, data, offset, size)
@@ -658,9 +742,10 @@ class Interpreter:
                 elif name == "EXTCODESIZE":
                     target = pop()
                     targets.add(target)
-                    push(env.extcode_sizes.get(target, 0))
+                    push(note(("extcode", target), env.extcode_sizes.get(target, 0)))
                 elif name == "RETURNDATASIZE":
-                    push(env.returndata_sizes.get(last_callee, len(returndata)))
+                    size = note(("returndata", last_callee), env.returndata_sizes.get(last_callee))
+                    push(len(returndata) if size is None else size)
                 elif name == "RETURNDATACOPY":
                     dest, offset, size = pop(), pop(), pop()
                     mcopy(dest, returndata, offset, size)
@@ -675,6 +760,7 @@ class Interpreter:
                 elif name == "MSIZE":
                     push(len(memory))
                 elif name == "GAS":
+                    note(_GAS, gas)
                     push(gas - used)
                 elif name.startswith("LOG"):
                     offset, size = pop(), pop()
@@ -683,13 +769,13 @@ class Interpreter:
                 elif name == "CREATE":
                     create_value, offset, size = pop(), pop(), pop()
                     mread(offset, size)
+                    reusable = False  # it moves a nonce and code, which writes do not hold
                     if create_value > state.balance_of(self_addr):
                         child, success = 0, 0
                     else:
                         child = new_address(state, self_addr)
                         if create_value:
-                            state.debit(self_addr, create_value)
-                            state.credit(child, create_value)
+                            move(self_addr, child, create_value)
                         # Initialisation code is not executed; the child is an
                         # empty account at a fresh deterministic address.
                         state.code.setdefault(child, b"")
@@ -706,17 +792,17 @@ class Interpreter:
                     mread(in_off, in_sz)
                     touch(out_off, out_sz)
                     last_callee = to
-                    if call_value > state.balance_of(self_addr):
+                    if call_value and call_value > balance(self_addr):
                         success, returndata, transferred = 0, b"", False
                         returned = None  # the call never ran
                     else:
-                        success, returndata = env.call_results.get(to, DEFAULT_CALL_RESULT)
+                        success, returndata = note(
+                            ("call", to), env.call_results.get(to, DEFAULT_CALL_RESULT))
                         # CALLCODE runs the callee's code against our own
                         # account, so no value leaves the contract.
                         transferred = bool(call_value and success and name == "CALL")
                         if transferred:
-                            state.debit(self_addr, call_value)
-                            state.credit(to, call_value)
+                            move(self_addr, to, call_value)
                         mcopy(out_off, returndata, 0, out_sz)
                         returned = returndata
                     calls.append(
@@ -735,10 +821,10 @@ class Interpreter:
                     break
                 elif name == "SELFDESTRUCT":
                     beneficiary = pop()
+                    reusable = False  # it removes code, which writes do not hold
                     swept = state.balance_of(self_addr)
                     if swept:
-                        state.debit(self_addr, swept)
-                        state.credit(beneficiary, swept)
+                        move(self_addr, beneficiary, swept)
                     state.code.pop(self_addr, None)
                     calls.append(
                         CallEvent(len(ops) - 1, name, pc,
@@ -763,7 +849,7 @@ class Interpreter:
             record_stack(tuple(stack))
             terminal = "INVALID"
 
-        return ExecutionTrace(
+        trace = ExecutionTrace(
             ops=tuple(ops),
             pcs=tuple(pcs),
             stacks=tuple(stacks),
@@ -774,10 +860,13 @@ class Interpreter:
             sha3_preimages=preimages,
             return_data=return_data,
             facts=TraceFacts(
-                frozenset(pcs), tuple(jumpis), sstores, frozenset(reads),
-                frozenset(writes), frozenset(targets), invalid_pc,
+                frozenset(pcs), tuple(jumpis), sstores, frozenset(loaded),
+                frozenset(stored), frozenset(targets), invalid_pc,
             ),
         )
+        if not reusable or terminal == "TIMEOUT":
+            return trace, None, (), used
+        return trace, reads, tuple(writes), used
 
 
 def new_address(state: EmulatedState, creator: int) -> int:

@@ -65,9 +65,10 @@ class EmulatedState:
             self.storage[(address, slot)] = value
 
     def snapshot(self) -> tuple:
-        """The items of the four maps, in their order, as one hashable value:
-        ``(balances, code, storage, nonces)``.  Keys and values are
-        immutable, so the snapshot is independent of the state."""
+        """The items of the four maps, in their order, as one value:
+        ``(balances, code, storage, nonces)``, which ``restore`` rolls the
+        state back to.  Keys and values are immutable, so the snapshot is
+        independent of the state."""
         return (
             tuple(self.balances.items()), tuple(self.code.items()),
             tuple(self.storage.items()), tuple(self.nonces.items()),

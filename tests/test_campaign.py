@@ -21,7 +21,7 @@ from evmfuzz.campaign import (
     run_campaign,
     write_report,
 )
-from evmfuzz.evm import Interpreter, Transaction
+from evmfuzz.evm import EmulatedState, Interpreter, Transaction
 from evmfuzz.evm import interpreter as interpreter_module
 from evmfuzz.evm.opcodes import disassemble
 from evmfuzz.ga import Individual, Input
@@ -945,13 +945,13 @@ def test_explicit_solver_argv_reaches_the_subprocess(monkeypatch, tmp_path):
 CORPUS = [TOKEN_SALE, SAFE_ASSERT, GUARDED_ADD, OWNED_PROXY, *MINI_CORPUS.values()]
 
 
-def fixture_report(compiled) -> dict:
+def fixture_report(compiled, generations=15) -> dict:
     report = run_campaign(
         compiled.abi(),
         compiled.runtime,
         creation_code=compiled.creation,
         constructor_args=compiled.constructor_args,
-        config=CampaignConfig(seed=1, generations=15),
+        config=CampaignConfig(seed=1, generations=generations),
         contract_balance=compiled.contract_balance,
     )
     # timing fields aside
@@ -961,15 +961,19 @@ def fixture_report(compiled) -> dict:
 
 
 def test_the_memos_change_no_report(monkeypatch):
-    runs, walks = [], []
-    shipped_transact, shipped_walk = Interpreter._transact, taint_module._Walker.walk
+    executions, runs, walks = [], [], []
+    shipped_execute, shipped_transact = Interpreter.execute, Interpreter._transact
+    shipped_walk = taint_module._Walker.walk
+    monkeypatch.setattr(Interpreter, "execute",
+                        lambda *args: executions.append(None) or shipped_execute(*args))
     monkeypatch.setattr(Interpreter, "_transact",
                         lambda *args: runs.append(None) or shipped_transact(*args))
     monkeypatch.setattr(taint_module._Walker, "walk",
                         lambda walker: walks.append(None) or shipped_walk(walker))
     memoized = [fixture_report(compiled) for compiled in CORPUS]
-    # runs whose outcomes are equal share a trace, walked once
-    assert 0 < len(walks) < len(runs)
+    # executions whose reads are equal share one run and one trace, and a
+    # trace met again is not walked again
+    assert 0 < len(runs) < len(executions) and len(walks) < len(executions)
     monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_ENTRIES", 0)
     walked = []
 
@@ -982,6 +986,40 @@ def test_the_memos_change_no_report(monkeypatch):
     assert [fixture_report(compiled) for compiled in CORPUS] == memoized
     # every run got a fresh trace, so no walk was repeated on one
     assert walked and max(len(trace.walks) for trace in walked) == 1
+
+
+def test_every_outcome_equals_a_fresh_run_of_its_transaction(monkeypatch):
+    # each execution is checked against a memo-less interpreter started
+    # from a copy of its pre-state
+    hits, checking = [], []
+    shipped_execute, shipped_transact = Interpreter.execute, Interpreter._transact
+
+    def transact(interpreter, *args):
+        if interpreter is checking[-1]:
+            hits[-1] = False
+        return shipped_transact(interpreter, *args)
+
+    def checked(interpreter, state, tx, env=None, deadline=None):
+        pre = EmulatedState(state.accounts)
+        pre.restore(state.snapshot())
+        hits.append(True)
+        checking.append(interpreter)
+        trace = shipped_execute(interpreter, state, tx, env, deadline)
+        fresh = shipped_execute(Interpreter(), pre, tx, env)
+        if trace.terminal != "TIMEOUT":
+            for field in dataclasses.fields(trace):
+                if field.compare:
+                    assert getattr(trace, field.name) == getattr(fresh, field.name), field.name
+            assert trace.facts == fresh.facts
+            assert state.snapshot() == pre.snapshot()
+        return trace
+
+    monkeypatch.setattr(Interpreter, "execute", checked)
+    monkeypatch.setattr(Interpreter, "_transact", transact)
+    for compiled in CORPUS:
+        fixture_report(compiled, generations=30)
+    # most executions were memo hits, which the check would catch out
+    assert 2 * sum(hits) > len(hits)
 
 
 def test_every_input_run_keeps_the_transaction_its_fields_build(monkeypatch):

@@ -26,8 +26,9 @@ def test_every_fixture_campaign_run_records_what_its_columns_hold(monkeypatch):
     shipped = Interpreter._run
 
     def keeping(self, *args, **kwargs):
-        traces.append(shipped(self, *args, **kwargs))
-        return traces[-1]
+        ran = shipped(self, *args, **kwargs)
+        traces.append(ran[0])
+        return ran
 
     monkeypatch.setattr(Interpreter, "_run", keeping)
     for compiled in CORPUS:

@@ -833,40 +833,68 @@ def ran(interpreter) -> list:
     shipped = interpreter._transact
 
     def transact(*args):
-        made.append(shipped(*args))
-        return made[-1]
+        outcome = shipped(*args)
+        made.append(outcome[0])
+        return outcome
 
     interpreter._transact = transact
     return made
 
 
-def test_a_repeat_restores_the_post_state():
-    interpreter = Interpreter()
-    made = ran(interpreter)
-    source = "CALLVALUE PUSH1 0x00 SSTORE STOP"
-    first, first_state = run(source, value=5, interpreter=interpreter)
-    second, second_state = run(source, value=5, interpreter=interpreter)
-    assert second is first and len(made) == 1
-    assert second_state.snapshot() == first_state.snapshot()
-    assert second_state.storage == {(CONTRACT, 0): 5}
-    assert second_state.balance_of(CONTRACT) == 5
-    assert second_state.balance_of(ACCOUNTS.benign) == INITIAL_BALANCE - 5
-    # a changed pre-state misses and runs again
-    state = EmulatedState()
-    state.sstore(CONTRACT, 1, 1)
-    third, state = run(source, value=5, interpreter=interpreter, state=state)
-    assert len(made) == 2
-    assert state.storage == {(CONTRACT, 0): 5, (CONTRACT, 1): 1}
-    # the run never loads slot 1, so its trace equals the first and is shared
-    assert third is first
+def leaves(interpreter) -> list:
+    """The leaves of ``interpreter``'s trie of reads."""
+    found, nodes = [], list(interpreter._roots.values())
+    while nodes:
+        node = nodes.pop()
+        if node[0] is None:
+            found.append(node)
+        else:
+            nodes.extend(node[1].values())
+    return found
 
 
 def filled(order):
+    """A fresh state whose contract storage holds ``order``'s words, in order."""
     state = EmulatedState()
     state.code[CONTRACT] = b"\x00"
     for slot, word in order:
         state.sstore(CONTRACT, slot, word)
     return state
+
+
+def fresh(source, slots=(), **kwargs):
+    """The trace and post-state snapshot of a run on a fresh interpreter."""
+    trace, state = run(source, state=filled(slots), **kwargs)
+    return trace, state.snapshot()
+
+
+def test_a_repeat_restores_the_post_state():
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    source = "PUSH1 0x07 PUSH1 0x02 SSTORE CALLVALUE PUSH1 0x00 SSTORE STOP"
+    first, first_state = run(source, value=5, interpreter=interpreter)
+    second, second_state = run(source, value=5, interpreter=interpreter)
+    assert second is first and len(made) == 1
+    assert second_state.snapshot() == first_state.snapshot()
+    assert second_state.storage == {(CONTRACT, 2): 7, (CONTRACT, 0): 5}
+    assert second_state.balance_of(CONTRACT) == 5
+    assert second_state.balance_of(ACCOUNTS.benign) == INITIAL_BALANCE - 5
+    # the run never loads slot 1, so a pre-state that differs there reuses
+    # the trace, and the replayed writes leave what a fresh run leaves, in
+    # the same order
+    third, state = run(source, value=5, interpreter=interpreter, state=filled([(1, 1)]))
+    assert third is first and len(made) == 1
+    assert list(state.storage) == [(CONTRACT, 1), (CONTRACT, 2), (CONTRACT, 0)]
+    assert state.snapshot() == fresh(source, [(1, 1)], value=5)[1]
+    # a reverted repeat rolls back the value its transaction moved
+    reverting = "CALLVALUE PUSH1 0x00 SSTORE PUSH1 0x00 PUSH1 0x00 REVERT"
+    before = filled([(0, 3)])
+    before.code[CONTRACT] = assemble(reverting)
+    before = before.snapshot()
+    for _ in range(2):
+        trace, state = run(reverting, value=5, interpreter=interpreter, state=filled([(0, 3)]))
+        assert trace.terminal == "REVERT" and state.snapshot() == before
+    assert len(made) == 2
 
 
 def test_a_snapshot_is_a_hashable_key_that_restore_keeps_in_order():
@@ -901,38 +929,172 @@ def test_a_full_outcome_memo_keeps_its_bounds(entries, steps, monkeypatch):
     monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_ENTRIES", entries)
     monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_STEPS", steps)
     interpreter = Interpreter()
-    memo = interpreter._outcomes
     traces = {}
     for count in [*range(12), *range(12)]:
         data = count.to_bytes(32, "big")
         trace, _ = run(COUNTED_LOOP, data=data, interpreter=interpreter)
-        assert len(memo) <= entries and interpreter._held <= steps
-        assert interpreter._held == sum(len(item[1].ops) for item in memo.values())
-        fresh, _ = run(COUNTED_LOOP, data=data)
-        assert (trace.ops, trace.stacks) == (fresh.ops, fresh.stacks)
+        held = leaves(interpreter)
+        assert 0 < len(held) == interpreter._leaves <= entries
+        assert sum(len(leaf[1].ops) for leaf in held) == interpreter._steps <= steps
+        assert trace == fresh(COUNTED_LOOP, data=data)[0]
         traces.setdefault(count, []).append(trace)
-    assert 0 < len(memo) < 12
-    # the oldest outcome was evicted and ran again; the newest is reused
+    # the oldest outcome was emptied out and ran again; the newest is reused
     assert traces[0][1] is not traces[0][0]
     again, _ = run(COUNTED_LOOP, data=(11).to_bytes(32, "big"), interpreter=interpreter)
     assert again is traces[11][1]
 
 
-def test_two_outcome_keys_with_one_hash_keep_one_entry(monkeypatch):
-    # every key and every trace hashes alike, so each outcome displaces the last
-    monkeypatch.setattr(interpreter_module, "hash", lambda value: 0, raising=False)
+def test_an_outcome_longer_than_the_memo_holds_is_not_stored(monkeypatch):
+    monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_STEPS", 20)
     interpreter = Interpreter()
     made = ran(interpreter)
-    for rounds in (1, 4, 1):
-        run(COUNTED_LOOP, data=rounds.to_bytes(32, "big"), interpreter=interpreter)
-        [(_, stored, _)] = interpreter._outcomes.values()
-        assert interpreter._held == len(stored.ops)
-        assert list(interpreter._traces.values()) == [[stored, 1]]
-    assert len(made) == 3  # the displaced outcome ran again
+    for count in (3, 3, 1, 1):  # 39 steps, then 19
+        run(COUNTED_LOOP, data=count.to_bytes(32, "big"), interpreter=interpreter)
+    assert len(made) == 3 and [len(leaf[1].ops) for leaf in leaves(interpreter)] == [19]
 
 
 # ---------------------------------------------------------------------------
-# equal outcomes share one trace
+# what a run reads keys its outcome
+
+LOADS_SLOT_ONE = f"PUSH1 0x01 SLOAD {RETURN_TOP}"
+
+
+def test_a_changed_slot_misses_only_when_the_run_loaded_it():
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    first, _ = run(LOADS_SLOT_ONE, state=filled([(1, 7), (2, 1)]), interpreter=interpreter)
+    # slot 2 is never loaded: a change there reuses the trace
+    again, state = run(LOADS_SLOT_ONE, state=filled([(1, 7), (2, 5)]), interpreter=interpreter)
+    assert again is first and len(made) == 1
+    assert state.snapshot() == fresh(LOADS_SLOT_ONE, [(1, 7), (2, 5)])[1]
+    # slot 1 is: a change there runs again and loads the new word
+    other, _ = run(LOADS_SLOT_ONE, state=filled([(1, 8), (2, 1)]), interpreter=interpreter)
+    assert len(made) == 2 and (returned_word(first), returned_word(other)) == (7, 8)
+    assert other == fresh(LOADS_SLOT_ONE, [(1, 8), (2, 1)])[0]
+
+
+def test_a_load_after_the_runs_own_store_is_not_a_read():
+    source = f"PUSH1 0x09 PUSH1 0x01 SSTORE PUSH1 0x01 SLOAD {RETURN_TOP}"
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    first, _ = run(source, interpreter=interpreter)
+    # slot 1 held 3 before, which the run overwrites before it loads it
+    again, state = run(source, state=filled([(2, 4), (1, 3)]), interpreter=interpreter)
+    assert again is first and len(made) == 1 and returned_word(again) == 9
+    assert list(state.storage.items()) == [((CONTRACT, 2), 4), ((CONTRACT, 1), 9)]
+    assert state.snapshot() == fresh(source, [(2, 4), (1, 3)])[1]
+
+
+def test_a_gas_read_keys_on_the_gas_cap():
+    source = f"GAS {RETURN_TOP}"
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    first, _ = run(source, gas=1000, interpreter=interpreter)
+    assert run(source, gas=1000, interpreter=interpreter)[0] is first and len(made) == 1
+    other, _ = run(source, gas=2000, interpreter=interpreter)
+    assert len(made) == 2 and (returned_word(first), returned_word(other)) == (999, 1999)
+    # a cap above the budget is the budget
+    assert run(source, gas=9_000_000, interpreter=interpreter)[0] is run(
+        source, gas=8_000_000, interpreter=interpreter)[0]
+    assert len(made) == 3
+
+
+def test_an_out_of_gas_run_is_reused_only_at_its_own_cap():
+    data = (3).to_bytes(32, "big")  # 39 steps to STOP
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    for gas, runs in ((20, 1), (20, 1), (21, 2), (20, 2), (8_000_000, 3), (21, 4)):
+        trace, state = run(COUNTED_LOOP, data=data, gas=gas, interpreter=interpreter)
+        assert len(made) == runs, gas
+        assert (trace, state.snapshot()) == fresh(COUNTED_LOOP, data=data, gas=gas)
+        assert trace.terminal == ("STOP" if gas > 39 else "OUT_OF_GAS")
+
+
+def test_a_stored_run_is_not_reused_under_a_cap_below_its_step_count():
+    data = (3).to_bytes(32, "big")
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    whole, _ = run(COUNTED_LOOP, data=data, gas=100, interpreter=interpreter)
+    assert whole.terminal == "STOP" and len(whole.ops) == 39
+    # it reads no gas, so it holds under every cap from its 39 steps up
+    assert run(COUNTED_LOOP, data=data, gas=39, interpreter=interpreter)[0] is whole
+    assert len(made) == 1
+    cut, _ = run(COUNTED_LOOP, data=data, gas=38, interpreter=interpreter)
+    assert cut.terminal == "OUT_OF_GAS" and len(made) == 2
+    assert cut == fresh(COUNTED_LOOP, data=data, gas=38)[0]
+    # a run that ends on an unassigned opcode needs a cap past that step too
+    unassigned = assemble("PUSH1 0x00 POP") + b"\xef"
+    for gas, runs in ((3, 3), (3, 3), (2, 4)):
+        trace, _ = run(unassigned, gas=gas, interpreter=interpreter)
+        assert len(made) == runs and trace == fresh(unassigned, gas=gas)[0]
+        assert trace.terminal == ("INVALID" if gas == 3 else "OUT_OF_GAS")
+
+
+PAYS_OTHER = (
+    "PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 CALLVALUE "
+    f"PUSH20 {OTHER} PUSH2 0x2328 CALL STOP"
+)
+
+
+def test_a_call_that_carries_value_reads_the_balance_the_run_started_with():
+    interpreter = Interpreter()
+    made = ran(interpreter)
+
+    def pay(value, balance):
+        # the contract holds ``balance`` and the transaction brings ``value``,
+        # which the call passes on twice: the second payment fails when the
+        # contract started with less than the value
+        def funded():
+            state = EmulatedState()
+            state.credit(CONTRACT, balance)
+            return state
+
+        source = PAYS_OTHER.removesuffix(" STOP") + " POP " + PAYS_OTHER
+        trace, state = run(source, value=value, state=funded(), interpreter=interpreter)
+        again, reference = run(source, value=value, state=funded())
+        assert (trace, state.snapshot()) == (again, reference.snapshot())
+        return trace
+
+    first = pay(5, 5)
+    assert [event.transferred for event in first.calls] == [True, True]
+    assert pay(5, 5) is first and len(made) == 1
+    # started with 4: the run reads the balance before it pays, so it misses
+    short = pay(5, 4)
+    assert [event.transferred for event in short.calls] == [True, False] and len(made) == 2
+    # the balances are read as the run started (value brought in), not as
+    # the first payment left them
+    assert pay(5, 4) is short and pay(5, 5) is first and len(made) == 2
+    # with no value to pass on, no balance is read
+    free = pay(0, 1)
+    assert pay(0, 2) is free and len(made) == 3
+    # a balance first read after the run paid into it is noted as it was
+    # when the run started: OTHER held 0, then 5
+    source = f"{PAYS_OTHER.removesuffix(' STOP')} POP PUSH20 {OTHER} BALANCE {RETURN_TOP}"
+    for held, runs in ((0, 4), (5, 5), (0, 5)):
+        state = EmulatedState()
+        state.credit(OTHER, held)
+        trace, _ = run(source, value=5, state=state, interpreter=interpreter)
+        assert returned_word(trace) == held + 5 and len(made) == runs
+
+
+@pytest.mark.parametrize("source", [
+    "PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 CREATE STOP",
+    f"PUSH20 {OTHER} SELFDESTRUCT",
+])
+def test_a_create_or_selfdestruct_run_executes_every_time(source):
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    state = EmulatedState()
+    reference = EmulatedState()
+    for round_ in range(1, 4):
+        trace, state = run(source, value=2, state=state, interpreter=interpreter)
+        again, reference = run(source, value=2, state=reference)
+        assert len(made) == round_ and leaves(interpreter) == []
+        assert trace == again and state.snapshot() == reference.snapshot()
+
+
+# ---------------------------------------------------------------------------
+# runs with equal reads share one trace
 
 # reads its calldata alone: never the gas left, the sender or a call result
 ECHO = f"PUSH1 0x00 CALLDATALOAD {RETURN_TOP}"
@@ -951,9 +1113,10 @@ def test_runs_that_differ_in_what_the_code_never_reads_share_one_trace(monkeypat
     by_gas, _ = run(ECHO, data=data, gas=100_000, interpreter=interpreter)
     by_callee, _ = run(ECHO, data=data, interpreter=interpreter,
                        env=EnvOverrides(call_results={OTHER: (0, b"\x01")}))
-    # each missed the memo and ran, and got the trace the first run left
-    assert len(made) == 3 and by_gas is first and by_callee is first
-    assert made[1] is not first and made[1].facts == first.facts
+    by_sender, _ = run(ECHO, data=data, sender=ACCOUNTS.attackers[0], interpreter=interpreter,
+                       env=EnvOverrides(timestamp=1, block_number=2))
+    # the first ran; the others read what it read and got its trace
+    assert made == [first] and by_gas is first and by_callee is first and by_sender is first
     walks = []
     shipped = taint._Walker.walk
     monkeypatch.setattr(taint._Walker, "walk", lambda walker: walks.append(shipped(walker)))
@@ -977,6 +1140,32 @@ def test_injected_return_data_that_nothing_reads_still_tells_traces_apart():
     ]
 
 
+@pytest.mark.parametrize("source, changed, unread", [
+    (f"CALLER {RETURN_TOP}", {"sender": ACCOUNTS.attackers[0]},
+     {"env": EnvOverrides(timestamp=7)}),
+    (f"ORIGIN {RETURN_TOP}", {"sender": ACCOUNTS.attackers[0]},
+     {"env": EnvOverrides(block_number=7)}),
+    (f"TIMESTAMP {RETURN_TOP}", {"env": EnvOverrides(timestamp=7)},
+     {"sender": ACCOUNTS.attackers[0]}),
+    (f"NUMBER {RETURN_TOP}", {"env": EnvOverrides(block_number=7)},
+     {"env": EnvOverrides(timestamp=7)}),
+    (f"PUSH20 {OTHER} EXTCODESIZE {RETURN_TOP}", {"env": EnvOverrides(extcode_sizes={OTHER: 7})},
+     {"env": EnvOverrides(extcode_sizes={CONTRACT: 9})}),
+    # calls OTHER, then reads the size of what the last callee returned
+    (f"{CALL_AND_DROP.removesuffix(' STOP')} RETURNDATASIZE {RETURN_TOP}",
+     {"env": EnvOverrides(returndata_sizes={OTHER: 7})},
+     {"env": EnvOverrides(returndata_sizes={CONTRACT: 9})}),
+], ids=["CALLER", "ORIGIN", "TIMESTAMP", "NUMBER", "EXTCODESIZE", "RETURNDATASIZE"])
+def test_an_input_keys_only_the_runs_that_read_it(source, changed, unread):
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    first, _ = run(source, interpreter=interpreter)
+    assert run(source, interpreter=interpreter, **unread)[0] is first and len(made) == 1
+    other, _ = run(source, interpreter=interpreter, **changed)
+    assert len(made) == 2 and other != first and other == fresh(source, **changed)[0]
+    assert run(source, interpreter=interpreter, **changed)[0] is other and len(made) == 2
+
+
 def changed(value):
     """A value of the same type as ``value`` that differs from it."""
     if isinstance(value, bool):
@@ -989,6 +1178,7 @@ def changed(value):
 
 
 def test_every_field_a_reader_sees_is_in_the_content_key():
+    # the content two traces are told apart by is every field but the facts
     compared = {f.name for f in dataclasses.fields(ExecutionTrace) if f.compare}
     assert compared == {f.name for f in dataclasses.fields(ExecutionTrace) if f.init} - {"facts"}
     # a trace with a call, a preimage and return data: no field is empty
@@ -996,52 +1186,34 @@ def test_every_field_a_reader_sees_is_in_the_content_key():
     source = f"PUSH1 0x20 PUSH1 0x00 SHA3 {CALL_AND_DROP.removesuffix(' STOP')} {RETURN_TOP}"
     held, _ = run(source, data=b"\x05", interpreter=interpreter)
     assert all(getattr(held, name) for name in compared if name != "faulted")
-    assert list(interpreter._traces) == [held]
-    # a trace differing in any one compared field is not held, also when
-    # the field is not hashed and the two hash alike
+    assert [leaf[1] for leaf in leaves(interpreter)] == [held]
+    # a trace differing in any one compared field is another trace
     for name in compared:
         other = dataclasses.replace(held, **{name: changed(getattr(held, name))})
-        assert other != held and other not in interpreter._traces, name
+        assert other != held, name
     assert dataclasses.replace(held, facts=TraceFacts()) == held
-    # the facts of runs that share a trace compare equal, the caches aside
+    # the facts of equal runs compare equal, the caches aside
     caches = {f.name for f in dataclasses.fields(TraceFacts) if not f.compare}
     assert caches == {"identities", "reads", "writes", "merged_by", "observed_by"}
     made = ran(interpreter)
     again, _ = run(source, data=b"\x05", gas=9_000, interpreter=interpreter)
-    assert again is held and made[0] is not held
-    assert made[0] == held and hash(made[0]) == hash(held)
+    assert again is held and made == []
+    twin = fresh(source, data=b"\x05")[0]
     held.facts.identities[0] = (0, ())
-    assert made[0].facts == held.facts
-
-
-@pytest.mark.parametrize("entries", [0, 3])
-def test_the_content_index_holds_the_traces_the_memo_holds(entries, monkeypatch):
-    monkeypatch.setattr(interpreter_module, "OUTCOME_MEMO_ENTRIES", entries)
-    interpreter = Interpreter()
-    for rounds in range(8):
-        for gas in (100_000, 200_000):  # two entries, one outcome
-            run(COUNTED_LOOP, data=rounds.to_bytes(32, "big"), gas=gas, interpreter=interpreter)
-            # each held trace is its own key, with the count of its holders
-            holders = Counter(id(item[1]) for item in interpreter._outcomes.values())
-            indexed = {id(trace): entries_holding
-                       for key, (trace, entries_holding) in interpreter._traces.items()
-                       if key is trace}
-            assert indexed == holders and len(indexed) == len(interpreter._traces)
-    if entries == 0:
-        assert interpreter._traces == {} and interpreter._outcomes == {}
-    else:
-        assert len(interpreter._outcomes) == entries and len(interpreter._traces) == 2
+    assert twin == held and twin.facts == held.facts
 
 
 def test_a_held_trace_leaves_the_collectors_lists():
     # the collector stops tracking a tuple of atoms once it has seen one,
-    # so a memo full of traces adds nothing to each collection's scan
+    # and a tuple of such tuples at its next collection, so a memo full of
+    # traces and writes adds nothing to each collection's scan
     interpreter = Interpreter()
-    held, _ = run(COUNTED_LOOP, data=(3).to_bytes(32, "big"), interpreter=interpreter)
-    [(_, stored, _)] = interpreter._outcomes.values()
-    assert stored is held and held.facts.jumpis and all(held.stacks[1:])
-    gc.collect()
-    gc.collect()
+    source = f"PUSH1 0x07 PUSH1 0x00 SSTORE {COUNTED_LOOP}"
+    held, _ = run(source, data=(3).to_bytes(32, "big"), interpreter=interpreter)
+    [(_, stored, writes, _)] = leaves(interpreter)
+    assert stored is held and held.facts.jumpis and all(held.stacks[4:]) and writes
+    for _ in range(3):  # the writes nest three deep
+        gc.collect()
     for name, column in [("ops", held.ops), ("pcs", held.pcs), ("stacks", held.stacks),
-                         ("jumpis", held.facts.jumpis)]:
+                         ("jumpis", held.facts.jumpis), ("writes", writes)]:
         assert not gc.is_tracked(column), name

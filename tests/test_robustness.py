@@ -3,6 +3,7 @@ raise, or a transaction overrun its wall cap: execute -> taint -> slot sets,
 coverage, fitness -> detectors.  A transaction the interpreter repeats from
 its outcome memo ends as a fresh run of it would."""
 
+import dataclasses
 import time
 
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from evmfuzz.analysis import CoverageStore, TaintPlans, TaintTracker, read_set, write_set
 from evmfuzz.detectors import DetectorSuite
 from evmfuzz.evm import AccountSet, EmulatedState, EnvOverrides, Interpreter
-from evmfuzz.evm.interpreter import MEMORY_CAP
+from evmfuzz.evm.interpreter import DEFAULT_CALL_RESULT, MEMORY_CAP
 from evmfuzz.evm.opcodes import NAME_TO_CODE, TABLE
 from evmfuzz.evm.state import INITIAL_BALANCE
 from evmfuzz.ga import Individual, Input, compute_fitness
@@ -164,21 +165,82 @@ def run_pipeline(code, batch, deadline=None):
 
 def outcome(trace, state) -> tuple:
     return (trace.ops, trace.pcs, trace.stacks, trace.terminal, trace.faulted,
-            trace.return_data, trace.calls, trace.sha3_preimages, state.snapshot())
+            trace.return_data, trace.calls, trace.sha3_preimages, trace.facts,
+            state.snapshot())
 
 
-def prepared(code: bytes, poke: str) -> EmulatedState:
+def prepared(code: bytes, poke: str, slot: int = 0) -> EmulatedState:
     state = EmulatedState(AccountSet())
     state.code[CONTRACT] = code
     if poke == "sstore":
-        state.sstore(CONTRACT, 0, 1)
+        state.sstore(CONTRACT, slot, 1)
     elif poke == "credit":
         state.credit(CONTRACT, 1)
     return state
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(code=programs(), inp=inputs, poke=st.sampled_from(("none", "sstore", "credit")))
+# What the second run may change: nothing, the pre-state (the word in a slot
+# the first run loaded, the contract's balance), the transaction (the sender,
+# a gas limit above the first run's or one below its step count) or the
+# environment.
+POKES = ("none", "sstore", "credit", "sender", "gas_up", "gas_cut", "timestamp", "number",
+         "call_result", "extcode_size")
+
+
+def poked(code, tx, env, poke, first):
+    """The state, transaction and environment of a second run that differs
+    from the first by ``poke``, and the slot, callee or target it changes."""
+    env = env.copy()
+    slot = min(first.facts.read_keys, default=0)
+    callee = next((event.to for event in first.calls if event.return_data is not None), 0)
+    target = min(first.facts.extcode_targets, default=0)
+    if poke == "sender":
+        tx = dataclasses.replace(tx, sender=ACCOUNTS.attackers[tx.sender == ACCOUNTS.attackers[0]])
+    elif poke == "gas_up":
+        tx = dataclasses.replace(tx, gas_limit=tx.gas_limit + 1)
+    elif poke == "gas_cut":
+        tx = dataclasses.replace(tx, gas_limit=max(0, len(first.ops) - 1))
+    elif poke == "timestamp":
+        env.timestamp += 1
+    elif poke == "number":
+        env.block_number += 1
+    elif poke == "call_result":
+        success, data = env.call_results.get(callee, DEFAULT_CALL_RESULT)
+        env.call_results[callee] = (1 - success, data + b"\x01")
+    elif poke == "extcode_size":
+        env.extcode_sizes[target] = env.extcode_sizes.get(target, 0) + 1
+    return prepared(code, poke, slot), tx, env, (slot, callee, target)
+
+
+def read_what_changed(trace, poke, tx, slot, callee, target) -> bool:
+    """Whether the run that made ``trace`` read what ``poke`` changes for a
+    run of ``tx``, judged from the trace alone.  A faulted trace's last two
+    steps count as reading nothing: the synthetic fault step, and the op
+    that faulted (or, after an unassigned opcode, the op before it)."""
+    last = len(trace.ops) - 2 * trace.faulted
+    steps = list(zip(trace.ops[:last], trace.stacks[:last]))
+    if poke == "sstore":  # unless the run wrote the slot first
+        loads = [op == "SLOAD" for op, stack in steps
+                 if op in ("SLOAD", "SSTORE") and stack[-1] == slot]
+        return loads[:1] == [True]
+    if poke == "credit":  # the contract's balance
+        return any(op == "BALANCE" and stack[-1] == CONTRACT
+                   or op in ("CALL", "CALLCODE") and stack[-3] for op, stack in steps)
+    if poke in ("gas_up", "gas_cut"):
+        return ("GAS" in trace.ops[:last] or trace.terminal == "OUT_OF_GAS"
+                or tx.gas_limit < len(trace.ops) - trace.faulted)
+    if poke == "call_result":
+        return any(event.to == callee and event.return_data is not None
+                   for event in trace.calls)
+    if poke == "extcode_size":
+        return target in trace.facts.extcode_targets
+    reading = {"sender": ("CALLER", "ORIGIN"), "timestamp": ("TIMESTAMP",),
+               "number": ("NUMBER",), "none": ()}[poke]
+    return any(op in reading for op, _ in steps)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(code=programs(), inp=inputs, poke=st.sampled_from(POKES))
 def test_a_repeated_transaction_ends_as_a_fresh_run(code, inp, poke):
     interpreter = Interpreter(wall_cap=WALL_CAP)
     runs = []
@@ -186,13 +248,19 @@ def test_a_repeated_transaction_ends_as_a_fresh_run(code, inp, poke):
     interpreter._transact = lambda *args: runs.append(args) or shipped(*args)
     tx = inp.transaction(CONTRACT)
     first = interpreter.execute(prepared(code, "none"), tx, inp.env)
-    # the second run starts from an equal state, or one that a store or a
-    # credit made different, which it must see
-    state = prepared(code, poke)
-    second = interpreter.execute(state, tx, inp.env)
-    fresh_state = prepared(code, poke)
-    fresh = Interpreter(wall_cap=WALL_CAP).execute(fresh_state, tx, inp.env)
-    reused = poke == "none" and first.terminal != "TIMEOUT"
-    assert len(runs) == (1 if reused else 2)
+    ran_first = len(runs)
+    # the second run starts from an equal state, transaction and
+    # environment, or from ones that differ in one place, which it must see
+    state, tx, env, changed = poked(code, tx, inp.env, poke, first)
+    second = interpreter.execute(state, tx, env)
+    fresh_state = prepared(code, poke, changed[0])
+    fresh = Interpreter(wall_cap=WALL_CAP).execute(fresh_state, tx, env)
     if "TIMEOUT" not in (second.terminal, fresh.terminal):
         assert outcome(second, state) == outcome(fresh, fresh_state)
+    reused = len(runs) == ran_first
+    stored = first.terminal != "TIMEOUT" and not {"CREATE", "SELFDESTRUCT"} & set(first.ops)
+    if poke == "none" and stored:
+        # an unpayable transaction never runs, and gets a fresh fault trace
+        assert reused and (second is first or not ran_first)
+    if reused:
+        assert not read_what_changed(first, poke, tx, *changed)

@@ -35,7 +35,8 @@ def purge_reverting_values(
 ) -> int:
     """Evict pool values implicated in guard-terminated inputs.
 
-    Returns the number of evictions performed.
+    Returns the number of purges asked for, whether or not each found its
+    value in the bucket.
     """
     purged = 0
     for inp, trace, report in zip(inputs, traces, reports):

@@ -174,7 +174,7 @@ class Campaign:
             # No constructor to run: install the runtime image directly at
             # the address a deployment would have produced.
             self.address = new_address(self.state, accounts.deployer)
-            self.state.code[self.address] = runtime_code
+            self.state.set_code(self.address, runtime_code)
             runtime = runtime_code
         for slot, value in (pre_storage or {}).items():
             self.state.sstore(self.address, slot, value)

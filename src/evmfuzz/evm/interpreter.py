@@ -5,13 +5,14 @@ instruction as three parallel columns (opcode, pc, a pre-execution stack
 snapshot), plus one flag saying whether the run ended in a fault and the
 facts its readers need (branches, storage keys, code-size targets), taken
 as each operand is popped.  A finished trace is an immutable value, equal
-to another field by field.  While it runs, a run also logs each value it
-takes from outside itself (a storage slot, a balance, the sender, a block
-word, a call result, the gas cap) and each write it makes, so that a later
-transaction whose reads would all be equal gets the same trace without
-running.  Outgoing calls never execute code: their results come from the
-injectable environment, which is what lets the fuzzer mutate block values
-and external call outcomes like any other input byte.
+to another field by field.  A run only reads the state: it logs each value
+it takes from outside itself (a storage slot, a balance, a nonce, the
+sender, a block word, a call result, the gas cap) and each write it would
+make, and an outcome reaches the state only by replaying those writes, so a
+later transaction whose reads would all be equal gets the same trace and
+writes without running.  Outgoing calls never execute code: their results
+come from the injectable environment, which is what lets the fuzzer mutate
+block values and external call outcomes like any other input byte.
 """
 
 from __future__ import annotations
@@ -93,11 +94,17 @@ _LOGGED_WORDS = {"ORIGIN": ("sender", None), "CALLER": ("sender", None),
                  "TIMESTAMP": ("timestamp", None), "NUMBER": ("number", None)}
 
 
+def _funded(state: EmulatedState, address: int, sender: int, to: int, value: int) -> int:
+    """The balance of ``address`` once a transaction's ``value`` has moved
+    from ``sender`` to ``to``: the balance a run of it starts with."""
+    return state.balance_of(address) + value * ((address == to) - (address == sender))
+
+
 def _reread(location: tuple, state: EmulatedState, tx: Transaction,
             env: EnvOverrides, gas: int):
     """What a run of ``tx`` under ``env`` and the gas cap ``gas``, starting
-    from ``state`` as the transaction's value left it, would read first at
-    ``location``, read without running it."""
+    from ``state``, would read first at ``location``, read without running
+    it."""
     kind, where = location
     if kind == "slot":
         return state.sload(tx.to, where)
@@ -108,7 +115,11 @@ def _reread(location: tuple, state: EmulatedState, tx: Transaction,
     if kind == "gas":
         return gas
     if kind == "balance":
-        return state.balance_of(where)
+        return _funded(state, where, tx.sender, tx.to, tx.value)
+    if kind == "nonce":
+        return state.nonces.get(where, 0)
+    if kind == "code":
+        return where in state.code
     if kind == "returndata":
         return env.returndata_sizes.get(where)
     if kind == "extcode":
@@ -327,23 +338,20 @@ class Interpreter:
       A root is keyed by the fields every run reads: the target, its code,
       the calldata and the value.  Below it, each branch names the next
       location the runs under it read (a storage slot this run did not
-      write first, an account's balance as the run started, the sender, the
-      block timestamp or number, one callee's injected result or
-      return-data size, one target's code size, the gas cap) and maps each
-      value read there to what comes next.  A run is a function of its
-      root and its reads, so runs with equal reads read the same next
-      location: a lookup re-reads those locations from the state, the
-      transaction and the environment, and runs nothing.  The leaf it
-      reaches holds the trace, the run's writes and the lowest gas cap the
-      run needs, since a run that reads no gas (the ``GAS`` op, or running
-      out) holds under every cap from its step count up.  A hit replays the
-      writes, in order, through the state's own methods, so the post-state
-      holds the items a fresh run would leave, in the same order.
-      Values the run never read (the gas limit, unread storage, the results
-      of callees it never calls) do not tell two transactions apart.  A
-      ``TIMEOUT`` run depends on the clock, and a run that executes
-      ``CREATE`` or ``SELFDESTRUCT`` moves nonces and code, which its writes
-      do not hold, so neither is stored.  Where a run that ran out of gas
+      write first, an account's balance as the run started, the creator's
+      nonce and whether its new account has code, the sender, the block
+      timestamp or number, one callee's injected result or return-data
+      size, one target's code size, the gas cap) and maps each value read
+      there to what comes next.  A run is a function of its root and its
+      reads, so runs with equal reads read the same next location: a lookup
+      re-reads those locations from the state, the transaction and the
+      environment, and runs nothing.  The leaf it reaches holds the trace,
+      the run's writes and the lowest gas cap the run needs, since a run
+      that reads no gas (the ``GAS`` op, or running out) holds under every
+      cap from its step count up.  Values the run never read (the gas
+      limit, unread storage, the results of callees it never calls) do not
+      tell two transactions apart.  Only a ``TIMEOUT`` run, which depends
+      on the clock, is not stored.  Where a run that ran out of gas
       parts from one that read on, the newer replaces the older.  At most
       ``OUTCOME_MEMO_ENTRIES`` leaves holding ``OUTCOME_MEMO_STEPS`` trace
       steps are kept: a full trie is emptied whole, and an outcome of more
@@ -397,27 +405,22 @@ class Interpreter:
         constructor_args: bytes = b"",
     ) -> tuple[int, ExecutionTrace]:
         """Run creation code, sending no value, under the deployment block
-        context; on RETURN install the runtime code.
+        context, once ``sender``'s nonce has moved past the new address; on
+        RETURN replay the constructor's writes and install the runtime code,
+        else raise ``DeployError`` and change nothing more.
 
         Constructor arguments travel appended to the creation code, which is
         where CODECOPY-based constructor prologues expect them.
         """
         address = new_address(state, sender)
-        snap = state.snapshot()
-        trace = self._run(
-            state,
-            code=creation_code + constructor_args,
-            self_addr=address,
-            sender=sender,
-            value=0,
-            data=b"",
-            gas=GAS_BUDGET,
-            env=EnvOverrides(),
-        )[0]
+        trace, _, writes, _ = self._run(
+            state, creation_code + constructor_args, address, sender, 0, b"", GAS_BUDGET,
+            EnvOverrides(),
+        )
         if trace.terminal != "RETURN":
-            state.restore(snap)
             raise DeployError(f"constructor halted with {trace.terminal}", trace)
-        state.code[address] = trace.return_data
+        state.replay(writes)
+        state.set_code(address, trace.return_data)
         return address, trace
 
     def execute(
@@ -427,12 +430,12 @@ class Interpreter:
         env: EnvOverrides | None = None,
         deadline: float | None = None,
     ) -> ExecutionTrace:
-        """Run ``tx`` against ``state``, applying its effects unless the run
-        failed.  A run ends in ``TIMEOUT`` at the earlier of the wall cap and
-        ``deadline`` (a ``time.monotonic()`` value), at once if that has
-        passed.  A transaction whose every read equals a stored run's does
-        not run at all: it gets that run's trace, and the run's writes are
-        replayed on ``state``."""
+        """Run ``tx`` against ``state`` and apply the outcome unless the run
+        failed: the transaction's value moves, then the run's writes are
+        replayed in order.  A run ends in ``TIMEOUT`` at the earlier of the
+        wall cap and ``deadline`` (a ``time.monotonic()`` value), at once if
+        that has passed.  A transaction whose every read equals a stored
+        run's does not run at all: it gets that run's trace and writes."""
         env = env or EnvOverrides()
         if tx.value > state.balance_of(tx.sender):
             # Unpayable transaction: a synthetic fault step, nothing applied.
@@ -440,11 +443,6 @@ class Interpreter:
                 ("INVALID",), (0,), ((),), "INVALID", faulted=True, calldata=tx.data,
                 facts=TraceFacts(executed=frozenset((0,))),
             )
-        pre = None  # the state to roll back to, taken here only if value moves
-        if tx.value:
-            pre = state.snapshot()
-            state.debit(tx.sender, tx.value)
-            state.credit(tx.to, tx.value)
         code = state.code.get(tx.to, b"")
         gas = min(tx.gas_limit, GAS_BUDGET)
         root = (tx.to, code, tx.data, tx.value)
@@ -453,15 +451,17 @@ class Interpreter:
             node = node[1].get(_reread(node[0], state, tx, env, gas))
         if node is not None and gas >= node[3]:
             _, trace, writes, _ = node
-            if trace.state_delta_applied:
-                for name, args in writes:
-                    getattr(state, name)(*args)
-            elif pre is not None:
-                state.restore(pre)
-            return trace
-        trace, reads, writes, lowest = self._transact(state, tx, code, env, gas, deadline, pre)
-        if reads is not None:
-            self._store(root, reads, (None, trace, writes, lowest))
+        else:
+            trace, reads, writes, lowest = self._run(
+                state, code, tx.to, tx.sender, tx.value, tx.data, gas, env, deadline)
+            if trace.terminal != "TIMEOUT":
+                self._store(root, reads, (None, trace, writes, lowest))
+        if trace.state_delta_applied:
+            # the sender is not in the root, so the transfer is not a logged write
+            if tx.value:
+                state.debit(tx.sender, tx.value)
+                state.credit(tx.to, tx.value)
+            state.replay(writes)
         return trace
 
     def _store(self, root: tuple, reads: dict, leaf: tuple) -> None:
@@ -484,31 +484,6 @@ class Interpreter:
         self._leaves += 1
         self._steps += steps
 
-    def _transact(
-        self, state: EmulatedState, tx: Transaction, code: bytes, env: EnvOverrides,
-        gas: int, deadline: float | None, pre: tuple | None,
-    ) -> tuple:
-        """Run ``tx``, whose value has already moved, under the gas cap
-        ``gas``, rolling ``state`` back to ``pre`` (or, when that is None, to
-        the state as this found it) unless the run applied.  Returns what
-        ``_run`` does."""
-        if pre is None:
-            pre = state.snapshot()
-        ran = self._run(
-            state,
-            code=code,
-            self_addr=tx.to,
-            sender=tx.sender,
-            value=tx.value,
-            data=tx.data,
-            gas=gas,
-            env=env,
-            deadline=deadline,
-        )
-        if not ran[0].state_delta_applied:
-            state.restore(pre)
-        return ran
-
     # ------------------------------------------------------------------
     # core loop
 
@@ -523,16 +498,18 @@ class Interpreter:
         gas: int,
         env: EnvOverrides,
         deadline: float | None = None,
-    ) -> tuple[ExecutionTrace, dict | None, tuple, int]:
-        """Run ``code`` and return its trace, what it read, what it wrote and
-        the lowest gas cap it needs.
+    ) -> tuple[ExecutionTrace, dict, tuple, int]:
+        """Run ``code`` against ``state``, which it only reads, with
+        ``value`` moved from ``sender`` to ``self_addr``; return its trace,
+        what it read, what it would write and the lowest gas cap it needs.
 
         The reads map each location the run took a value from outside
         itself at (see ``_reread``) to that value, at its first read and in
-        the order of first reads; None when the outcome may not be reused
-        (``TIMEOUT``, ``CREATE``, ``SELFDESTRUCT``).  A balance is read as
-        it was when the run started.  The writes are ``(EmulatedState method
-        name, arguments)`` in the order the run called them.
+        the order of first reads.  A balance is noted as the run started
+        with it: after ``value`` moved, before the run's own transfers.  The
+        writes are ``(EmulatedState method name, arguments)`` in the order a
+        run that wrote the state as it went would make them, less the move
+        of ``value``.
         """
         ops: list[str] = []
         pcs: list[int] = []
@@ -540,13 +517,14 @@ class Interpreter:
         record_op, record_pc, record_stack = ops.append, pcs.append, stacks.append
         jumpis: list[tuple[int, int, bool]] = []
         record_jumpi = jumpis.append
-        loaded, stored, targets = set(), set(), set()  # SLOAD, SSTORE, EXTCODESIZE operands
+        loaded, targets = set(), set()  # SLOAD, EXTCODESIZE operands
+        stored: dict[int, int] = {}  # slot -> the word the run last stored there
         reads: dict[tuple, object] = {}  # location -> the value first read there
         note = reads.setdefault
         writes: list[tuple[str, tuple]] = []
         record_write = writes.append
         moved: dict[int, int] = {}  # the value this run's transfers moved, per account
-        reusable = True
+        created = 0  # the accounts this run made
         sstores = 0
         invalid_pc = None
         calls: list[CallEvent] = []
@@ -614,14 +592,11 @@ class Interpreter:
             memory[dest:dest + size] = source[offset:offset + size].ljust(size, b"\x00")
 
         def balance(address: int) -> int:
-            """The balance of ``address`` now, noted as it was at the start."""
-            now = state.balance_of(address)
-            note(("balance", address), now - moved.get(address, 0))
-            return now
+            """The balance of ``address`` now, noted as the run started with it."""
+            started = note(("balance", address), _funded(state, address, sender, self_addr, value))
+            return started + moved.get(address, 0)
 
         def move(source: int, target: int, amount: int) -> None:
-            state.debit(source, amount)
-            state.credit(target, amount)
             record_write(("debit", (source, amount)))
             record_write(("credit", (target, amount)))
             moved[source] = moved.get(source, 0) - amount
@@ -674,9 +649,10 @@ class Interpreter:
                     append(stack[-pops])
                 elif kind == "swap":
                     stack[-1], stack[-pops] = stack[-pops], stack[-1]
-                # then the named ops, commonest first, except that the
-                # environment words come after the storage, memory and
-                # hashing ops, so that those never pay for the table lookup
+                # then the named ops, in an order set by hand, not by counts
+                # (no benchmark workload runs JUMP, the second arm), with the
+                # environment words after the storage, memory and hashing
+                # ops, so that those never pay for the table lookup
                 elif name == "JUMPI":
                     dest, cond = pop(), pop()
                     record_jumpi((pc, dest, cond != 0))  # a bad destination still counts
@@ -697,16 +673,15 @@ class Interpreter:
                 elif name == "SSTORE":
                     slot, word = pop(), pop()
                     sstores += 1
-                    stored.add(slot)
-                    state.sstore(self_addr, slot, word)
+                    stored[slot] = word
                     record_write(("sstore", (self_addr, slot, word)))
                 elif name == "SLOAD":
                     slot = pop()
                     loaded.add(slot)
-                    word = state.sload(self_addr, slot)
-                    if slot not in stored:  # else the run wrote what it loads
-                        note(("slot", slot), word)
-                    push(word)
+                    if slot in stored:  # the run loads what it wrote: not a read
+                        push(stored[slot])
+                    else:
+                        push(note(("slot", slot), state.sload(self_addr, slot)))
                 elif name == "MSTORE":
                     offset, word = pop(), pop()
                     end = offset + 32
@@ -769,16 +744,19 @@ class Interpreter:
                 elif name == "CREATE":
                     create_value, offset, size = pop(), pop(), pop()
                     mread(offset, size)
-                    reusable = False  # it moves a nonce and code, which writes do not hold
-                    if create_value > state.balance_of(self_addr):
+                    if create_value and create_value > balance(self_addr):
                         child, success = 0, 0
                     else:
-                        child = new_address(state, self_addr)
+                        nonce = note(("nonce", self_addr), state.nonces.get(self_addr, 0))
+                        child = child_address(self_addr, nonce + created)
+                        created += 1
+                        record_write(("bump_nonce", (self_addr,)))
                         if create_value:
                             move(self_addr, child, create_value)
                         # Initialisation code is not executed; the child is an
                         # empty account at a fresh deterministic address.
-                        state.code.setdefault(child, b"")
+                        if not note(("code", child), child in state.code):
+                            record_write(("set_code", (child, b"")))
                         success = 1
                     calls.append(
                         CallEvent(len(ops) - 1, name, pc, child, 0,
@@ -821,11 +799,10 @@ class Interpreter:
                     break
                 elif name == "SELFDESTRUCT":
                     beneficiary = pop()
-                    reusable = False  # it removes code, which writes do not hold
-                    swept = state.balance_of(self_addr)
+                    swept = balance(self_addr)
                     if swept:
                         move(self_addr, beneficiary, swept)
-                    state.code.pop(self_addr, None)
+                    record_write(("drop_code", (self_addr,)))
                     calls.append(
                         CallEvent(len(ops) - 1, name, pc,
                                   beneficiary, 0, swept, 1, swept > 0)
@@ -864,14 +841,17 @@ class Interpreter:
                 frozenset(stored), frozenset(targets), invalid_pc,
             ),
         )
-        if not reusable or terminal == "TIMEOUT":
-            return trace, None, (), used
         return trace, reads, tuple(writes), used
 
 
 def new_address(state: EmulatedState, creator: int) -> int:
     """The address of the next account ``creator`` makes: bumps its nonce."""
-    nonce = state.nonces.get(creator, 0)
-    state.nonces[creator] = nonce + 1
+    address = child_address(creator, state.nonces.get(creator, 0))
+    state.bump_nonce(creator)
+    return address
+
+
+def child_address(creator: int, nonce: int) -> int:
+    """The address of the account ``creator`` makes at ``nonce``."""
     blob = creator.to_bytes(20, "big") + nonce.to_bytes(8, "big")
     return int.from_bytes(keccak256(blob)[12:], "big")

@@ -34,7 +34,8 @@ class EmulatedState:
     """Balances, deployed code, storage and nonces for one campaign.
 
     Storage is keyed (address, slot); nonces count the accounts each
-    creator has made.
+    creator has made.  An interpreter run changes nothing: its outcome is
+    applied by ``replay``, as calls to the methods that write.
     """
 
     def __init__(self, accounts: AccountSet | None = None) -> None:
@@ -64,11 +65,25 @@ class EmulatedState:
         else:
             self.storage[(address, slot)] = value
 
+    def set_code(self, address: int, code: bytes) -> None:
+        self.code[address] = code
+
+    def drop_code(self, address: int) -> None:
+        self.code.pop(address, None)
+
+    def bump_nonce(self, address: int) -> None:
+        self.nonces[address] = self.nonces.get(address, 0) + 1
+
+    def replay(self, writes) -> None:
+        """Make each write, a (name of a method above, arguments) pair, in order."""
+        for name, args in writes:
+            getattr(self, name)(*args)
+
     def snapshot(self) -> tuple:
         """The items of the four maps, in their order, as one value:
         ``(balances, code, storage, nonces)``, which ``restore`` rolls the
-        state back to.  Keys and values are immutable, so the snapshot is
-        independent of the state."""
+        state back to, as a campaign does before each individual.  Keys and
+        values are immutable, so the snapshot is independent of the state."""
         return (
             tuple(self.balances.items()), tuple(self.code.items()),
             tuple(self.storage.items()), tuple(self.nonces.items()),

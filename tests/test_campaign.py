@@ -962,12 +962,12 @@ def fixture_report(compiled, generations=15) -> dict:
 
 def test_the_memos_change_no_report(monkeypatch):
     executions, runs, walks = [], [], []
-    shipped_execute, shipped_transact = Interpreter.execute, Interpreter._transact
+    shipped_execute, shipped_run = Interpreter.execute, Interpreter._run
     shipped_walk = taint_module._Walker.walk
     monkeypatch.setattr(Interpreter, "execute",
                         lambda *args: executions.append(None) or shipped_execute(*args))
-    monkeypatch.setattr(Interpreter, "_transact",
-                        lambda *args: runs.append(None) or shipped_transact(*args))
+    monkeypatch.setattr(Interpreter, "_run",
+                        lambda *args: runs.append(None) or shipped_run(*args))
     monkeypatch.setattr(taint_module._Walker, "walk",
                         lambda walker: walks.append(None) or shipped_walk(walker))
     memoized = [fixture_report(compiled) for compiled in CORPUS]
@@ -992,12 +992,12 @@ def test_every_outcome_equals_a_fresh_run_of_its_transaction(monkeypatch):
     # each execution is checked against a memo-less interpreter started
     # from a copy of its pre-state
     hits, checking = [], []
-    shipped_execute, shipped_transact = Interpreter.execute, Interpreter._transact
+    shipped_execute, shipped_run = Interpreter.execute, Interpreter._run
 
-    def transact(interpreter, *args):
-        if interpreter is checking[-1]:
+    def running(interpreter, *args):
+        if checking and interpreter is checking[-1]:  # not a deploy
             hits[-1] = False
-        return shipped_transact(interpreter, *args)
+        return shipped_run(interpreter, *args)
 
     def checked(interpreter, state, tx, env=None, deadline=None):
         pre = EmulatedState(state.accounts)
@@ -1015,7 +1015,7 @@ def test_every_outcome_equals_a_fresh_run_of_its_transaction(monkeypatch):
         return trace
 
     monkeypatch.setattr(Interpreter, "execute", checked)
-    monkeypatch.setattr(Interpreter, "_transact", transact)
+    monkeypatch.setattr(Interpreter, "_run", running)
     for compiled in CORPUS:
         fixture_report(compiled, generations=30)
     # most executions were memo hits, which the check would catch out

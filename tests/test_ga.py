@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmfuzz.abi import parse_abi
+from evmfuzz.analysis.taint import VAR_KINDS
 from evmfuzz.evm import ExecutionTrace
 from evmfuzz.evm.interpreter import TraceFacts
 from evmfuzz.evm.state import AccountSet
 from evmfuzz.ga import engine as engine_module
 from evmfuzz.ga import (
+    KINDS,
     MAX_INPUTS,
     CircularBuffer,
     Evaluation,
@@ -490,3 +492,9 @@ def test_reinitialize_keeps_pools():
     fresh = engine.reinitialize()
     assert len(fresh) == engine.population_size
     assert engine.pools.pick("timestamp", engine.abi.functions[0].selector) == 42
+
+
+def test_every_pool_a_variable_kind_names_is_a_mutation_pool():
+    # a solved value goes into its kind's pool: a pool named in one table
+    # and missing from the other raises KeyError in the middle of a campaign
+    assert set(KINDS) == {pool for pool, _ in VAR_KINDS.values() if pool}

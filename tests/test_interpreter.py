@@ -27,6 +27,7 @@ from evmfuzz.evm.interpreter import (
     ExecutionTrace,
     TraceFacts,
     TraceRecord,
+    child_address,
 )
 from evmfuzz.evm import opcodes
 from evmfuzz.evm.opcodes import NAME_TO_CODE, WORD_OPS
@@ -489,6 +490,8 @@ def test_deploy_reverting_constructor_raises_and_leaves_state():
     assert state.storage == {}
     assert state.balance_of(ACCOUNTS.deployer) == INITIAL_BALANCE
     assert state.code == {}
+    # the deployer's nonce moved past the address, as a deployment's does
+    assert state.nonces == {ACCOUNTS.deployer: 1}
 
 
 def test_deploy_addresses_are_stable_across_fresh_states():
@@ -830,14 +833,14 @@ def ran(interpreter) -> list:
     """The traces ``interpreter`` makes by running, appended as it runs them;
     a memoized repeat runs nothing and appends nothing."""
     made = []
-    shipped = interpreter._transact
+    shipped = interpreter._run
 
-    def transact(*args):
+    def running(*args):
         outcome = shipped(*args)
         made.append(outcome[0])
         return outcome
 
-    interpreter._transact = transact
+    interpreter._run = running
     return made
 
 
@@ -886,7 +889,7 @@ def test_a_repeat_restores_the_post_state():
     assert third is first and len(made) == 1
     assert list(state.storage) == [(CONTRACT, 1), (CONTRACT, 2), (CONTRACT, 0)]
     assert state.snapshot() == fresh(source, [(1, 1)], value=5)[1]
-    # a reverted repeat rolls back the value its transaction moved
+    # a reverted repeat leaves the value its transaction would move
     reverting = "CALLVALUE PUSH1 0x00 SSTORE PUSH1 0x00 PUSH1 0x00 REVERT"
     before = filled([(0, 3)])
     before.code[CONTRACT] = assemble(reverting)
@@ -1077,20 +1080,91 @@ def test_a_call_that_carries_value_reads_the_balance_the_run_started_with():
         assert returned_word(trace) == held + 5 and len(made) == runs
 
 
-@pytest.mark.parametrize("source", [
-    "PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 CREATE STOP",
-    f"PUSH20 {OTHER} SELFDESTRUCT",
-])
-def test_a_create_or_selfdestruct_run_executes_every_time(source):
+@pytest.mark.parametrize("source, runs", [
+    # each round moves the creator's nonce, so each one reads another
+    ("PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 CREATE STOP", 3),
+    # each round sweeps the 2 its transaction brings
+    (f"PUSH20 {OTHER} SELFDESTRUCT", 1),
+], ids=["CREATE", "SELFDESTRUCT"])
+def test_a_create_or_selfdestruct_run_is_stored_and_reused(source, runs):
     interpreter = Interpreter()
     made = ran(interpreter)
     state = EmulatedState()
     reference = EmulatedState()
-    for round_ in range(1, 4):
+    for _ in range(3):
         trace, state = run(source, value=2, state=state, interpreter=interpreter)
         again, reference = run(source, value=2, state=reference)
-        assert len(made) == round_ and leaves(interpreter) == []
         assert trace == again and state.snapshot() == reference.snapshot()
+    assert len(made) == len(leaves(interpreter)) == runs
+    # a repeat from a fresh state reads what the first round read
+    first = made[0]
+    assert run(source, value=2, interpreter=interpreter)[0] is first and len(made) == runs
+
+    # one from a nonce and a balance that no round started with does not
+    def moved():
+        state = EmulatedState()
+        for _ in range(3):
+            state.bump_nonce(CONTRACT)
+        state.credit(CONTRACT, 1)
+        return state
+
+    trace, state = run(source, value=2, state=moved(), interpreter=interpreter)
+    again, reference = run(source, value=2, state=moved())
+    assert (trace, state.snapshot()) == (again, reference.snapshot())
+    assert len(made) == runs + 1
+
+
+@pytest.mark.parametrize("source, codes", [
+    # two creates, the first paying 3 to its child, around two stores
+    ("PUSH1 0x01 PUSH1 0x02 SSTORE PUSH1 0x00 PUSH1 0x00 PUSH1 0x03 CREATE "
+     "PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 CREATE SSTORE STOP", 3),
+    # two stores, then a sweep of the 9 the contract holds
+    (f"PUSH1 0x01 PUSH1 0x02 SSTORE PUSH1 0x01 PUSH1 0x03 SSTORE PUSH20 {OTHER} SELFDESTRUCT",
+     0),
+], ids=["CREATE", "SELFDESTRUCT"])
+def test_a_create_or_selfdestruct_outcome_equals_a_fresh_run(source, codes):
+    def funded():
+        state = EmulatedState()
+        state.credit(CONTRACT, 7)
+        return state
+
+    interpreter = Interpreter()
+    for _ in range(2):  # the second execution repeats the first's reads
+        trace, state = run(source, value=2, state=funded(), interpreter=interpreter)
+        again, reference = run(source, value=2, state=funded())
+        assert trace == again and trace.facts == again.facts
+        # a snapshot holds each map's items in order
+        assert state.snapshot() == reference.snapshot()
+    assert trace.state_delta_applied and len(state.code) == codes
+
+
+def test_a_create_reads_whether_its_new_account_has_code():
+    source = "PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 CREATE STOP"
+    interpreter = Interpreter()
+    made = ran(interpreter)
+    for held, runs in ((None, 1), (b"\x01", 2), (None, 2), (b"\x01", 2)):
+        def prepared():
+            state = EmulatedState()
+            if held is not None:  # kept: a create over code leaves it be
+                state.set_code(child_address(CONTRACT, 0), held)
+            return state
+
+        trace, state = run(source, state=prepared(), interpreter=interpreter)
+        again, reference = run(source, state=prepared())
+        assert (trace, state.snapshot()) == (again, reference.snapshot())
+        assert len(made) == runs
+
+
+def test_a_balance_read_of_one_sender_keys_a_run_of_another():
+    # the transaction's own transfer is no logged write, and it moves the
+    # balance this run reads only when the reader sent it
+    source = f"PUSH20 {ACCOUNTS.benign} BALANCE {RETURN_TOP}"
+    interpreter = Interpreter()
+    for sender in (ACCOUNTS.benign, ACCOUNTS.attackers[0], ACCOUNTS.benign):
+        trace, state = run(source, value=5, sender=sender, interpreter=interpreter)
+        again, reference = run(source, value=5, sender=sender)
+        assert (trace, state.snapshot()) == (again, reference.snapshot())
+        assert returned_word(trace) == INITIAL_BALANCE - 5 * (sender == ACCOUNTS.benign)
 
 
 # ---------------------------------------------------------------------------

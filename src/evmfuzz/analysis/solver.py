@@ -32,8 +32,8 @@ from itertools import count, islice
 
 from ..evm.opcodes import WORD, signed
 from . import expr
-from .expr import MASK, Term, variables
-from .taint import FUZZABLE_KINDS, PathConstraint, parse_var
+from .expr import MASK, Term
+from .taint import FUZZABLE_KINDS, PathConstraint
 
 DEFAULT_TIMEOUT_MS = 100
 
@@ -200,9 +200,11 @@ def condition_assertion(writer: SmtLibWriter, cond: Term, want_taken: bool) -> s
 
 
 def free_variables(cond: Term) -> frozenset[str]:
-    return frozenset(
-        name for name in variables(cond) if parse_var(name).kind in FUZZABLE_KINDS
-    )
+    """The names in ``cond`` of a fuzzable kind, each name's kind being its
+    prefix before the first ``_`` (as ``Term.kinds`` gathers it)."""
+    if cond.kinds <= FUZZABLE_KINDS:
+        return cond.names
+    return frozenset(name for name in cond.names if name.partition("_")[0] in FUZZABLE_KINDS)
 
 
 def branch_script(

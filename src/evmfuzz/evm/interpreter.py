@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator
 
 import json
@@ -74,13 +75,13 @@ class EnvOverrides:
     extcode_sizes: dict[int, int] = field(default_factory=dict)
 
     def copy(self) -> "EnvOverrides":
-        return EnvOverrides(
-            timestamp=self.timestamp,
-            block_number=self.block_number,
-            call_results=dict(self.call_results),
-            returndata_sizes=dict(self.returndata_sizes),
-            extcode_sizes=dict(self.extcode_sizes),
-        )
+        new = object.__new__(EnvOverrides)  # field by field: no dataclass __init__ round trip
+        new.timestamp = self.timestamp
+        new.block_number = self.block_number
+        new.call_results = dict(self.call_results)
+        new.returndata_sizes = dict(self.returndata_sizes)
+        new.extcode_sizes = dict(self.extcode_sizes)
+        return new
 
 
 DEFAULT_CALL_RESULT = (1, b"\x00" * 32)
@@ -241,7 +242,9 @@ class ExecutionTrace:
     A trace is a value: two traces are equal when every field but
     ``facts`` and ``walks`` is.  A transaction whose reads equal those of a
     run the interpreter holds gets that run's trace, so nothing may change a
-    trace once ``execute`` returns it (its facts' caches and ``walks`` aside).
+    trace once ``execute`` returns it, but for the caches it may hold: its
+    facts' caches, ``walks`` and the ``state_delta_applied`` flag, computed
+    once.
     """
 
     ops: tuple[str, ...]
@@ -256,7 +259,7 @@ class ExecutionTrace:
     facts: TraceFacts = field(default_factory=TraceFacts, compare=False, repr=False)
     walks: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    @property
+    @cached_property
     def state_delta_applied(self) -> bool:
         return self.terminal in {"STOP", "RETURN", "SELFDESTRUCT"}
 

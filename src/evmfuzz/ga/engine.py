@@ -11,6 +11,7 @@ writer's transactions in front of the reader's.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
 
 from ..abi import ContractAbi, FunctionSpec, generate_argument
@@ -75,9 +76,10 @@ def ranking_order(fitnesses: list[float]) -> list[int]:
 
 def select_ranked(rng: random.Random, ranking: tuple[list[int], list[int]]) -> int:
     """Linear ranking selection over ``(ranking_order, cumulative rank
-    weights)``: rank r is chosen with P = 2r / (N(N+1))."""
+    weights)``: rank r is chosen with P = 2r / (N(N+1)), by the one draw
+    ``rng.choices(order, cum_weights=cum_weights)`` makes, less its checks."""
     order, cum_weights = ranking
-    return rng.choices(order, cum_weights=cum_weights)[0]
+    return order[bisect(cum_weights, rng.random() * cum_weights[-1], 0, len(order) - 1)]
 
 
 class GeneticEngine:
@@ -140,18 +142,19 @@ class GeneticEngine:
     # selection
 
     def _partner_for(
-        self, first: int, evals: list[Evaluation], ranking: tuple[list[int], list[int]]
+        self, first: int, evals: list[Evaluation], ranking: tuple[list[int], list[int]],
+        linked: dict[int, list[int]],
     ) -> int:
-        mine = evals[first]
-        candidates = [
-            j
-            for j, other in enumerate(evals)
-            if j != first
-            and (
-                (mine.storage_writes & other.storage_reads)
-                or (other.storage_writes & mine.storage_reads)
-            )
-        ] if self.raw_aware else []
+        """A data-linked partner of ``first`` in round-robin, else a ranked draw;
+        ``linked`` keeps the candidates found per first parent over ``evals``."""
+        candidates = linked.get(first) if self.raw_aware else ()
+        if candidates is None:
+            mine = evals[first]
+            candidates = linked[first] = [
+                j for j, other in enumerate(evals) if j != first and (
+                    mine.storage_writes & other.storage_reads
+                    or other.storage_writes & mine.storage_reads)
+            ]
         if candidates:
             partner = candidates[self._partner_cursor % len(candidates)]
             self._partner_cursor += 1
@@ -198,41 +201,42 @@ class GeneticEngine:
     def mutate(self, individual: Individual) -> None:
         individual.inputs = [self._mutate_input(inp) for inp in individual.inputs]
 
-    def _chance(self) -> bool:
-        return self.rng.random() < MUTATION_PROBABILITY
-
     def _mutate_input(self, inp: Input) -> Input:
-        """``inp`` itself when no field is drawn, else a copy with the drawn fields."""
+        """``inp`` itself when no field is drawn, else a copy with the drawn
+        fields.  Each field takes one ``random()`` draw against
+        ``MUTATION_PROBABILITY`` in a fixed order, and seeded campaigns
+        depend on that order: ``test_evolution_draws_are_pinned`` pins it."""
         rng = self.rng
+        draw, chance = rng.random, MUTATION_PROBABILITY
         selector = inp.selector
         payable = inp.fn.payable if inp.fn else self.abi.fallback_payable
         new = None  # the copy; its pool_tags key each drawn value by its pool bucket
 
-        if self._chance():
+        if draw() < chance:
             pooled = self.pools.pick("sender", selector)
             sender = pooled if pooled is not None else rng.choice(self.accounts.all())
             new = new or inp.copy()
             new.sender = new.pool_tags["sender", selector] = sender
-        if payable and self._chance():
+        if payable and draw() < chance:
             new = new or inp.copy()
             new.value = new.pool_tags["amount", selector] = self.pools.pick_amount(selector)
-        if self._chance():
+        if draw() < chance:
             pooled = self.pools.pick("gas_limit", selector)
             gas = pooled if pooled is not None else rng.randrange(MIN_GAS, MAX_GAS + 1)
             new = new or inp.copy()
             new.gas_limit = new.pool_tags["gas_limit", selector] = gas
         if inp.fn is not None:
             for j, abi_type in enumerate(inp.fn.inputs):
-                if self._chance():
+                if draw() < chance:
                     pooled = self.pools.pick("argument", (selector, j))
                     if pooled is None:
                         pooled = generate_argument(rng, abi_type, self._address_universe)
                     new = new or inp.copy()
                     new.args[j] = new.pool_tags["argument", (selector, j)] = pooled
-        elif self._chance():
+        elif draw() < chance:
             new = new or inp.copy()
             new.raw_calldata = rng.randbytes(rng.randrange(0, MAX_RAW_CALLDATA + 1))
-        if self._chance():
+        if draw() < chance:
             pooled = self.pools.pick("calldata_size", selector)
             new = new or inp.copy()
             if pooled is not None:
@@ -249,7 +253,7 @@ class GeneticEngine:
         # each block value's pool kind is also its attribute on the env
         for kind, default, span in (("timestamp", DEPLOY_TIMESTAMP, TEN_YEARS),
                                     ("block_number", DEPLOY_BLOCK_NUMBER, BLOCK_RANGE)):
-            if self._chance():
+            if draw() < chance:
                 roll = rng.random()
                 drawn = self.pools.pick(kind, selector) if roll < 0.6 else None
                 if drawn is None and roll >= 0.8:
@@ -262,7 +266,7 @@ class GeneticEngine:
                     setattr(new.env, kind, drawn)
                     new.pool_tags[kind, selector] = drawn
         for callee in sorted(self.known_callees):
-            if self._chance():
+            if draw() < chance:
                 pooled = self.pools.pick("call_result", callee)
                 if pooled is None:
                     success = 1 if rng.random() < 0.75 else 0
@@ -270,13 +274,13 @@ class GeneticEngine:
                     pooled = (success, ret)
                 new = new or inp.copy()
                 new.env.call_results[callee] = new.pool_tags["call_result", callee] = pooled
-            if self._chance():
+            if draw() < chance:
                 new = new or inp.copy()
                 new.env.returndata_sizes[callee] = rng.choice(
                     [0, 32, 64, rng.randrange(0, 1025)]
                 )
         for target in sorted(self.known_extcode_targets):
-            if self._chance():
+            if draw() < chance:
                 pooled = self.pools.pick("extcode_size", target)
                 if pooled is None:
                     pooled = rng.choice([0, 1, 100, 24_576, rng.randrange(0, 24_577)])
@@ -292,10 +296,10 @@ class GeneticEngine:
     ) -> list[Individual]:
         order = ranking_order([e.fitness for e in evals])
         ranking = order, [k * (k + 1) // 2 for k in range(1, len(order) + 1)]
-        children = []
+        children, linked = [], {}
         for _ in range(len(population)):
             first = select_ranked(self.rng, ranking)
-            second = self._partner_for(first, evals, ranking)
+            second = self._partner_for(first, evals, ranking, linked)
             child = self.crossover(
                 population[first], population[second], evals[first], evals[second]
             )

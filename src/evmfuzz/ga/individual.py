@@ -24,7 +24,9 @@ class Input:
     key) bucket it came from, so failing constraints can evict exactly the
     values that caused a revert.  An input never changes once it has run:
     individuals share it, it keeps the transaction it built, and mutation and
-    solved models write to copies only.
+    solved models write to copies only.  A copy carries the encoded calldata
+    of the input it was copied from, and reuses those bytes only while its
+    fn and args equal the ones they encode.
     """
 
     fn: FunctionSpec | None
@@ -37,6 +39,8 @@ class Input:
     env: EnvOverrides = field(default_factory=EnvOverrides)
     pool_tags: dict[tuple[str, object], object] = field(default_factory=dict)
     _tx: Transaction | None = field(default=None, init=False, repr=False, compare=False)
+    # (fn, a private copy of args, their encoding): the last calldata encoded
+    _encoded: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def selector(self) -> bytes:
@@ -46,7 +50,11 @@ class Input:
         if self.fn is None:
             data = self.raw_calldata
         else:
-            data = encode_calldata(self.fn, self.args)
+            encoded = self._encoded
+            if encoded is None or encoded[0] is not self.fn or encoded[1] != self.args:
+                encoded = self._encoded = (
+                    self.fn, _copy_args(self.args), encode_calldata(self.fn, self.args))
+            data = encoded[2]
         if self.calldata_size is not None:
             if self.calldata_size <= len(data):
                 data = data[:self.calldata_size]
@@ -60,17 +68,19 @@ class Input:
         return self._tx
 
     def copy(self) -> "Input":
-        return Input(
-            fn=self.fn,
-            sender=self.sender,
-            value=self.value,
-            gas_limit=self.gas_limit,
-            args=_copy_args(self.args),
-            raw_calldata=self.raw_calldata,
-            calldata_size=self.calldata_size,
-            env=self.env.copy(),
-            pool_tags=dict(self.pool_tags),
-        )
+        new = object.__new__(Input)  # field by field: no dataclass __init__ round trip
+        new.fn = self.fn
+        new.sender = self.sender
+        new.value = self.value
+        new.gas_limit = self.gas_limit
+        new.args = _copy_args(self.args)
+        new.raw_calldata = self.raw_calldata
+        new.calldata_size = self.calldata_size
+        new.env = self.env.copy()
+        new.pool_tags = dict(self.pool_tags)
+        new._tx = None
+        new._encoded = self._encoded
+        return new
 
     def describe(self) -> dict:
         return {

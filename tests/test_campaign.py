@@ -7,7 +7,7 @@ import time
 import pytest
 
 from evmfuzz import campaign as campaign_module
-from evmfuzz.abi import AbiType, parse_abi
+from evmfuzz.abi import AbiType, encode_calldata, parse_abi
 from evmfuzz.analysis import OpenBranch, PathConstraint, SolveResult, TaintReport
 from evmfuzz.analysis import expr
 from evmfuzz.analysis import taint as taint_module
@@ -561,6 +561,29 @@ def test_apply_model_patches_raw_calldata_word():
     assert int.from_bytes(data[4:36], "big") == 5
 
 
+def test_a_model_copy_sends_the_calldata_of_its_patched_fields():
+    # each input ran first, so its copy carries the bytes it encoded
+    campaign = make_campaign()
+    fn = MAGIC_ABI.functions[0]
+    individual = Individual([
+        Input(fn=fn, sender=1, args=[5]),
+        Input(fn=None, sender=1, raw_calldata=b"\xaa\xbb\xcc\xdd"),
+        Input(fn=fn, sender=1, args=[9]),
+        Input(fn=fn, sender=1, args=[7]),
+    ])
+    sent = [inp.transaction(campaign.address).data for inp in individual.inputs]
+    model = {"arg_0_0": 0xDEADBEEF12345678, "arg_1_1": 6, "calldatasize_2": 10, "gas_3": 30_000}
+    patched = campaign._apply_model(individual, model)
+    for inp in patched.inputs:
+        data = inp.raw_calldata if inp.fn is None else encode_calldata(inp.fn, inp.args)
+        if inp.calldata_size is not None:
+            data = data[:inp.calldata_size].ljust(inp.calldata_size, b"\x00")
+        assert inp.transaction(campaign.address).data == data
+    assert patched.inputs[2].calldata() == sent[2][:10]
+    assert patched.inputs[3].calldata() is sent[3]  # its args are its parent's
+    assert [inp.transaction(campaign.address).data for inp in individual.inputs] == sent
+
+
 def test_apply_model_sets_environment_fields():
     campaign = make_campaign()
     fn = MAGIC_ABI.functions[0]
@@ -945,19 +968,36 @@ def test_explicit_solver_argv_reaches_the_subprocess(monkeypatch, tmp_path):
 CORPUS = [TOKEN_SALE, SAFE_ASSERT, GUARDED_ADD, OWNED_PROXY, *MINI_CORPUS.values()]
 
 
-def fixture_report(compiled, generations=15) -> dict:
+def fixture_report(compiled, generations=15, **switches) -> dict:
     report = run_campaign(
         compiled.abi(),
         compiled.runtime,
         creation_code=compiled.creation,
         constructor_args=compiled.constructor_args,
-        config=CampaignConfig(seed=1, generations=generations),
+        config=CampaignConfig(seed=1, generations=generations, **switches),
         contract_balance=compiled.contract_balance,
     )
     # timing fields aside
     del report["elapsed_seconds"]
     report["series"] = [coverage for _, coverage in report["series"]]
     return report
+
+
+# sha256 prefix of a seeded TOKEN_SALE report, timing fields aside, with one
+# ablation switch off
+ABLATION_REPORTS = {
+    "raw_aware": "874f40f5e04e784a",
+    "env_fuzzing": "7f619e54075a8f27",
+    "solver_enabled": "01acad2bfaf31e52",
+}
+
+
+@pytest.mark.parametrize("switch", sorted(ABLATION_REPORTS))
+def test_a_seeded_report_with_one_switch_off_is_pinned(switch):
+    report = fixture_report(TOKEN_SALE, **{switch: False})
+    assert report["config"][{"solver_enabled": "solver"}.get(switch, switch)] is False
+    digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == ABLATION_REPORTS[switch]
 
 
 def test_the_memos_change_no_report(monkeypatch):

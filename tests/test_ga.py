@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmfuzz.abi import parse_abi
+from evmfuzz.abi import encode_calldata, parse_abi
 from evmfuzz.analysis.taint import VAR_KINDS
 from evmfuzz.evm import ExecutionTrace
 from evmfuzz.evm.interpreter import TraceFacts
@@ -21,6 +21,7 @@ from evmfuzz.ga import (
     Evaluation,
     GeneticEngine,
     Individual,
+    Input,
     MutationPools,
     POOL_CAPACITY,
     compute_fitness,
@@ -309,14 +310,15 @@ def test_partner_selection_round_robins_data_linked_individuals():
         eval_with(fitness=1.0),
     ]
     ranking = ranking_of([e.fitness for e in evals])
-    partners = [engine._partner_for(0, evals, ranking) for _ in range(4)]
+    linked = {}
+    partners = [engine._partner_for(0, evals, ranking, linked) for _ in range(4)]
     assert partners == [1, 2, 1, 2]
 
 
 def test_partner_falls_back_to_ranking_without_links():
     engine = make_engine()
     evals = [eval_with(fitness=1.0), eval_with(fitness=2.0), eval_with(fitness=3.0)]
-    partner = engine._partner_for(0, evals, ranking_of([e.fitness for e in evals]))
+    partner = engine._partner_for(0, evals, ranking_of([e.fitness for e in evals]), {})
     assert partner in (0, 1, 2)
 
 
@@ -402,10 +404,12 @@ EVOLVE_ABI_JSON = json.dumps([
 ])
 
 
-def evolving_engine(seed):
+def evolving_engine(seed, **switches):
     """An engine whose mutation reaches every field: a payable fallback,
     dynamic arguments, pooled values, a known callee and code-size target."""
-    engine = GeneticEngine(random.Random(seed), parse_abi(EVOLVE_ABI_JSON), ACCOUNTS, CONTRACT)
+    engine = GeneticEngine(
+        random.Random(seed), parse_abi(EVOLVE_ABI_JSON), ACCOUNTS, CONTRACT, **switches
+    )
     engine.known_callees.add(0x1234)
     engine.known_extcode_targets.add(0xAB)
     selector = engine.abi.functions[1].selector
@@ -428,16 +432,29 @@ def fixed_evals(population, generation):
     ]
 
 
-def test_evolution_draws_are_pinned():
+def bred_digest(**switches) -> str:
     # every parent, crossover and mutation draw of 20 generations feeds this
     # digest of the populations bred, so a reordered draw moves it
-    engine = evolving_engine(18)
+    engine = evolving_engine(18, **switches)
     population = engine.initial_population()
     digest = hashlib.sha256()
     for generation in range(20):
         population = engine.evolve(population, fixed_evals(population, generation))
         digest.update(json.dumps([ind.describe() for ind in population], sort_keys=True).encode())
-    assert digest.hexdigest()[:16] == "b80d349ad5040f0d"
+    return digest.hexdigest()[:16]
+
+
+def test_evolution_draws_are_pinned():
+    assert bred_digest() == "b80d349ad5040f0d"
+
+
+@pytest.mark.parametrize("raw_aware, env_fuzzing, pinned", [
+    (True, False, "2edb9e9dff0dce9c"),  # mutation stops before the environment
+    (False, True, "737401fedb04641f"),  # every partner is a ranked draw
+    (False, False, "91a8a5902aa141a1"),
+], ids=["env_fuzzing-off", "raw_aware-off", "both-off"])
+def test_evolution_draws_are_pinned_with_a_switch_off(raw_aware, env_fuzzing, pinned):
+    assert bred_digest(raw_aware=raw_aware, env_fuzzing=env_fuzzing) == pinned
 
 
 @settings(max_examples=40, deadline=None)
@@ -462,6 +479,52 @@ def test_evolve_shares_parent_inputs_and_never_writes_them(seed, mutation):
             if mutation == 0.0:
                 assert not fresh
             population = children
+
+
+def fresh_calldata(inp):
+    """What ``inp``'s transaction must carry, encoded from scratch."""
+    data = inp.raw_calldata if inp.fn is None else encode_calldata(inp.fn, inp.args)
+    if inp.calldata_size is None:
+        return data
+    return data[:inp.calldata_size].ljust(inp.calldata_size, b"\x00")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32),
+    mutation=st.sampled_from([0.1, 0.5, 1.0]),
+)
+def test_a_bred_child_sends_the_calldata_of_its_own_args(seed, mutation):
+    engine = evolving_engine(seed)
+    population = engine.initial_population()
+    with pytest.MonkeyPatch.context() as patch:  # a fixture would outlive one example
+        patch.setattr(engine_module, "MUTATION_PROBABILITY", mutation)
+        for generation in range(6):
+            for inp in (inp for ind in population for inp in ind.inputs):
+                inp.transaction(CONTRACT)  # as a run does, so copies carry its bytes
+            population = engine.evolve(population, fixed_evals(population, generation))
+            for inp in (inp for ind in population for inp in ind.inputs):
+                assert inp.transaction(CONTRACT).data == fresh_calldata(inp)
+
+
+def test_a_copy_reuses_its_parents_bytes_only_for_equal_args():
+    put = parse_abi(EVOLVE_ABI_JSON).functions[2]
+    parent = Input(fn=put, sender=ACCOUNTS.benign, args=[b"\x01\x02", [7, 8]])
+    data = parent.transaction(CONTRACT).data
+    copy = parent.copy()
+    assert copy.args is not parent.args and copy.transaction(CONTRACT).data is data
+    copy.args[1] = [7, 8]  # an equal value in a new list
+    assert copy.calldata() is data
+    changed = parent.copy()
+    changed.args[1] = [7, 9]
+    assert changed.transaction(CONTRACT).data == encode_calldata(put, [b"\x01\x02", [7, 9]])
+    grown = changed.copy()
+    grown.args[0] = b"\x01\x02\x03"
+    assert grown.calldata() == encode_calldata(put, [b"\x01\x02\x03", [7, 9]])
+    # written in place after it encoded, an input encodes its new args
+    changed.args[1] = [8]
+    assert changed.calldata() == encode_calldata(put, [b"\x01\x02", [8]])
+    assert parent.calldata() is data and parent.args == [b"\x01\x02", [7, 8]]
 
 
 def test_fingerprint_is_content_based():

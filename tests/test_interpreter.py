@@ -189,6 +189,32 @@ def test_balances_accumulate_only_applied_value():
     assert state.balance_of(ACCOUNTS.benign) == INITIAL_BALANCE - 12
 
 
+APPLYING_TERMINALS = {"STOP", "RETURN", "SELFDESTRUCT"}
+TERMINALS = ("STOP", "RETURN", "REVERT", "INVALID", "OUT_OF_GAS", "TIMEOUT", "SELFDESTRUCT")
+
+
+def test_a_trace_applies_exactly_when_its_terminal_does():
+    runs = [
+        run("PUSH1 0x01 PUSH1 0x00 SSTORE STOP")[0],
+        run(f"PUSH1 0x2a {RETURN_TOP}")[0],
+        run("PUSH1 0x00 PUSH1 0x00 REVERT")[0],
+        run("INVALID")[0],
+        run("PUSH1 0x03 JUMP")[0],  # a fault
+        run("loop: JUMPDEST PUSH @loop JUMP", gas=40)[0],
+        run("CALLER SELFDESTRUCT")[0],
+        run("STOP", value=INITIAL_BALANCE + 1)[0],  # unpayable: the synthetic trace
+        Interpreter().execute(EmulatedState(), Transaction(ACCOUNTS.benign, CONTRACT, 0,
+                              8_000_000, b""), EnvOverrides(), time.monotonic() - 1.0),
+    ]
+    assert {trace.terminal for trace in runs} == set(TERMINALS)
+    hand_built = [ExecutionTrace((), (), (), terminal) for terminal in TERMINALS]
+    for trace in runs + hand_built:
+        assert trace.state_delta_applied is (trace.terminal in APPLYING_TERMINALS)
+        # the flag is kept on the trace and is no field: equality ignores it
+        assert trace.state_delta_applied is trace.__dict__["state_delta_applied"]
+    assert hand_built[0] == ExecutionTrace((), (), (), "STOP")
+
+
 def test_unpayable_transaction_is_single_synthetic_record():
     trace, state = run("STOP", value=INITIAL_BALANCE + 1)
     assert trace.terminal == "INVALID"

@@ -3,7 +3,7 @@ import hashlib
 import os
 import stat
 import time
-from itertools import islice
+from itertools import combinations, islice
 from random import Random
 
 import pytest
@@ -25,7 +25,7 @@ from evmfuzz.analysis.solver import (
     free_variables,
     parse_model,
 )
-from evmfuzz.analysis.taint import PathConstraint
+from evmfuzz.analysis.taint import FUZZABLE_KINDS, VAR_KINDS, PathConstraint, parse_var
 from evmfuzz.evm.opcodes import signed
 
 from oracles import smt_eval
@@ -579,6 +579,29 @@ def test_free_variables_excludes_unfuzzable_kinds():
         var("balance_0"),
     )
     assert free_variables(cond) == {"callvalue_0"}
+
+
+# one name of every variable kind, as the taint walk spells it
+NAME_OF_KIND = {
+    "callvalue": "callvalue_0", "caller": "caller_1", "origin": "origin_0",
+    "timestamp": "timestamp_2", "blocknumber": "blocknumber_0",
+    "calldatasize": "calldatasize_1", "gas": "gas_0", "arg": "arg_1_0",
+    "callres": "callres_0_9999", "callret": "callret_1_9999_w2",
+    "retsize": "retsize_0_9999", "extcode": "extcode_2_ab", "calldata": "calldata_36_0",
+    "balance": "balance_0", "blockhash": "blockhash_1", "storage": "storage_ff",
+}
+
+
+def test_free_variables_agree_with_the_kind_table():
+    assert set(NAME_OF_KIND) == set(VAR_KINDS)
+    names = sorted(NAME_OF_KIND.values())
+    for size in (0, 1, 2, len(names)):
+        for chosen in combinations(names, size):
+            cond = const(1)
+            for name in chosen:
+                cond = apply("add", cond, var(name))
+            expected = {name for name in chosen if parse_var(name).kind in FUZZABLE_KINDS}
+            assert free_variables(cond) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ import shutil
 import subprocess
 import time
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count, islice
@@ -261,18 +261,19 @@ SOLVER_CANDIDATES = (
 )
 
 
-def detect_solver(timeout_ms: int = DEFAULT_TIMEOUT_MS) -> list[str] | None:
+def detect_solver(timeout_ms: int = DEFAULT_TIMEOUT_MS) -> tuple[str, ...] | None:
+    """The command line of the first known solver on ``PATH``, if any."""
     for name, argv in SOLVER_CANDIDATES:
         path = shutil.which(name)
         if path:
-            return argv(path, timeout_ms)
+            return tuple(argv(path, timeout_ms))
     return None
 
 
 class ExternalSolver:
     """Runs SMT-LIB text through a solver binary, stdin to stdout."""
 
-    def __init__(self, argv: list[str], timeout_ms: int = DEFAULT_TIMEOUT_MS) -> None:
+    def __init__(self, argv: Sequence[str], timeout_ms: int = DEFAULT_TIMEOUT_MS) -> None:
         self.argv = argv
         self.timeout_ms = timeout_ms
 
@@ -663,7 +664,7 @@ class SolverBridge:
     def __init__(
         self,
         timeout_ms: int = DEFAULT_TIMEOUT_MS,
-        external_argv: list[str] | None = None,
+        external_argv: Sequence[str] | None = None,
     ) -> None:
         self.timeout_ms = timeout_ms
         self.external = ExternalSolver(external_argv, timeout_ms) if external_argv else None

@@ -8,6 +8,10 @@ instruction triggers the solver: open branches (conditional jumps observed in
 one direction only) are negated and any model found is written back into a
 copy of the witnessing individual, which is injected into the next
 population.
+
+An external solver runs only when the config gives its command line
+(``solver_argv``), else the internal one answers: a campaign probes nothing
+on the machine, so one seed gives one report anywhere.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .analysis import (
     SolverBridge,
     TaintPlans,
     TaintReport,
-    detect_solver,
     free_variables,
     parse_var,
     pool_bucket,
@@ -85,7 +88,8 @@ class CampaignConfig:
     raw_aware: bool = True
     env_fuzzing: bool = True
     solver_timeout_ms: int = 100
-    solver_argv: tuple[str, ...] | None = None  # external solver command
+    # external solver command line; None: internal solver only
+    solver_argv: tuple[str, ...] | None = None
     detectors: tuple[str, ...] = ALL_KINDS
     trace_dir: str | None = None
     # transactions replayed after deployment, before the campaign snapshot:
@@ -195,15 +199,9 @@ class Campaign:
             raw_aware=self.config.raw_aware,
             env_fuzzing=self.config.env_fuzzing,
         )
-        if self.config.solver_argv:
-            external_argv = list(self.config.solver_argv)
-        elif self.config.solver_enabled:
-            external_argv = detect_solver(self.config.solver_timeout_ms)
-        else:
-            external_argv = None  # a disabled solver must never probe or spawn
         self.bridge = SolverBridge(
             timeout_ms=self.config.solver_timeout_ms,
-            external_argv=external_argv,
+            external_argv=self.config.solver_argv,
         )
         self.detectors = DetectorSuite(
             accounts, self.address, runtime, enabled=self.config.detectors,

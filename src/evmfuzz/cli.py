@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from .abi import AbiError, ContractAbi, parse_abi
-from .analysis.solver import SOLVER_CANDIDATES
+from .analysis.solver import SOLVER_CANDIDATES, detect_solver
 from .campaign import CampaignConfig, check_initial_state, run_campaign, write_report
 from .detectors import ALL_KINDS
 from .evm import DeployError
@@ -65,8 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--solver-bin",
         metavar="PATH",
-        help="SMT solver executable to use instead of probing PATH "
-        "(z3, cvc5, and cvc4 command lines are understood)",
+        help="SMT solver executable (z3, cvc5, and cvc4 command lines are "
+        "understood); default: the first of these found on PATH, looked up "
+        "once, else the built-in solver",
     )
     parser.add_argument(
         "--detectors",
@@ -192,6 +193,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.no_solver:
                 raise _Problem(EXIT_INPUT, "--solver-bin conflicts with --no-solver")
             solver_argv = _solver_argv(args.solver_bin, args.solver_timeout_ms)
+        elif not args.no_solver:
+            solver_argv = detect_solver(args.solver_timeout_ms)
         try:
             config = CampaignConfig(
                 seed=args.seed,

@@ -28,7 +28,7 @@ import time
 from ..keccak import DEADLINE_CHECK_BYTES, RATE_BYTES, keccak256
 from . import opcodes
 from .opcodes import CALL_OPS, MASK, WORD_OPS
-from .state import EmulatedState
+from .state import DEPLOYER, DEPLOYER_CHILD, EmulatedState
 
 GAS_BUDGET = 8_000_000  # per transaction, at 1 gas per instruction
 MEMORY_CAP = 16 * 1024 * 1024
@@ -849,7 +849,11 @@ class Interpreter:
 
 def new_address(state: EmulatedState, creator: int) -> int:
     """The address of the next account ``creator`` makes: bumps its nonce."""
-    address = child_address(creator, state.nonces.get(creator, 0))
+    nonce = state.nonces.get(creator, 0)
+    if creator == DEPLOYER and not nonce:
+        address = DEPLOYER_CHILD  # every campaign's contract: no hash to make
+    else:
+        address = child_address(creator, nonce)
     state.bump_nonce(creator)
     return address
 

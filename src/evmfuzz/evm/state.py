@@ -10,6 +10,8 @@ ETHER = 10**18
 INITIAL_BALANCE = 10**12 * ETHER
 
 DEPLOYER = 0xD0E0A0000000000000000000000000000000D001
+# child_address(DEPLOYER, 0): where every campaign's contract lands
+DEPLOYER_CHILD = 0x9C28A17FAE4CDDAC189603A8899ECBDB88ABFCA9
 BENIGN = 0xBE111C0000000000000000000000000000000B01
 ATTACKER_1 = 0xA77AC4E200000000000000000000000000000A01
 ATTACKER_2 = 0xA77AC4E200000000000000000000000000000A02

@@ -101,8 +101,9 @@ class GeneticEngine:
         self.raw_aware = raw_aware
         self.env_fuzzing = env_fuzzing
         self.pools = MutationPools()
-        self.known_callees: set[int] = set()
-        self.known_extcode_targets: set[int] = set()
+        # what traces showed, kept sorted: each mutation walks them in order
+        self.known_callees: tuple[int, ...] = ()
+        self.known_extcode_targets: tuple[int, ...] = ()
         self.crossover_log: list[dict] = []
         self._partner_cursor = 0
         self._callable: list[FunctionSpec | None] = list(abi.functions)
@@ -265,7 +266,7 @@ class GeneticEngine:
                 else:
                     setattr(new.env, kind, drawn)
                     new.pool_tags[kind, selector] = drawn
-        for callee in sorted(self.known_callees):
+        for callee in self.known_callees:
             if draw() < chance:
                 pooled = self.pools.pick("call_result", callee)
                 if pooled is None:
@@ -279,7 +280,7 @@ class GeneticEngine:
                 new.env.returndata_sizes[callee] = rng.choice(
                     [0, 32, 64, rng.randrange(0, 1025)]
                 )
-        for target in sorted(self.known_extcode_targets):
+        for target in self.known_extcode_targets:
             if draw() < chance:
                 pooled = self.pools.pick("extcode_size", target)
                 if pooled is None:
@@ -320,7 +321,11 @@ class GeneticEngine:
         if trace.facts.observed_by is self:
             return
         trace.facts.observed_by = self
-        for event in trace.calls:
-            if event.op in CALL_OPS:
-                self.known_callees.add(event.to)
-        self.known_extcode_targets |= trace.facts.extcode_targets
+        callees = {event.to for event in trace.calls if event.op in CALL_OPS}
+        self.known_callees = _grown(self.known_callees, callees)
+        self.known_extcode_targets = _grown(self.known_extcode_targets, trace.facts.extcode_targets)
+
+
+def _grown(registry: tuple[int, ...], seen: set[int] | frozenset[int]) -> tuple[int, ...]:
+    """``registry`` with the members of ``seen`` it lacks, still sorted."""
+    return registry if seen.issubset(registry) else tuple(sorted(seen.union(registry)))

@@ -21,9 +21,11 @@ from evmfuzz.campaign import (
     run_campaign,
     write_report,
 )
-from evmfuzz.evm import EmulatedState, Interpreter, Transaction
+from evmfuzz.evm import EmulatedState, EnvOverrides, Interpreter, Transaction
 from evmfuzz.evm import interpreter as interpreter_module
+from evmfuzz.evm.interpreter import child_address, new_address
 from evmfuzz.evm.opcodes import disassemble
+from evmfuzz.evm.state import DEPLOYER, DEPLOYER_CHILD
 from evmfuzz.ga import Individual, Input
 from evmfuzz.keccak import keccak256
 
@@ -940,6 +942,18 @@ def test_disabled_solver_never_probes_or_spawns(monkeypatch):
     assert report["solver"]["attempts"] == 0
 
 
+def test_building_a_campaign_probes_nothing(monkeypatch):
+    import shutil
+
+    def probe(*args, **kwargs):
+        raise AssertionError("a campaign looked for a solver on PATH")
+
+    monkeypatch.setattr(shutil, "which", probe)
+    campaign = Campaign(MAGIC_ABI, MAGIC_GUARD, config=quick_config())
+    assert campaign.bridge.external is None  # no command line given: internal only
+    campaign.run()
+
+
 def test_explicit_solver_argv_reaches_the_subprocess(monkeypatch, tmp_path):
     import evmfuzz.analysis.solver as solver_mod
 
@@ -1081,3 +1095,36 @@ def test_every_input_run_keeps_the_transaction_its_fields_build(monkeypatch):
         assert tx == Transaction(inp.sender, to, inp.value, inp.gas_limit, inp.calldata())
     # and shared inputs do reuse what they built
     assert len({id(tx) for _, _, tx in built}) < len(built)
+
+
+# ---------------------------------------------------------------------------
+# the deployer's first child address
+
+
+def test_the_deployer_child_literal_is_its_hash():
+    assert DEPLOYER_CHILD == child_address(DEPLOYER, 0)
+    # later nonces still hash
+    state = EmulatedState()
+    assert new_address(state, DEPLOYER) == DEPLOYER_CHILD
+    assert new_address(state, DEPLOYER) == child_address(DEPLOYER, 1)
+
+
+CREATOR = assemble("PUSH1 0x00 PUSH1 0x00 PUSH1 0x00 CREATE STOP")
+
+
+def test_a_contract_lands_at_the_deployer_child_however_it_is_installed():
+    installed = Campaign(EMPTY_ABI, CREATOR, config=quick_config())
+    deployed = Campaign(
+        EMPTY_ABI, b"", creation_code=creation_wrapper(CREATOR), config=quick_config()
+    )
+    assert installed.address == deployed.address == DEPLOYER_CHILD
+    assert deployed.state.code[DEPLOYER_CHILD] == CREATOR
+
+
+def test_a_create_from_the_contract_still_hashes_its_address():
+    campaign = Campaign(EMPTY_ABI, CREATOR, config=quick_config())
+    nonce = campaign.state.nonces.get(campaign.address, 0)
+    tx = Transaction(campaign.state.accounts.benign, campaign.address, 0, 100_000, b"")
+    trace = campaign.interpreter.execute(campaign.state, tx, EnvOverrides())
+    [event] = trace.calls
+    assert event.op == "CREATE" and event.to == child_address(campaign.address, nonce)

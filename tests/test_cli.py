@@ -286,6 +286,48 @@ def test_solver_bin_builds_a_known_command_line(compiled, tmp_path):
     assert "-in" in argv and "-smt2" in argv
 
 
+def test_a_solver_found_on_path_is_probed_once_and_reported(compiled, monkeypatch):
+    import shutil
+
+    import evmfuzz.analysis.solver as solver_mod
+
+    looked, spawned = [], []
+
+    def which(name, *args, **kwargs):
+        looked.append(name)
+        return "/usr/local/bin/z3" if name == "z3" else None
+
+    def fake_run(argv, **kwargs):
+        spawned.append(argv)
+        raise FileNotFoundError(argv[0])
+
+    monkeypatch.setattr(shutil, "which", which)
+    monkeypatch.setattr(solver_mod.subprocess, "run", fake_run)
+    out = compiled / "report.json"
+    assert main(quick_args(compiled, "--report", str(out), "--solver-timeout-ms", "70")) == EXIT_OK
+    assert looked == ["z3"]
+    argv = json.loads(out.read_text())["config"]["solver_argv"]
+    assert argv == ["/usr/local/bin/z3", "-in", "-smt2", "-t:70"]
+    assert all(list(spawned_argv) == argv for spawned_argv in spawned)
+
+
+def test_no_solver_never_probes_or_spawns(compiled, monkeypatch):
+    import shutil
+
+    import evmfuzz.analysis.solver as solver_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("--no-solver looked for or ran a solver")
+
+    monkeypatch.setattr(shutil, "which", refuse)
+    monkeypatch.setattr(solver_mod.subprocess, "run", refuse)
+    out = compiled / "report.json"
+    assert main(quick_args(compiled, "--no-solver", "--report", str(out))) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["config"]["solver_argv"] is None
+    assert report["solver"]["attempts"] == 0
+
+
 def test_solver_bin_missing_fails_distinctly(compiled, capsys):
     code = main(quick_args(compiled, "--solver-bin", "/does/not/exist/z3"))
     assert code == EXIT_SOLVER

@@ -340,7 +340,7 @@ def test_mutation_never_touches_selector_and_respects_pools(always_mutate):
 def test_mutation_uses_call_result_registry(always_mutate):
     engine = make_engine()
     callee = 0x1234
-    engine.known_callees.add(callee)
+    engine.known_callees = (callee,)
     engine.pools.insert("call_result", callee, (1, b"\x01" * 32))
     individual = Individual([engine.random_input(engine.abi.functions[0])])
     engine.mutate(individual)
@@ -362,15 +362,35 @@ def test_observe_trace_populates_registries():
         facts=TraceFacts(extcode_targets={0xAB}),
     )
     engine.observe_trace(trace)
-    assert engine.known_callees == {0xCD}
-    assert engine.known_extcode_targets == {0xAB}
+    assert engine.known_callees == (0xCD,)
+    assert engine.known_extcode_targets == (0xAB,)
     # the engine takes a trace in once; another engine sharing it still does
-    engine.known_callees.clear()
+    engine.known_callees = ()
     engine.observe_trace(trace)
-    assert engine.known_callees == set()
+    assert engine.known_callees == ()
     other = make_engine()
     other.observe_trace(trace)
-    assert other.known_callees == {0xCD} and other.known_extcode_targets == {0xAB}
+    assert other.known_callees == (0xCD,) and other.known_extcode_targets == (0xAB,)
+
+
+def test_registries_stay_sorted_and_are_rebuilt_only_when_they_grow():
+    from evmfuzz.evm import CallEvent
+
+    def trace(callees, targets=()):
+        return ExecutionTrace(
+            ops=["STOP"], pcs=[0], stacks=[()], terminal="STOP",
+            calls=[CallEvent(0, "CALL", 9, to, 2300, 0, 1, False) for to in callees],
+            facts=TraceFacts(extcode_targets=frozenset(targets)),
+        )
+
+    engine = make_engine()
+    engine.observe_trace(trace([0xCD, 0x12], [0xAB]))
+    engine.observe_trace(trace([0x50], [0x01, 0xAB]))
+    assert engine.known_callees == (0x12, 0x50, 0xCD)
+    assert engine.known_extcode_targets == (0x01, 0xAB)
+    callees, targets = engine.known_callees, engine.known_extcode_targets
+    engine.observe_trace(trace([0x50, 0xCD], [0x01]))
+    assert engine.known_callees is callees and engine.known_extcode_targets is targets
 
 
 def test_evolution_is_deterministic_per_seed():
@@ -410,8 +430,8 @@ def evolving_engine(seed, **switches):
     engine = GeneticEngine(
         random.Random(seed), parse_abi(EVOLVE_ABI_JSON), ACCOUNTS, CONTRACT, **switches
     )
-    engine.known_callees.add(0x1234)
-    engine.known_extcode_targets.add(0xAB)
+    engine.known_callees = (0x1234,)
+    engine.known_extcode_targets = (0xAB,)
     selector = engine.abi.functions[1].selector
     engine.pools.insert("argument", (selector, 0), 777)
     engine.pools.insert("timestamp", selector, 1_600_000_000)

@@ -19,7 +19,7 @@ from .analysis.expr import contains, variables
 from .analysis.slots import slot_identity, write_set
 from .analysis.taint import BLOCK_KINDS, FUZZABLE_KINDS, TaintReport, VarInfo, parse_var
 from .evm import ExecutionTrace
-from .evm.opcodes import CALL_OPS, SEND_OPS, disassemble
+from .evm.opcodes import CALL_OPS, NAME_TO_CODE, SEND_OPS, instruction_starts
 from .evm.state import AccountSet
 from .ga.individual import Individual, Input
 
@@ -77,8 +77,9 @@ class DetectorSuite:
         self.findings: dict[tuple[str, int], Finding] = {}
         # storage identity -> senders whose applied writes reached it
         self.slot_writers: dict[tuple, set[int]] = {}
+        send_codes = {NAME_TO_CODE[name] for name in SEND_OPS}
         self._code_can_send = any(
-            name in SEND_OPS for _, name, _ in disassemble(runtime_code)
+            runtime_code[pc] in send_codes for pc in instruction_starts(runtime_code)
         )
 
     # ------------------------------------------------------------------

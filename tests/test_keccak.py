@@ -1,12 +1,19 @@
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from evmfuzz.keccak import DEADLINE_CHECK_BYTES, keccak256, sha3_256_compat
+import evmfuzz
+from evmfuzz.keccak import DEADLINE_CHECK_BYTES, _keccak_f, keccak256, sha3_256_compat
 
-from oracles.keccak_ref import keccak256_reference
+from oracles.keccak_ref import keccak256_reference, permute
+
+MASK = 2**64 - 1
 
 # Known-answer vectors.  The empty-input digest is the well-known hash every
 # empty Ethereum account carries as its codeHash; the selectors are the
@@ -64,3 +71,54 @@ def test_a_deadline_changes_no_digest_and_stops_long_inputs():
     assert keccak256(b"abc", time.monotonic() - 1) == keccak256(b"abc")  # never read
     with pytest.raises(TimeoutError):
         keccak256(message, time.monotonic() - 1)
+
+
+def _reference_permutation(state):
+    lanes = [[state[x + 5 * y] for y in range(5)] for x in range(5)]
+    permute(lanes)
+    return [lanes[i % 5][i // 5] for i in range(25)]
+
+
+# Lane complementing keeps some lanes inverted across rounds, so a slip shows
+# first on lanes of all zeros, all ones or a single bit, which absorbing a
+# message rarely produces.
+LANES = st.one_of(st.just(0), st.just(MASK), st.integers(0, 63).map(lambda bit: 1 << bit),
+                  st.integers(0, MASK))
+
+
+@given(st.lists(LANES, min_size=25, max_size=25))
+@example([0] * 25)
+@example([MASK] * 25)
+def test_permutation_matches_reference(state):
+    expected = _reference_permutation(state)
+    _keccak_f(state)
+    assert state == expected
+
+
+def test_importing_the_package_runs_no_permutation():
+    script = """
+import sys
+from collections import Counter
+
+calls = Counter()
+
+
+def count(frame, event, arg):
+    if event == "call":
+        calls[frame.f_code] += 1
+
+
+sys.setprofile(count)
+import evmfuzz
+from evmfuzz import keccak
+
+at_import = calls[keccak._keccak_f.__code__]
+keccak.keccak256(b"")
+sys.setprofile(None)
+print(at_import, calls[keccak._keccak_f.__code__])
+"""
+    src = str(Path(evmfuzz.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    assert out.split() == ["0", "1"]  # none at import; the one after shows the count works
